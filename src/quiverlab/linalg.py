@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -185,25 +186,15 @@ def primitive_kernel_vector(matrix: Sequence[Sequence[int]]) -> list[int]:
     if len(basis) != 1:
         raise ValueError(f"kernel is {len(basis)}-dimensional, expected 1")
     vec = basis[0]
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     if all(x < 0 for x in ints):
         ints = [-x for x in ints]
     if any(x <= 0 for x in ints):
         raise ValueError("kernel vector is not sign-definite")
     return ints
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

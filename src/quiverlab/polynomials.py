@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import operator
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -333,7 +335,7 @@ class Polynomial:
 
 
 def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _mono_sub(a: tuple, b: tuple) -> tuple:
@@ -344,12 +346,15 @@ def _mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _reduce(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Full multivariate division remainder of f by the listed polynomials."""
+def _reduce(f: Polynomial, leads: Sequence[tuple[tuple, Polynomial]]) -> Polynomial:
+    """Full multivariate division remainder of f by the listed polynomials.
+
+    ``leads`` pairs each divisor with its leading exponents; the first
+    divisor in list order whose lead divides a term cancels it.
+    """
     ring = f.ring
     work = dict(f.terms)
     out: dict[tuple, Fraction] = {}
-    leads = [(g.lead_exps(), g) for g in basis]
     while work:
         exps = max(work, key=ring.key)
         coef = work.pop(exps)
@@ -378,6 +383,13 @@ class GroebnerBasis:
 
     ring: PolyRing
     polys: tuple[Polynomial, ...]
+    # (leading exponents, polynomial) per member, computed once
+    leads: tuple[tuple[tuple, Polynomial], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "leads",
+                           tuple((g.lead_exps(), g) for g in self.polys))
 
     def __iter__(self):
         return iter(self.polys)
@@ -388,7 +400,7 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        return _reduce(f, self.polys)
+        return _reduce(f, self.leads)
 
     def ideal_member(self, f: Polynomial) -> tuple[bool, Polynomial]:
         nf = self.normal_form(f)
@@ -396,7 +408,7 @@ class GroebnerBasis:
 
     def is_standard(self, exps: tuple) -> bool:
         """True when the monomial avoids every leading term."""
-        return not any(_divides(g.lead_exps(), exps) for g in self.polys)
+        return not any(_divides(le, exps) for le, _ in self.leads)
 
     def texts(self) -> list[str]:
         return [g.text() for g in self.polys]
@@ -421,16 +433,16 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
     if any(g.ring != ring for g in gens):
         raise ValueError("generators from different rings")
 
-    basis: list[Polynomial] = []
+    basis: list[tuple[tuple, Polynomial]] = []   # (lead exps, monic member)
     pairs: list[tuple] = []
 
     def push(f: Polynomial) -> None:
         f = f.monic()
-        t = len(basis)
-        basis.append(f)
         lt = f.lead_exps()
+        t = len(basis)
+        basis.append((lt, f))
         for i in range(t):
-            li = basis[i].lead_exps()
+            li = basis[i][0]
             if all(min(a, b) == 0 for a, b in zip(li, lt)):
                 continue   # coprime leads never yield a new element
             lcm = _mono_lcm(li, lt)
@@ -447,31 +459,29 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
         if steps > max_steps:
             raise BudgetExceeded(f"Gröbner computation exceeded {max_steps} steps")
         _, i, j = heapq.heappop(pairs)
-        fi, fj = basis[i], basis[j]
-        lcm = _mono_lcm(fi.lead_exps(), fj.lead_exps())
-        a = Polynomial(ring, {_mono_sub(lcm, fi.lead_exps()): Fraction(1)})
-        b = Polynomial(ring, {_mono_sub(lcm, fj.lead_exps()): Fraction(1)})
+        (li, fi), (lj, fj) = basis[i], basis[j]
+        lcm = _mono_lcm(li, lj)
+        a = Polynomial(ring, {_mono_sub(lcm, li): Fraction(1)})
+        b = Polynomial(ring, {_mono_sub(lcm, lj): Fraction(1)})
         s = a * fi - b * fj
         r = _reduce(s, basis)
         if r:
             push(r)
 
     # minimalize: drop members whose lead another member's lead divides
-    keep: list[Polynomial] = []
-    for i, g in enumerate(basis):
-        lt = g.lead_exps()
+    keep: list[tuple[tuple, Polynomial]] = []
+    for i, (lt, g) in enumerate(basis):
         redundant = False
-        for j, h in enumerate(basis):
+        for j, (lh, _) in enumerate(basis):
             if i == j:
                 continue
-            lh = h.lead_exps()
             if _divides(lh, lt) and (lh != lt or j < i):
                 redundant = True
                 break
         if not redundant:
-            keep.append(g)
+            keep.append((lt, g))
     reduced = []
-    for i, g in enumerate(keep):
+    for i, (_, g) in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
         r = _reduce(g, others) if others else g
         if r:
@@ -525,17 +535,9 @@ def ideal_multigrading(gb: GroebnerBasis) -> list[tuple[int, ...]]:
     basis = nullspace(diffs, n)
     out = []
     for vec in basis:
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = math.lcm(*(x.denominator for x in vec))
         out.append(tuple(int(x * denom) for x in vec))
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
@@ -580,9 +582,10 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
             charge()
             power = gb.normal_form(power * f)
             if not power:
-                direct = gb.normal_form(f ** k)
-                assert not direct, "incremental and direct reductions disagree"
-                assert gb.normal_form(f), "witness unexpectedly lies in the ideal"
+                if gb.normal_form(f ** k):
+                    raise AssertionError("incremental and direct reductions disagree")
+                if not gb.normal_form(f):
+                    raise AssertionError("witness unexpectedly lies in the ideal")
                 return NilpotentWitness(f, k)
         return None
 
@@ -620,7 +623,8 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
                           (monos[i] - monos[j]) if not (base - cross) else None):
                     if f is not None:
                         hit = probe(f)
-                        assert hit is not None, "pair probe lost a verified square"
+                        if hit is None:
+                            raise AssertionError("pair probe lost a verified square")
                         return hit
 
     pools = [classes[key] for key in sorted(classes) if len(classes[key]) >= 2]

@@ -75,6 +75,7 @@ def parse_quiver_file(text: str) -> QuiverFile:
     vertices: list[str] = []
     partition: dict[str, str] = {}
     arrows: list[Arrow] = []
+    arrow_lines: list[int] = []
     weights: dict[str, int] = {}
     deferred: list[tuple[int, str, str, int]] = []   # (line, keyword, rest, column)
 
@@ -109,6 +110,7 @@ def parse_quiver_file(text: str) -> QuiverFile:
             if any(a.name == name for a in arrows):
                 raise ParseError(f"duplicate arrow {name!r}", lineno, col)
             arrows.append(Arrow(name, m.group("src"), m.group("tgt")))
+            arrow_lines.append(lineno)
             if m.group("weight") is not None:
                 weights[name] = int(m.group("weight"))
         elif keyword in ("relation", "dimension", "stability"):
@@ -117,12 +119,9 @@ def parse_quiver_file(text: str) -> QuiverFile:
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, col)
 
-    for a in arrows:
+    for a, lineno in zip(arrows, arrow_lines):
         for endpoint in (a.source, a.target):
             if endpoint not in partition:
-                lineno = next(l for l, b in lines
-                              if b.strip().startswith("arrow")
-                              and b.split(None, 2)[1].rstrip(":") in (a.name,))
                 raise ParseError(f"arrow {a.name!r} uses undeclared vertex "
                                  f"{endpoint!r}", lineno)
     quiver = Quiver(vertices, arrows, partition)

@@ -80,3 +80,37 @@ def path_counts(vertices, arrows, max_len: int) -> list[int]:
 
 def rational_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def reference_reduce(f, basis) -> dict:
+    """Terms of the full division remainder of f by the listed polynomials.
+
+    The plain textbook loop: each basis polynomial's leading exponents are
+    recomputed on every call, and the first one dividing the largest
+    remaining term cancels it.  Kept as the reference that cached-lead
+    normal forms must match exactly.
+    """
+    key = f.ring.key
+    work = dict(f.terms)
+    out = {}
+    leads = [(max(g.terms, key=key), g) for g in basis]
+    while work:
+        exps = max(work, key=key)
+        coef = work.pop(exps)
+        for le, g in leads:
+            if all(x <= y for x, y in zip(le, exps)):
+                shift = tuple(x - y for x, y in zip(exps, le))
+                factor = coef / g.terms[le]
+                for e2, c2 in g.terms.items():
+                    if e2 == le:
+                        continue
+                    e = tuple(a + b for a, b in zip(e2, shift))
+                    v = work.get(e, Fraction(0)) - factor * c2
+                    if v:
+                        work[e] = v
+                    else:
+                        work.pop(e, None)
+                break
+        else:
+            out[exps] = coef
+    return out

@@ -1,12 +1,18 @@
 """Exact polynomial arithmetic, Gröbner bases, nilpotent witness search."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from quiverlab.errors import BudgetExceeded
 from quiverlab.polynomials import (
+    GroebnerBasis,
     PolyRing,
     Polynomial,
     buchberger,
@@ -14,6 +20,18 @@ from quiverlab.polynomials import (
     nilpotent_witness_search,
     standard_monomials,
 )
+
+from oracles import reference_reduce
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# small ideals in x, y, z that the tests above reduce against
+R_IDEALS = [
+    ["x^2 - 1", "x*y - 1"],
+    ["x^2 - y", "y^3 - z"],
+    ["x*y - z^2"],
+    ["x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y"],
+]
 
 
 @pytest.fixture
@@ -191,3 +209,136 @@ def test_d4_groebner_shape(d4_groebner):
         for g in d4_groebner:
             values = {sum(wi * e for wi, e in zip(w, exps)) for exps in g.terms}
             assert len(values) == 1
+
+
+def _random_poly(ring, rng, terms=4, max_exp=2):
+    out = ring.zero()
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, max_exp) if rng.random() < 3 / ring.nvars else 0
+                     for _ in range(ring.nvars))
+        out = out + ring.monomial(exps, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return out
+
+
+def _r_bases(R):
+    return [buchberger([R.parse(t) for t in texts]) for texts in R_IDEALS]
+
+
+def test_normal_form_matches_reference_division(R, d4_groebner):
+    rng = random.Random(11)
+    for gb in _r_bases(R):
+        for _ in range(25):
+            f = _random_poly(R, rng, max_exp=3)
+            assert gb.normal_form(f).terms == reference_reduce(f, gb.polys)
+    ring = d4_groebner.ring
+    for _ in range(40):
+        f = _random_poly(ring, rng) * _random_poly(ring, rng, terms=2)
+        assert d4_groebner.normal_form(f).terms == reference_reduce(f, d4_groebner.polys)
+
+
+def test_groebner_basis_equality_ignores_cached_leads(R):
+    gb = buchberger([R.parse("x^2 - y"), R.parse("y^3 - z")])
+    twin = GroebnerBasis(R, tuple(R.parse(t) for t in gb.texts()))
+    assert twin is not gb and twin == gb and hash(twin) == hash(gb)
+    assert repr(twin) == repr(gb) and "leads" not in repr(gb)
+    assert gb.leads == tuple((g.lead_exps(), g) for g in gb.polys)
+    assert GroebnerBasis(R, ()) != gb
+
+
+@pytest.mark.parametrize("stale,message", [
+    ("unreduced", "incremental and direct reductions disagree"),
+    ("zero", "witness unexpectedly lies in the ideal"),
+])
+def test_witness_search_rechecks_hits_under_optimization(stale, message):
+    # a basis that reduces each polynomial correctly once and then answers
+    # wrongly must make the search raise, also with assert statements
+    # compiled away (python -O)
+    script = textwrap.dedent(f"""
+        from quiverlab.polynomials import GroebnerBasis, PolyRing, buchberger
+        from quiverlab.polynomials import nilpotent_witness_search
+
+        seen = set()
+
+        class Forgetful(GroebnerBasis):
+            def normal_form(self, f):
+                if f in seen:
+                    return f if {stale!r} == "unreduced" else self.ring.zero()
+                seen.add(f)
+                return super().normal_form(f)
+
+        L = PolyRing(["x", "y"])
+        gb = buchberger([L.parse("x^2*y")])
+        try:
+            nilpotent_witness_search(Forgetful(gb.ring, gb.polys), 2, 2)
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            print("returned")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"raised: {message}"
+
+
+# -- sympy as an independent oracle (test-only dependency) ---------------------
+
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _sympy_gens(sympy, ring):
+    return [sympy.Symbol(name) for name in ring.variables]
+
+
+def _to_sympy(sympy, f, gens):
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*[v ** e for v, e in zip(gens, exps)])
+        for exps, c in f.terms.items()])
+
+
+def _from_sympy(sympy, expr, gens) -> dict:
+    poly = sympy.Poly(expr, *gens)
+    return {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.terms() if c}
+
+
+def _assert_same_ideal_as_sympy(sympy, gens, gb):
+    sym_gens = _sympy_gens(sympy, gb.ring)
+    G = sympy.groebner([_to_sympy(sympy, g, sym_gens) for g in gens], *sym_gens,
+                       order="grevlex")
+    assert len(gb) == len(G.exprs)
+    assert all(G.contains(_to_sympy(sympy, g, sym_gens)) for g in gb)
+    for expr in G.exprs:
+        member, _ = gb.ideal_member(Polynomial(gb.ring, _from_sympy(sympy, expr, sym_gens)))
+        assert member
+
+
+def test_buchberger_agrees_with_sympy_on_d4(sympy, d4_rep_ideal, d4_groebner):
+    _, ideal = d4_rep_ideal
+    gens = [g for g in ideal.generators if g.terms]
+    _assert_same_ideal_as_sympy(sympy, gens, d4_groebner)
+
+
+def test_buchberger_agrees_with_sympy_on_random_ideals(sympy, R):
+    rng = random.Random(5)
+    for _ in range(8):
+        gens = [_random_poly(R, rng, terms=rng.randint(2, 3))
+                for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if g]
+        _assert_same_ideal_as_sympy(sympy, gens, buchberger(gens))
+
+
+def test_normal_form_agrees_with_sympy_remainder(sympy, R, d4_groebner):
+    rng = random.Random(3)
+    for gb in _r_bases(R) + [d4_groebner]:
+        ring = gb.ring
+        sym_gens = _sympy_gens(sympy, ring)
+        divisors = [_to_sympy(sympy, g, sym_gens) for g in gb]
+        for _ in range(10):
+            f = _random_poly(ring, rng, max_exp=3) * _random_poly(ring, rng, terms=2)
+            _, rem = sympy.reduced(_to_sympy(sympy, f, sym_gens), divisors, *sym_gens,
+                                   order="grevlex")
+            assert gb.normal_form(f).terms == _from_sympy(sympy, rem, sym_gens)

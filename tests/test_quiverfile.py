@@ -1,5 +1,7 @@
 """The line-oriented quiver file format: parsing, printing, errors."""
 
+import random
+
 import pytest
 
 from quiverlab.algebra import framed_affine_preprojective, preprojective_relations
@@ -106,6 +108,7 @@ def test_weighted_round_trip():
     ("vertex u\ndimension w=1\n", "unknown vertex", 2),
     ("vertex u\ndimension u=1 u=2\n", "assigned twice", 2),
     ("vertex u\nstability u=1\nstability u=2\n", "more than one stability", 3),
+    ("vertex 0\nvertex 1\narrow a:-0 -> 1\n", "undeclared vertex '-0'", 3),
 ])
 def test_parse_errors_carry_locations(text, fragment, line):
     with pytest.raises(ParseError, match=fragment) as info:
@@ -125,3 +128,46 @@ def test_printer_is_canonical():
     text = print_quiver_file(qf)
     assert parse_quiver_file(text).quiver == q
     assert text == print_quiver_file(parse_quiver_file(text))
+
+
+# characters the grammar gives meaning to, plus a few names and digits
+_FUZZ_ALPHABET = "-:>@*.+/=# \t\n0123456789abuFJKx"
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One random edit: delete, insert or replace a character, or drop,
+    repeat or swap lines."""
+    op = rng.randrange(6)
+    lines = text.splitlines(keepends=True)
+    if op < 3 or not lines:
+        i = rng.randrange(len(text) + 1)
+        ch = rng.choice(_FUZZ_ALPHABET)
+        if op == 0:
+            return text[:i] + text[i + 1:]
+        if op == 1:
+            return text[:i] + ch + text[i:]
+        return text[:i] + ch + text[i + 1:]
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if op == 3:
+        del lines[i]
+    elif op == 4:
+        lines.insert(j, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_mutated_fixtures_fail_only_with_parse_errors(name):
+    # malformed input must give ParseError (or ValueError from a builder),
+    # never another exception: the CLI turns only those into `error: ...`
+    text = (FIXTURES / name).read_text()
+    rng = random.Random(f"fuzz-{name}")
+    for _ in range(600):
+        mutated = text
+        for _ in range(rng.randint(1, 3)):
+            mutated = _mutate(mutated, rng)
+        try:
+            parse_quiver_file(mutated)
+        except ValueError:
+            pass
