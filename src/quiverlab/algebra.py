@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linalg import SpanBuilder
+from .errors import VerificationError
+from .linalg import SpanBuilder, axpy
 from .quivers import Path, Quiver, build_doubled_affine_dynkin, frame
 
 _ZERO = Fraction(0)
@@ -300,7 +301,7 @@ class GradedBasis:
         self._by_key: list[dict[tuple, Path]] = []
         self._std: list[list[Path]] = []
         self._std_by_target: list[dict[str, list[Path]]] = []
-        self._repl: list[dict[tuple, dict[tuple, Fraction]]] = []
+        self._spans: list[SpanBuilder] = []
         self._resolved: list[dict[tuple, dict[tuple, Fraction]]] = []
         self.finite_dimensional = False
         self.top_degree: int | None = None
@@ -320,12 +321,12 @@ class GradedBasis:
                          for a in quiver.arrows_from(p.target)]
             self._cands.append(cands)
             self._by_key.append({p.key: p for p in cands})
-            repl: dict[tuple, dict[tuple, Fraction]] = {}
-            self._repl.append(repl)
+            span = SpanBuilder()
+            self._spans.append(span)
             self._resolved.append({})
             for row in self._relation_rows(d):
-                self._insert_row(repl, row)
-            std = [p for p in cands if p.key not in repl]
+                span.add(row)
+            std = [p for p in cands if p.key not in span.pivots]
             self._std.append(std)
             by_t: dict[str, list[Path]] = {v: [] for v in quiver.vertices}
             for p in std:
@@ -357,24 +358,6 @@ class GradedBasis:
                             row.pop(key, None)
                 if row:
                     yield row
-
-    @staticmethod
-    def _insert_row(repl: dict, row: dict) -> None:
-        row = dict(row)
-        while row:
-            lead = max(row)
-            sub = repl.get(lead)
-            if sub is None:
-                inv = 1 / row.pop(lead)
-                repl[lead] = {k: -c * inv for k, c in row.items()}
-                return
-            factor = row.pop(lead)
-            for k, c in sub.items():
-                v = row.get(k, _ZERO) + factor * c
-                if v:
-                    row[k] = v
-                else:
-                    row.pop(k, None)
 
     # -- queries ----------------------------------------------------------
 
@@ -419,12 +402,7 @@ class GradedBasis:
         for pos, ai in enumerate(key[1:], start=1):
             new: dict[tuple, Fraction] = {}
             for m, cm in coords.items():
-                for s, cs in self._resolve_cand(pos, m + (ai,)).items():
-                    v = new.get(s, _ZERO) + cm * cs
-                    if v:
-                        new[s] = v
-                    else:
-                        new.pop(s, None)
+                axpy(new, cm, self._resolve_cand(pos, m + (ai,)))
             coords = new
             if not coords:
                 break
@@ -432,50 +410,47 @@ class GradedBasis:
 
     def _resolve_cand(self, d: int, key: tuple) -> dict[tuple, Fraction]:
         """Standard coordinates of a degree-d candidate key (memoized)."""
-        repl = self._repl[d]
+        pivots = self._spans[d].pivots
         memo = self._resolved[d]
-        if key not in repl:
+        if key not in pivots:
             return {key: Fraction(1)}
-        stack = [key]
+        stack = [key]     # every key on the stack is a lead
         while stack:
             k = stack[-1]
             if k in memo:
                 stack.pop()
                 continue
-            sub = repl.get(k)
-            if sub is None:
-                memo[k] = {k: Fraction(1)}
-                stack.pop()
-                continue
-            pending = [t for t in sub if t in repl and t not in memo]
+            tail = pivots[k]
+            pending = [t for t in tail if t in pivots and t not in memo]
             if pending:
                 stack.extend(pending)
                 continue
-            out: dict[tuple, Fraction] = {}
-            for t, c in sub.items():
-                if t in repl:
-                    for s, cs in memo[t].items():
-                        v = out.get(s, _ZERO) + c * cs
-                        if v:
-                            out[s] = v
-                        else:
-                            out.pop(s, None)
-                else:
-                    v = out.get(t, _ZERO) + c
-                    if v:
-                        out[t] = v
-                    else:
-                        out.pop(t, None)
+            # standard keys of the tail are distinct, so they seed the result
+            out = {t: c for t, c in tail.items() if t not in pivots}
+            for t, c in tail.items():
+                if t in pivots:
+                    axpy(out, c, memo[t])
             memo[k] = out
             stack.pop()
         return memo[key]
 
+    def coords(self, path: Path) -> dict[tuple, Fraction]:
+        """Coordinates of a path over the standard keys of its degree.
+
+        The result may be shared with the basis's memo: read it, or copy it
+        before changing it.
+        """
+        self._check_degree(path.length)
+        return self._resolve(path.length, path.key)
+
+    def path_at(self, key: tuple) -> Path:
+        """The candidate path with this key; every standard key is one."""
+        return self._by_key[len(key) - 1][key]
+
     def nf_path(self, path: Path) -> dict[Path, Fraction]:
         """Normal form of a single path as a basis-path combination."""
-        d = path.length
-        self._check_degree(d)
-        coords = self._resolve(d, path.key)
-        table = self._by_key[d]
+        coords = self.coords(path)
+        table = self._by_key[path.length]
         return {table[k]: c for k, c in coords.items()}
 
     def reduce(self, x: AlgebraElement) -> AlgebraElement:
@@ -484,12 +459,7 @@ class GradedBasis:
             raise ValueError("element over a different quiver")
         out: dict[Path, Fraction] = {}
         for p, c in x.terms.items():
-            for q, cq in self.nf_path(p).items():
-                v = out.get(q, _ZERO) + c * cq
-                if v:
-                    out[q] = v
-                else:
-                    out.pop(q, None)
+            axpy(out, c, self.nf_path(p))
         return AlgebraElement(self.quiver, out)
 
     def normal_form(self, x: AlgebraElement) -> dict[int, tuple[Fraction, ...]]:
@@ -588,22 +558,16 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
         for p in range(d + 1):
             for x in basis.basis(p):
                 for y in basis.basis(d - p):
-                    row: dict[tuple, Fraction] = {}
-                    if y.target == x.source:
-                        for k, c in basis._resolve(d, (x * y).key).items():
-                            row[k] = row.get(k, _ZERO) + c
+                    row = dict(basis.coords(x * y)) if y.target == x.source else {}
                     if x.target == y.source:
-                        for k, c in basis._resolve(d, (y * x).key).items():
-                            v = row.get(k, _ZERO) - c
-                            if v:
-                                row[k] = v
-                            else:
-                                row.pop(k, None)
+                        axpy(row, -1, basis.coords(y * x))
                     if row:
                         span.add(row)
-        pivot_keys = set(span.leads)
-        degree_reps = tuple(p for p in basis.basis(d) if p.key not in pivot_keys)
+        degree_reps = tuple(p for p in basis.basis(d) if p.key not in span.pivots)
         dims.append(basis.dimension(d) - span.rank)
         reps.append(degree_reps)
-        assert len(degree_reps) == dims[-1]
+        if len(degree_reps) != dims[-1]:
+            raise VerificationError(
+                f"cocenter degree {d} has {len(degree_reps)} representatives "
+                f"for dimension {dims[-1]}")
     return Cocenter(tuple(dims), tuple(reps), truncated=not basis.finite_dimensional)

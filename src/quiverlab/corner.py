@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, GradedBasis, restrict_to_vertices
 from .errors import VerificationError
-from .linalg import SpanBuilder, kernel_combos
+from .linalg import SpanBuilder, axpy, kernel_combos
 from .quivers import Arrow, DimensionVector, Path, Quiver
 
 _ZERO = Fraction(0)
@@ -83,16 +83,9 @@ def _product_coords(basis: GradedBasis, gen_path: Path,
     """Normal-form coordinates of gen * (element with coordinates vec)."""
     out: dict = {}
     for key, c in vec.items():
-        p = basis._by_key[len(key) - 1][key]
-        if p.target != gen_path.source:
-            continue
-        prod = gen_path * p
-        for k2, c2 in basis._resolve(prod.length, prod.key).items():
-            v = out.get(k2, _ZERO) + c * c2
-            if v:
-                out[k2] = v
-            else:
-                out.pop(k2, None)
+        p = basis.path_at(key)
+        if p.target == gen_path.source:
+            axpy(out, c, basis.coords(gen_path * p))
     return out
 
 
@@ -341,7 +334,7 @@ def corner_presentation(corner: CornerGenerators,
     for wd in range(1, cutoff + 1):
         layer = words[wd]
         index = {p.key: i for i, p in enumerate(layer)}
-        evals = [basis._resolve(wd, ambient(p).key) for p in layer]
+        evals = [basis.coords(ambient(p)) for p in layer]
         combos = kernel_combos(evals)
         if len(layer) - len(combos) != len(_h_block(basis, wd, h_set)):
             raise VerificationError(
@@ -376,12 +369,7 @@ def corner_presentation(corner: CornerGenerators,
             el = AlgebraElement(qh, {layer[i]: c for i, c in combo.items()})
             check: dict = {}
             for p, c in el.terms.items():
-                for k, cv in basis._resolve(wd, ambient(p).key).items():
-                    v = check.get(k, _ZERO) + c * cv
-                    if v:
-                        check[k] = v
-                    else:
-                        check.pop(k, None)
+                axpy(check, c, basis.coords(ambient(p)))
             if check:
                 raise VerificationError(
                     "a found relation does not vanish in the ambient algebra")

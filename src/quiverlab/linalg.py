@@ -10,53 +10,61 @@ from typing import Iterable, Sequence
 _ZERO = Fraction(0)
 
 
+def axpy(dst: dict, c, src: dict) -> None:
+    """``dst += c * src`` in place on sparse vectors; cancelled entries are dropped."""
+    for k, v in src.items():
+        v = dst.get(k, _ZERO) + c * v
+        if v:
+            dst[k] = v
+        else:
+            dst.pop(k, None)
+
+
 class SpanBuilder:
     """Incrementally built row space of sparse vectors.
 
     Vectors are dicts mapping mutually comparable keys to nonzero Fraction
-    coefficients.  Each stored pivot row is monic in its largest key, so the
-    pivot of a row is always its maximum key.
+    coefficients.  Each pivot is stored in rewrite form: ``pivots[lead]`` is
+    a tail whose keys are all smaller than ``lead`` and which equals ``lead``
+    modulo the span.  ``pivots`` keeps insertion order, so its keys are the
+    leads in the order they were found.
     """
 
     def __init__(self) -> None:
-        self._pivots: dict = {}
-        self._leads: list = []
+        self.pivots: dict = {}
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self.pivots)
 
     @property
     def leads(self) -> list:
-        return list(self._leads)
+        return list(self.pivots)
 
     def _eliminate(self, row: dict) -> dict:
+        """Copy of ``row`` reduced until its largest key is not a lead."""
         row = {k: Fraction(c) for k, c in row.items() if c}
+        pivots = self.pivots
         while row:
             lead = max(row)
-            piv = self._pivots.get(lead)
-            if piv is None:
-                return row
-            factor = row.pop(lead)
-            for k, c in piv.items():
-                if k == lead:
-                    continue
-                v = row.get(k, _ZERO) - factor * c
-                if v:
-                    row[k] = v
-                else:
-                    row.pop(k, None)
+            tail = pivots.get(lead)
+            if tail is None:
+                break
+            axpy(row, row.pop(lead), tail)
         return row
+
+    def _store(self, row: dict) -> None:
+        """Record an eliminated nonzero row as the pivot of its largest key."""
+        lead = max(row)
+        ninv = -1 / row.pop(lead)
+        self.pivots[lead] = {k: c * ninv for k, c in row.items()}
 
     def add(self, row: dict) -> bool:
         """Insert a vector; True when it enlarged the span."""
         row = self._eliminate(row)
         if not row:
             return False
-        lead = max(row)
-        inv = 1 / row[lead]
-        self._pivots[lead] = {k: c * inv for k, c in row.items()}
-        self._leads.append(lead)
+        self._store(row)
         return True
 
     def contains(self, row: dict) -> bool:
@@ -70,22 +78,11 @@ class SpanBuilder:
         """
         out = {k: Fraction(c) for k, c in row.items() if c}
         while True:
-            hit = None
-            for k in sorted(out, reverse=True):
-                if k in self._pivots:
-                    hit = k
-                    break
-            if hit is None:
+            hits = [k for k in out if k in self.pivots]
+            if not hits:
                 return out
-            factor = out.pop(hit)
-            for k, c in self._pivots[hit].items():
-                if k == hit:
-                    continue
-                v = out.get(k, _ZERO) - factor * c
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+            hit = max(hits)
+            axpy(out, out.pop(hit), self.pivots[hit])
 
 
 def kernel_combos(vectors: Sequence[dict]) -> list[dict[int, Fraction]]:
@@ -94,38 +91,18 @@ def kernel_combos(vectors: Sequence[dict]) -> list[dict[int, Fraction]]:
     Returns one ``{index: coefficient}`` dict per dependency, in discovery
     order; each expresses a vanishing combination of the inputs.
     """
-    pivots: dict = {}
+    # Vector i carries (0, i) below its own keys, wrapped as (1, k); a row
+    # eliminated down to (0, .) keys alone is a dependency, not a pivot.
+    span = SpanBuilder()
     out = []
     for i, vec in enumerate(vectors):
-        row = {k: Fraction(c) for k, c in vec.items() if c}
-        combo = {i: Fraction(1)}
-        while row:
-            lead = max(row)
-            if lead not in pivots:
-                inv = 1 / row[lead]
-                pivots[lead] = (
-                    {k: c * inv for k, c in row.items()},
-                    {k: c * inv for k, c in combo.items()},
-                )
-                break
-            prow, pcombo = pivots[lead]
-            factor = row.pop(lead)
-            for k, c in prow.items():
-                if k == lead:
-                    continue
-                v = row.get(k, _ZERO) - factor * c
-                if v:
-                    row[k] = v
-                else:
-                    row.pop(k, None)
-            for k, c in pcombo.items():
-                v = combo.get(k, _ZERO) - factor * c
-                if v:
-                    combo[k] = v
-                else:
-                    combo.pop(k, None)
+        row = {(1, k): c for k, c in vec.items()}
+        row[(0, i)] = 1
+        row = span._eliminate(row)
+        if max(row)[0]:
+            span._store(row)
         else:
-            out.append(combo)
+            out.append({k[1]: c for k, c in row.items()})
     return out
 
 
@@ -264,20 +241,11 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        work = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-                for i, r in enumerate(self.data)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [x * inv for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return Mat(n, n, tuple(tuple(row[n:]) for row in work))
+        reduced, pivots = rref([list(r) + [int(i == j) for j in range(n)]
+                                for i, r in enumerate(self.data)])
+        if pivots[:n] != list(range(n)):
+            raise ValueError("matrix is singular")
+        return Mat(n, n, tuple(tuple(row[n:]) for row in reduced))
 
 
 def block_diag(a: Mat, b: Mat) -> Mat:

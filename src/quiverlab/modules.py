@@ -318,10 +318,8 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
                 total_by_vertex[p.target] += 1
 
     def add_row(row: dict) -> None:
-        before = span.rank
-        span.add(row)
-        if span.rank > before:
-            lead = span.leads[-1]
+        if span.add(row):
+            lead = next(reversed(span.pivots))
             pivot_by_vertex[symbol_info[lead][0].target] += 1
 
     enumerate_degree(0)
@@ -337,8 +335,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
             for p in basis.basis(d - k):
                 if p.source != gen.target or p.source not in h_set:
                     continue
-                prod = p * gen.path
-                nf = basis._resolve(d, prod.key)
+                nf = basis.coords(p * gen.path)
                 for j in range(v_h.dims[gen.source]):
                     row = {(d, qkey, j): c for qkey, c in nf.items()}
                     for i in range(v_h.dims[gen.target]):
@@ -357,9 +354,8 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
         history.append(dims_now)
         if d >= window:
             stable = all(history[-1] == history[-1 - i] for i in range(1, window + 1))
-            pivots = set(span.leads)
             tail_clear = not any(
-                key not in pivots
+                key not in span.pivots
                 for key in symbol_info if d - window < key[0] <= d)
             if stable and tail_clear:
                 stopped_at = d
@@ -368,8 +364,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
         raise BudgetExceeded(
             f"induction dimensions did not stabilize within degree {top}")
 
-    pivots = set(span.leads)
-    survivors = sorted(k for k in symbol_info if k not in pivots)
+    survivors = sorted(k for k in symbol_info if k not in span.pivots)
     by_vertex: dict[str, list[tuple]] = {v: [] for v in quiver.vertices}
     for key in survivors:
         by_vertex[symbol_info[key][0].target].append(key)
@@ -383,10 +378,8 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
         data = [[_ZERO] * cols for _ in range(rows)]
         for col, key in enumerate(by_vertex[a.source]):
             d, _, j = key
-            p = symbol_info[key][0]
-            moved = p.extend(a)
-            vec = {(d + 1, qkey, j): c
-                   for qkey, c in basis._resolve(d + 1, moved.key).items()}
+            moved = symbol_info[key][0].extend(a)
+            vec = {(d + 1, qkey, j): c for qkey, c in basis.coords(moved).items()}
             for rkey, c in span.residue(vec).items():
                 data[index[a.target][rkey]][col] = c
         matrices[a.name] = Mat(rows, cols, tuple(tuple(r) for r in data))

@@ -235,14 +235,6 @@ def invariant_generators(coords: RepCoordinates,
 # -- pullback along adding a fixed interior module ---------------------------
 
 
-def _mat_path(matrices: Mapping[str, Mat], dims: Mapping[str, int],
-              path: Path) -> Mat:
-    out = Mat.identity(dims[path.source])
-    for name in path.arrows:
-        out = matrices[name] * out
-    return out
-
-
 def add_pullback(coords: RepCoordinates, vk_dims: Mapping[str, int],
                  vk_matrices: Mapping[str, Mat],
                  rels: RelationSet | None = None,
@@ -267,12 +259,9 @@ def add_pullback(coords: RepCoordinates, vk_dims: Mapping[str, int],
     mats = {a.name: vk_matrices.get(a.name, Mat.zero(vk[a.target], vk[a.source]))
             for a in quiver.arrows}
     if rels is not None:
-        for rel in rels:
-            total = Mat.zero(vk[rel.target], vk[rel.source])
-            for p, c in rel.terms.items():
-                total = total + _mat_path(mats, vk, p).scale(c)
-            if not total.is_zero():
-                raise ValueError("fixed matrices do not satisfy the relations")
+        from .modules import ModuleRep, check_relations
+        if not check_relations(ModuleRep(quiver, vk, mats), rels)[0]:
+            raise ValueError("fixed matrices do not satisfy the relations")
 
     big_dims = DimensionVector({v: coords.dims[v] + vk[v] for v in quiver.vertices})
     big = RepCoordinates(quiver, big_dims, coords.ring.order)

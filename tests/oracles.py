@@ -114,3 +114,200 @@ def reference_reduce(f, basis) -> dict:
         else:
             out[exps] = coef
     return out
+
+
+# -- sparse elimination: the three engines as they stood before the merge ----
+
+
+class ReferenceSpanBuilder:
+    """Row space of sparse vectors with monic pivot rows.
+
+    The plain max-key elimination: each stored pivot row keeps its own lead
+    with coefficient 1, and every reduction subtracts a multiple of it.
+    """
+
+    def __init__(self) -> None:
+        self._pivots: dict = {}
+        self._leads: list = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    @property
+    def leads(self) -> list:
+        return list(self._leads)
+
+    def _eliminate(self, row: dict) -> dict:
+        row = {k: Fraction(c) for k, c in row.items() if c}
+        while row:
+            lead = max(row)
+            piv = self._pivots.get(lead)
+            if piv is None:
+                return row
+            factor = row.pop(lead)
+            for k, c in piv.items():
+                if k == lead:
+                    continue
+                v = row.get(k, Fraction(0)) - factor * c
+                if v:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
+        return row
+
+    def add(self, row: dict) -> bool:
+        row = self._eliminate(row)
+        if not row:
+            return False
+        lead = max(row)
+        inv = 1 / row[lead]
+        self._pivots[lead] = {k: c * inv for k, c in row.items()}
+        self._leads.append(lead)
+        return True
+
+    def contains(self, row: dict) -> bool:
+        return not self._eliminate(row)
+
+    def residue(self, row: dict) -> dict:
+        out = {k: Fraction(c) for k, c in row.items() if c}
+        while True:
+            hit = None
+            for k in sorted(out, reverse=True):
+                if k in self._pivots:
+                    hit = k
+                    break
+            if hit is None:
+                return out
+            factor = out.pop(hit)
+            for k, c in self._pivots[hit].items():
+                if k == hit:
+                    continue
+                v = out.get(k, Fraction(0)) - factor * c
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
+
+
+def reference_kernel_combos(vectors) -> list[dict]:
+    """Dependencies among sparse vectors, tracking each row's combination."""
+    pivots: dict = {}
+    out = []
+    for i, vec in enumerate(vectors):
+        row = {k: Fraction(c) for k, c in vec.items() if c}
+        combo = {i: Fraction(1)}
+        while row:
+            lead = max(row)
+            if lead not in pivots:
+                inv = 1 / row[lead]
+                pivots[lead] = (
+                    {k: c * inv for k, c in row.items()},
+                    {k: c * inv for k, c in combo.items()},
+                )
+                break
+            prow, pcombo = pivots[lead]
+            factor = row.pop(lead)
+            for k, c in prow.items():
+                if k == lead:
+                    continue
+                v = row.get(k, Fraction(0)) - factor * c
+                if v:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
+            for k, c in pcombo.items():
+                v = combo.get(k, Fraction(0)) - factor * c
+                if v:
+                    combo[k] = v
+                else:
+                    combo.pop(k, None)
+        else:
+            out.append(combo)
+    return out
+
+
+def reference_insert_row(repl: dict, row: dict) -> None:
+    """Add a row to rewrite rules ``repl[lead] = tail`` (lead = tail mod span)."""
+    row = dict(row)
+    while row:
+        lead = max(row)
+        sub = repl.get(lead)
+        if sub is None:
+            inv = 1 / row.pop(lead)
+            repl[lead] = {k: -c * inv for k, c in row.items()}
+            return
+        factor = row.pop(lead)
+        for k, c in sub.items():
+            v = row.get(k, Fraction(0)) + factor * c
+            if v:
+                row[k] = v
+            else:
+                row.pop(k, None)
+
+
+class ReferenceRewriteSpan:
+    """The pivot store a graded basis reads, filled by ``reference_insert_row``."""
+
+    def __init__(self) -> None:
+        self.pivots: dict = {}
+
+    def add(self, row: dict) -> None:
+        reference_insert_row(self.pivots, row)
+
+
+# -- quotient algebras by brute force -------------------------------------------
+
+
+class BruteForceQuotient:
+    """Graded slices of a path algebra modulo a homogeneous two-sided ideal.
+
+    Paths are ``(base, arrow names in application order)`` pairs and
+    ``arrows`` maps each arrow name to its ``(source, target)``.  Each
+    relation is a dict from paths of one length, sharing source and target,
+    to coefficients.  The degree-d slice of the ideal is spanned by every
+    product post*r*pre of a relation r with arbitrary paths pre (acting
+    first) and post of total length d; nothing is pruned.
+    """
+
+    def __init__(self, vertices, arrows: dict, relations, cutoff: int) -> None:
+        self.arrows = arrows
+        self.paths = [[(v, ()) for v in vertices]]
+        for _ in range(cutoff):
+            self.paths.append([(b, arrs + (a,)) for b, arrs in self.paths[-1]
+                               for a, (s, _) in arrows.items()
+                               if s == self._target((b, arrs))])
+        self.ideal = []
+        for d in range(cutoff + 1):
+            span = ReferenceSpanBuilder()
+            for rel in relations:
+                base, word = next(iter(rel))
+                e = len(word)
+                for i in range(d - e + 1):
+                    for pre in self.paths[i]:
+                        if self._target(pre) != base:
+                            continue
+                        for post in self.paths[d - e - i]:
+                            if post[0] != self._target((base, word)):
+                                continue
+                            span.add({(pre[0], pre[1] + w + post[1]): c
+                                      for (_, w), c in rel.items()})
+            self.ideal.append(span)
+
+    def _target(self, path) -> str:
+        base, arrs = path
+        return self.arrows[arrs[-1]][1] if arrs else base
+
+    def dimension(self, d: int) -> int:
+        return len(self.paths[d]) - self.ideal[d].rank
+
+    def ideal_rows(self, d: int) -> list[dict]:
+        """Echelon rows spanning the degree-d slice of the ideal."""
+        return list(self.ideal[d]._pivots.values())
+
+    def in_ideal(self, element: dict) -> bool:
+        """Whether a combination of equal-length paths lies in the ideal."""
+        if not element:
+            return True
+        d = len(next(iter(element))[1])
+        return self.ideal[d].contains(element)

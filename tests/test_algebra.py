@@ -19,12 +19,15 @@ from quiverlab.algebra import (
 from quiverlab.quivers import (
     FRAMING_ARROW,
     FRAMING_VERTEX,
+    Arrow,
     Path,
+    Quiver,
     build_doubled_affine_dynkin,
     build_doubled_dynkin,
 )
 
-from oracles import path_counts, preprojective_total_dim
+from oracles import (BruteForceQuotient, ReferenceRewriteSpan, path_counts,
+                     preprojective_total_dim)
 
 
 def random_element(quiver, rng, terms=3, max_len=4):
@@ -244,6 +247,78 @@ def test_graded_basis_errors():
     gb = graded_basis(q, rels, 2)
     with pytest.raises(ValueError):
         gb.basis(3)
+    with pytest.raises(ValueError, match="exceeds the cutoff"):
+        gb.coords(Path(q, "1", ("a", "a*", "a")))
+
+
+def random_quotient(rng):
+    """Seeded random quiver (loops and multiple arrows allowed) with one to
+    three random homogeneous relations of lengths 1 to 3."""
+    vertices = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
+    arrows = [Arrow(f"x{i}", rng.choice(vertices), rng.choice(vertices))
+              for i in range(rng.randint(1, 4))]
+    q = Quiver(vertices, arrows)
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        source, target = rng.choice(vertices), rng.choice(vertices)
+        words = [Path.idempotent(q, source)]
+        for _ in range(rng.randint(1, 3)):
+            words = [p.extend(a) for p in words for a in q.arrows_from(p.target)]
+        words = [p for p in words if p.target == target]
+        if words:
+            picked = rng.sample(words, min(len(words), rng.randint(1, 3)))
+            rels.append(AlgebraElement(
+                q, {p: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for p in picked}))
+    return q, RelationSet(q, rels)
+
+
+def brute_force(q, rels, cutoff):
+    return BruteForceQuotient(
+        q.vertices, {a.name: (a.source, a.target) for a in q.arrows},
+        [{(p.base, p.arrows): c for p, c in r.terms.items()} for r in rels], cutoff)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_graded_basis_matches_brute_force_quotient(seed):
+    rng = random.Random(seed)
+    q, rels = random_quotient(rng)
+    cutoff = 5
+    gb = graded_basis(q, rels, cutoff)
+    oracle = brute_force(q, rels, cutoff)
+    assert gb.dimensions == [oracle.dimension(d) for d in range(cutoff + 1)]
+    for d in range(1, cutoff + 1):
+        paths = oracle.paths[d]
+        ideal_rows = oracle.ideal_rows(d)
+        for _ in range(6):
+            x: dict = {}
+            for row in rng.sample(ideal_rows, min(2, len(ideal_rows))):
+                for k, c in row.items():
+                    x[k] = x.get(k, 0) + rng.randint(1, 2) * c
+            if paths and rng.random() < 0.5:
+                k = rng.choice(paths)
+                x[k] = x.get(k, 0) + rng.randint(1, 2)
+            el = AlgebraElement(q, {Path(q, b, w): c for (b, w), c in x.items()})
+            assert (not gb.reduce(el)) == oracle.in_ideal(x)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_graded_basis_matches_reference_elimination(seed, monkeypatch):
+    """The shared engine gives the same basis as the pre-merge rewrite rules."""
+    if seed < 2:
+        q, rels = framed_affine_preprojective("A", 1 + seed)
+    else:
+        q, rels = random_quotient(random.Random(seed))
+    cutoff = 5
+    gb = graded_basis(q, rels, cutoff)
+    monkeypatch.setattr("quiverlab.algebra.SpanBuilder", ReferenceRewriteSpan)
+    ref = graded_basis(q, rels, cutoff)
+    assert gb.dimensions == ref.dimensions
+    for d, paths in enumerate(brute_force(q, RelationSet(q, []), cutoff).paths):
+        assert gb.basis(d) == ref.basis(d)
+        assert [gb.path_at(p.key) for p in gb.basis(d)] == gb.basis(d)
+        for b, w in paths:
+            p = Path(q, b, w)
+            assert gb.nf_path(p) == ref.nf_path(p)
 
 
 def test_relations_reduce_to_zero(framed_a1):

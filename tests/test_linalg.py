@@ -7,12 +7,15 @@ from quiverlab.linalg import (
     Mat,
     SpanBuilder,
     block_diag,
+    axpy,
     block_upper,
     kernel_combos,
     nullspace,
     primitive_kernel_vector,
     rref,
 )
+
+from oracles import ReferenceSpanBuilder, reference_kernel_combos
 
 F = Fraction
 
@@ -107,3 +110,73 @@ def test_block_helpers():
     u = block_upper(a, x, b)
     assert u.entry(0, 1) == 5 and u.entry(0, 2) == 7
     assert u.entry(1, 0) == 0
+
+
+def _random_rows(rng, keys, count):
+    """Sparse rows with explicit zeros, empty rows, repeats and span members."""
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.35 and len(rows) >= 2:
+            combo: dict = {}
+            for row in rng.sample(rows, 2):
+                axpy(combo, F(rng.randint(-2, 2) or 1), row)
+            rows.append(combo)
+        else:
+            rows.append({k: F(rng.randint(-3, 3), rng.randint(1, 3))
+                         for k in rng.sample(keys, rng.randint(1, 4))})
+    return rows
+
+
+_KEY_SETS = {
+    "int": list(range(8)),
+    "tuple": [(a, b) for a in range(3) for b in range(3)],
+}
+
+
+@pytest.mark.parametrize("keys", sorted(_KEY_SETS))
+@pytest.mark.parametrize("seed", range(8))
+def test_span_builder_matches_reference(keys, seed):
+    rng = random.Random(seed)
+    rows = _random_rows(rng, _KEY_SETS[keys], 12)
+    probes = _random_rows(rng, _KEY_SETS[keys], 8)
+    span, ref = SpanBuilder(), ReferenceSpanBuilder()
+    for row in rows:
+        assert span.add(row) == ref.add(row)
+        assert span.rank == ref.rank
+        assert span.leads == ref.leads
+        for probe in probes:
+            assert span.contains(probe) == ref.contains(probe)
+            assert span.residue(probe) == ref.residue(probe)
+
+
+@pytest.mark.parametrize("keys", sorted(_KEY_SETS))
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_combos_match_reference(keys, seed):
+    rows = _random_rows(random.Random(50 + seed), _KEY_SETS[keys], 14)
+    assert kernel_combos(rows) == reference_kernel_combos(rows)
+
+
+def test_axpy_drops_cancelled_entries():
+    dst = {0: F(1), 1: F(2)}
+    axpy(dst, F(-2), {1: F(1), 2: F(1, 2)})
+    assert dst == {0: F(1), 2: F(-1)}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mat_inverse_agrees_with_rank(seed):
+    rng = random.Random(200 + seed)
+    n = seed % 6
+    bound = rng.choice([1, 2, 5])
+    a = Mat(n, n, tuple(tuple(F(rng.randint(-bound, bound)) for _ in range(n))
+                        for _ in range(n)))
+    if len(rref(a.data)[1]) < n:
+        with pytest.raises(ValueError, match="singular"):
+            a.inverse()
+    else:
+        inv = a.inverse()
+        assert a * inv == Mat.identity(n) == inv * a

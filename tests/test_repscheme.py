@@ -207,10 +207,18 @@ def test_add_pullback_guards():
         add_pullback(coords, {"0": 1}, {})        # J vertex
     with pytest.raises(ValueError):
         add_pullback(coords, {"1": 1}, {"a": Mat.zero(2, 2)})
+    # a and a* run between 0 and 1, so 1x1 blocks fail the shape guard first
     bad = {"a": Mat.from_rows([[1]]), "a*": Mat.from_rows([[1]]),
            "b": Mat.from_rows([[0]]), "b*": Mat.from_rows([[0]])}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="wrong shape"):
         add_pullback(coords, {"1": 1}, bad, rels=rels)
+    # the relations a a* (at 2) and a* a (at 1) cannot vanish when a = a* = 1
+    q2 = build_doubled_dynkin("A", 2)
+    coords2 = RepCoordinates(q2, DimensionVector({"1": 1, "2": 1}))
+    one = Mat.from_rows([[1]])
+    with pytest.raises(ValueError, match="do not satisfy the relations"):
+        add_pullback(coords2, {"1": 1, "2": 1}, {"a": one, "a*": one},
+                     rels=preprojective_relations(q2))
 
 
 def test_add_pullback_wrong_ring_rejected():
