@@ -125,12 +125,9 @@ def corner_generators(basis: GradedBasis, verify_cutoff: int | None = None,
             f"basis cutoff {basis.cutoff} is below the generation bound {bound}")
 
     retained: list[CornerGenerator] = []
-    # span data per degree: independent spanning coordinate vectors + builder
+    # independent spanning coordinate vectors per degree
     vecs: list[list[dict]] = [[{Path.idempotent(quiver, h).key: Fraction(1)}
                                for h in quiver.h_vertices]]
-    builders: list[SpanBuilder] = [SpanBuilder()]
-    for v in vecs[0]:
-        builders[0].add(v)
 
     for d in range(1, verify_cutoff + 1):
         builder = SpanBuilder()
@@ -160,7 +157,6 @@ def corner_generators(basis: GradedBasis, verify_cutoff: int | None = None,
                 f"corner generators span only {builder.rank} of {expected} "
                 f"dimensions in degree {d}")
         vecs.append(degree_vecs)
-        builders.append(builder)
 
     return CornerGenerators(basis, quiver.h_vertices, k_top,
                             tuple(retained), verify_cutoff)

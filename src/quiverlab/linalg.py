@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: sparse spans, kernels, matrices."""
+"""Exact linear algebra: sparse spans and kernels over the rationals, dense matrices."""
 
 from __future__ import annotations
 
@@ -176,11 +176,17 @@ def primitive_kernel_vector(matrix: Sequence[Sequence[int]]) -> list[int]:
 
 @dataclass(frozen=True)
 class Mat:
-    """Dense rational matrix with explicit shape (zero-sized sides allowed)."""
+    """Dense matrix over an exact ring, with explicit shape (zero-sized sides allowed).
+
+    Entries are ``Fraction`` by default; ``ring_zero`` is the additive
+    identity of the entries, so the same type holds ``Polynomial`` matrices.
+    ``from_rows`` and ``inverse`` are for ``Fraction`` entries only.
+    """
 
     rows: int
     cols: int
-    data: tuple[tuple[Fraction, ...], ...]
+    data: tuple[tuple, ...]
+    ring_zero: object = _ZERO
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -196,46 +202,57 @@ class Mat:
         return Mat(len(data), len(data[0]), data)
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows)))
+    def zero(rows: int, cols: int, zero=_ZERO) -> "Mat":
+        return Mat(rows, cols, tuple((zero,) * cols for _ in range(rows)), zero)
 
     @staticmethod
-    def identity(n: int) -> "Mat":
-        return Mat(n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+    def identity(n: int, zero=_ZERO, one=Fraction(1)) -> "Mat":
+        return Mat(n, n, tuple(tuple(one if i == j else zero for j in range(n))
+                               for i in range(n)), zero)
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int):
         return self.data[i][j]
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
         return Mat(self.rows, self.cols,
-                   tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
+                   tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
+                   self.ring_zero)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + other.scale(Fraction(-1))
 
     def scale(self, c) -> "Mat":
         c = Fraction(c)
-        return Mat(self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self.data))
+        return Mat(self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self.data),
+                   self.ring_zero)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        data = tuple(
-            tuple(sum((self.data[i][k] * other.data[k][j] for k in range(self.cols)), _ZERO)
-                  for j in range(other.cols))
-            for i in range(self.rows)
-        )
-        return Mat(self.rows, other.cols, data)
+        # Order i, k, j with zero factors skipped: a product of sparse
+        # polynomial matrices then builds no term it does not need.
+        zero = self.ring_zero
+        data = []
+        for row in self.data:
+            acc = [zero] * other.cols
+            for aik, brow in zip(row, other.data):
+                if not aik:
+                    continue
+                for j, bkj in enumerate(brow):
+                    if bkj:
+                        acc[j] = acc[j] + aik * bkj
+            data.append(tuple(acc))
+        return Mat(self.rows, other.cols, tuple(data), zero)
 
     def is_zero(self) -> bool:
         return all(not x for r in self.data for x in r)
 
-    def trace(self) -> Fraction:
+    def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
+        return sum((self.data[i][i] for i in range(self.rows)), self.ring_zero)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -249,14 +266,7 @@ class Mat:
 
 
 def block_diag(a: Mat, b: Mat) -> Mat:
-    rows = a.rows + b.rows
-    cols = a.cols + b.cols
-    data = []
-    for i in range(a.rows):
-        data.append(tuple(a.data[i]) + tuple(_ZERO for _ in range(b.cols)))
-    for i in range(b.rows):
-        data.append(tuple(_ZERO for _ in range(a.cols)) + tuple(b.data[i]))
-    return Mat(rows, cols, tuple(data))
+    return block_upper(a, Mat.zero(a.rows, b.cols), b)
 
 
 def block_upper(a: Mat, x: Mat, b: Mat) -> Mat:

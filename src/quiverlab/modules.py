@@ -16,8 +16,8 @@ from .corner import (BimoduleGenerators, CornerPresentation,
 from .errors import BudgetExceeded, VerificationError
 from .linalg import Mat, SpanBuilder, block_diag, block_upper, nullspace
 from .quivers import DimensionVector, Path, Quiver
-from .repscheme import (InvariantGenerator, RepCoordinates,
-                        invariant_generators, variable_name)
+from .repscheme import (InvariantGenerator, RepCoordinates, element_matrix,
+                        invariant_generators, path_matrix, variable_name)
 
 _ZERO = Fraction(0)
 
@@ -31,6 +31,7 @@ class ModuleRep:
     """
 
     __slots__ = ("quiver", "dims", "matrices")
+    zero, one = _ZERO, Fraction(1)  # of the entries, for path_matrix
 
     def __init__(self, quiver: Quiver, dims: Mapping[str, int],
                  matrices: Mapping[str, Mat]) -> None:
@@ -69,20 +70,6 @@ def zero_module(quiver: Quiver, dims: Mapping[str, int]) -> ModuleRep:
     dv = dims if isinstance(dims, DimensionVector) else DimensionVector(dims)
     mats = {a.name: Mat.zero(dv[a.target], dv[a.source]) for a in quiver.arrows}
     return ModuleRep(quiver, dv, mats)
-
-
-def path_matrix(m: ModuleRep, path: Path) -> Mat:
-    out = Mat.identity(m.dims[path.source])
-    for name in path.arrows:
-        out = m.matrices[name] * out
-    return out
-
-
-def element_matrix(m: ModuleRep, element: AlgebraElement) -> Mat:
-    out = Mat.zero(m.dims[element.target], m.dims[element.source])
-    for p, c in element.terms.items():
-        out = out + path_matrix(m, p).scale(c)
-    return out
 
 
 def check_relations(m: ModuleRep,

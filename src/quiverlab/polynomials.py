@@ -222,6 +222,7 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
         return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
+    __rmul__ = scale
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out: dict[tuple, Fraction] = {}

@@ -9,7 +9,6 @@ vertices and entries of paths between framing (F) vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .algebra import AlgebraElement, RelationSet
@@ -19,12 +18,30 @@ from .quivers import (FRAMING_ARROW, FRAMING_VERTEX, DimensionVector,
                       Path, Quiver)
 from .polynomials import Polynomial, PolyRing
 
-PolyMatrix = list  # list of rows of Polynomial
-
 
 def variable_name(arrow: str, row: int, col: int) -> str:
     """Coordinate name for the (row, col) entry of an arrow's matrix, 1-based."""
     return f"x_{arrow}_{row}_{col}"
+
+
+def path_matrix(rep, path: Path) -> Mat:
+    """Product of the arrow matrices along the path (idempotent: identity).
+
+    ``rep`` is a ``ModuleRep`` or ``RepCoordinates``: it has ``dims``,
+    ``matrices`` and the ``zero`` and ``one`` of their entries.
+    """
+    out = Mat.identity(rep.dims[path.source], rep.zero, rep.one)
+    for name in path.arrows:
+        out = rep.matrices[name] * out
+    return out
+
+
+def element_matrix(rep, element: AlgebraElement) -> Mat:
+    """Matrix of a homogeneous-endpoint element (sum over its terms)."""
+    out = Mat.zero(rep.dims[element.target], rep.dims[element.source], rep.zero)
+    for p, c in element.terms.items():
+        out = out + path_matrix(rep, p).scale(c)
+    return out
 
 
 class RepCoordinates:
@@ -41,68 +58,26 @@ class RepCoordinates:
             raise ValueError("dimension vector must cover exactly the vertices")
         self.quiver = quiver
         self.dims = dims
-        names = []
-        for a in quiver.arrows:
-            for i in range(1, dims[a.target] + 1):
-                for j in range(1, dims[a.source] + 1):
-                    names.append(variable_name(a.name, i, j))
-        self.ring = PolyRing(names, order)
+        grids = {a.name: [[variable_name(a.name, i, j) for j in range(1, dims[a.source] + 1)]
+                          for i in range(1, dims[a.target] + 1)] for a in quiver.arrows}
+        self.ring = PolyRing([n for g in grids.values() for row in g for n in row], order)
+        self.zero, self.one = self.ring.zero(), self.ring.one()
+        self.matrices = {a.name: Mat(dims[a.target], dims[a.source],
+                                     tuple(tuple(map(self.ring.variable, row))
+                                           for row in grids[a.name]), self.zero)
+                         for a in quiver.arrows}
 
-    def matrix(self, arrow: str) -> PolyMatrix:
-        a = self.quiver.arrow(arrow)
-        return [[self.ring.variable(variable_name(arrow, i, j))
-                 for j in range(1, self.dims[a.source] + 1)]
-                for i in range(1, self.dims[a.target] + 1)]
+    def matrix(self, arrow: str) -> Mat:
+        return self.matrices[arrow]
 
-    def identity(self, vertex: str) -> PolyMatrix:
-        n = self.dims[vertex]
-        one, zero = self.ring.one(), self.ring.zero()
-        return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    def path_matrix(self, path: Path) -> Mat:
+        return path_matrix(self, path)
 
-    def path_matrix(self, path: Path) -> PolyMatrix:
-        """Product of the arrow matrices along the path (idempotent: identity)."""
-        out = self.identity(path.source)
-        for name in path.arrows:
-            out = _pm_mul(self.ring, self.matrix(name), out)
-        return out
-
-    def element_matrix(self, element: AlgebraElement) -> PolyMatrix:
-        """Matrix of a homogeneous-endpoint element (sum over its terms)."""
-        rows = self.dims[element.target]
-        cols = self.dims[element.source]
-        out = _pm_zero(self.ring, rows, cols)
-        for p, c in element.terms.items():
-            out = _pm_add(out, _pm_scale(self.path_matrix(p), c))
-        return out
+    def element_matrix(self, element: AlgebraElement) -> Mat:
+        return element_matrix(self, element)
 
     def __repr__(self) -> str:
         return f"RepCoordinates({self.ring.nvars} variables)"
-
-
-def _pm_zero(ring: PolyRing, rows: int, cols: int) -> PolyMatrix:
-    zero = ring.zero()
-    return [[zero for _ in range(cols)] for _ in range(rows)]
-
-def _pm_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def _pm_scale(a: PolyMatrix, c: Fraction) -> PolyMatrix:
-    return [[x.scale(c) for x in row] for row in a]
-
-def _pm_mul(ring: PolyRing, a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    out = _pm_zero(ring, rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if not aik:
-                continue
-            for j in range(cols):
-                if b[k][j]:
-                    out[i][j] = out[i][j] + aik * b[k][j]
-    return out
 
 
 @dataclass(frozen=True)
@@ -130,8 +105,7 @@ def rep_ideal(coords: RepCoordinates, relations: RelationSet) -> RepIdeal:
         raise ValueError("relations belong to a different quiver")
     gens: list[Polynomial] = []
     for rel in relations:
-        mat = coords.element_matrix(rel)
-        for row in mat:
+        for row in coords.element_matrix(rel).data:
             gens.extend(row)
     return RepIdeal(coords, relations, tuple(gens))
 
@@ -159,17 +133,14 @@ def trace_generator(coords: RepCoordinates, path: Path) -> InvariantGenerator:
     """Trace of a cycle's matrix; a length-0 cycle gives the constant dims."""
     if path.source != path.target:
         raise ValueError("trace needs a cycle")
-    mat = coords.path_matrix(path)
-    total = coords.ring.zero()
-    for i in range(len(mat)):
-        total = total + mat[i][i]
+    total = coords.path_matrix(path).trace()
     return InvariantGenerator("trace", path, None, None, total)
 
 
 def entry_generator(coords: RepCoordinates, path: Path,
                     row: int, col: int) -> InvariantGenerator:
     mat = coords.path_matrix(path)
-    return InvariantGenerator("entry", path, row, col, mat[row - 1][col - 1])
+    return InvariantGenerator("entry", path, row, col, mat.entry(row - 1, col - 1))
 
 
 def _cycles(quiver: Quiver, allowed: frozenset, bound: int) -> Iterable[Path]:
@@ -252,12 +223,11 @@ def add_pullback(coords: RepCoordinates, vk_dims: Mapping[str, int],
         if vk[v] and quiver.tag(v) != "K":
             raise ValueError(f"added module must be supported on K vertices, "
                              f"not {v!r}")
-    for a in quiver.arrows:
-        m = vk_matrices.get(a.name, Mat.zero(vk[a.target], vk[a.source]))
-        if (m.rows, m.cols) != (vk[a.target], vk[a.source]):
-            raise ValueError(f"fixed matrix for {a.name!r} has the wrong shape")
     mats = {a.name: vk_matrices.get(a.name, Mat.zero(vk[a.target], vk[a.source]))
             for a in quiver.arrows}
+    for a in quiver.arrows:
+        if (mats[a.name].rows, mats[a.name].cols) != (vk[a.target], vk[a.source]):
+            raise ValueError(f"fixed matrix for {a.name!r} has the wrong shape")
     if rels is not None:
         from .modules import ModuleRep, check_relations
         if not check_relations(ModuleRep(quiver, vk, mats), rels)[0]:
@@ -303,7 +273,7 @@ def corner_comparison_map(pres: CornerPresentation, coords: RepCoordinates,
         mat = coords.path_matrix(pres.generator_paths[a.name])
         for i in range(1, small_dims[a.target] + 1):
             for j in range(1, small_dims[a.source] + 1):
-                images[variable_name(a.name, i, j)] = mat[i - 1][j - 1]
+                images[variable_name(a.name, i, j)] = mat.entry(i - 1, j - 1)
 
     def hom(f: Polynomial) -> Polynomial:
         if f.ring != small.ring:

@@ -311,3 +311,39 @@ class BruteForceQuotient:
             return True
         d = len(next(iter(element))[1])
         return self.ideal[d].contains(element)
+
+
+# -- matrix products: the two loops as they stood before the merge -----------
+
+
+def reference_pm_mul(zero, a: list, b: list, cols: int) -> list:
+    """Product of list-of-rows matrices: the polynomial-matrix loop.
+
+    Order i, k, j, skipping zero factors, accumulating onto ``zero``.  The
+    original read ``cols`` as ``len(b[0]) if b else 0``, which loses the
+    width of a ``b`` with no rows; here the caller passes it.
+    """
+    rows = len(a)
+    inner = len(b)
+    out = [[zero for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        for k in range(inner):
+            aik = a[i][k]
+            if not aik:
+                continue
+            for j in range(cols):
+                if b[k][j]:
+                    out[i][j] = out[i][j] + aik * b[k][j]
+    return out
+
+
+def reference_dense_mul(zero, a: list, b: list, cols: int) -> list:
+    """Product of list-of-rows matrices: the dense rational loop.
+
+    Every entry is ``sum`` over all inner indices starting from ``zero``,
+    with no zero factor skipped.
+    """
+    inner = len(b)
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), zero)
+             for j in range(cols)]
+            for i in range(len(a))]

@@ -263,3 +263,30 @@ def test_console_script_runs(tmp_path):
                     reason="no installed quiverlab executable on PATH")
 def test_installed_console_script_runs(tmp_path):
     check_cli_process([shutil.which("quiverlab")], tmp_path)
+
+
+_THIRD_PARTY_IMPORTS = """
+import json, os, sys, sysconfig
+before = set(sys.modules)
+import quiverlab, quiverlab.cli
+roots = {os.path.realpath(sysconfig.get_paths()[k]) for k in ("purelib", "platlib")}
+def third_party(name):
+    path = getattr(sys.modules[name], "__file__", None)
+    return path and any(os.path.realpath(path).startswith(r + os.sep) for r in roots)
+print(json.dumps({"package": os.path.realpath(quiverlab.__file__),
+                  "third_party": sorted(filter(third_party, set(sys.modules) - before))}))
+"""
+
+
+def test_package_imports_only_the_standard_library(tmp_path):
+    # quiverlab promises no runtime dependencies: importing it and its CLI
+    # must load nothing from site-packages (sympy and hypothesis are for tests)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _THIRD_PARTY_IMPORTS],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert Path(report["package"]).parent == (REPO / "src" / "quiverlab").resolve()
+    assert report["third_party"] == []

@@ -15,7 +15,10 @@ from quiverlab.linalg import (
     rref,
 )
 
-from oracles import ReferenceSpanBuilder, reference_kernel_combos
+from quiverlab.polynomials import Polynomial, PolyRing
+
+from oracles import (ReferenceSpanBuilder, reference_dense_mul,
+                     reference_kernel_combos, reference_pm_mul)
 
 F = Fraction
 
@@ -180,3 +183,92 @@ def test_mat_inverse_agrees_with_rank(seed):
     else:
         inv = a.inverse()
         assert a * inv == Mat.identity(n) == inv * a
+
+
+# -- Mat over Fraction and Polynomial entries --------------------------------
+
+
+def _entry_source(rng, ring):
+    """(zero, draw) for the named ring; draw returns a nonzero entry."""
+    if ring == "fraction":
+        return F(0), lambda: F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    poly_ring = PolyRing(["x", "y", "z"])
+
+    def draw():
+        return Polynomial(poly_ring, {tuple(rng.randint(0, 2) for _ in range(3)):
+                                      F(rng.choice([-3, -2, -1, 1, 2, 3]))
+                                      for _ in range(rng.randint(1, 3))})
+    return poly_ring.zero(), draw
+
+
+def _sparse_rows(rng, rows, cols, zero, draw):
+    """Entries at a random density, with one all-zero row and column."""
+    density = rng.choice([0.0, 0.3, 0.7, 1.0])
+    zero_row, zero_col = rng.randrange(rows + 1), rng.randrange(cols + 1)
+    return [[draw() if i != zero_row and j != zero_col and rng.random() < density
+             else zero for j in range(cols)] for i in range(rows)]
+
+
+def _product_cases(rng, zero, draw):
+    shapes = [(2, 0, 3), (0, 2, 2), (2, 2, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(10)]
+    for m, k, n in shapes:
+        yield m, k, n, _sparse_rows(rng, m, k, zero, draw), _sparse_rows(rng, k, n, zero, draw)
+
+
+def _mat(rows, cols, entries, zero):
+    return Mat(rows, cols, tuple(map(tuple, entries)), zero)
+
+
+@pytest.mark.parametrize("ring", ["fraction", "polynomial"])
+@pytest.mark.parametrize("seed", range(8))
+def test_mat_product_matches_reference_loops(ring, seed):
+    rng = random.Random(seed)
+    zero, draw = _entry_source(rng, ring)
+    for m, k, n, a, b in _product_cases(rng, zero, draw):
+        got = _mat(m, k, a, zero) * _mat(k, n, b, zero)
+        assert (got.rows, got.cols) == (m, n)
+        assert got.ring_zero == zero
+        assert [list(r) for r in got.data] == reference_pm_mul(zero, a, b, n)
+        assert [list(r) for r in got.data] == reference_dense_mul(zero, a, b, n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polynomial_mat_product_repeats_the_reference_operations(seed, monkeypatch):
+    # the same sums and products of the same operands, in the same order
+    calls = []
+    mul, add = Polynomial.__mul__, Polynomial.__add__
+
+    def logged(op, fn):
+        def wrapper(x, y):
+            calls.append((op, tuple(x.terms.items()), tuple(y.terms.items())))
+            return fn(x, y)
+        return wrapper
+    monkeypatch.setattr(Polynomial, "__mul__", logged("*", mul))
+    monkeypatch.setattr(Polynomial, "__add__", logged("+", add))
+    rng = random.Random(100 + seed)
+    zero, draw = _entry_source(rng, "polynomial")
+    for m, k, n, a, b in _product_cases(rng, zero, draw):
+        calls.clear()
+        reference_pm_mul(zero, a, b, n)
+        want = list(calls)
+        calls.clear()
+        _mat(m, k, a, zero) * _mat(k, n, b, zero)
+        assert calls == want
+
+
+def test_polynomial_mat_sum_scale_and_trace():
+    ring = PolyRing(["x", "y"])
+    x, y, zero = ring.variable("x"), ring.variable("y"), ring.zero()
+    a = _mat(2, 2, [[x, zero], [y, x * y]], zero)
+    assert F(1, 2) * x == x.scale(F(1, 2))
+    assert a.scale(3).data == ((x.scale(3), zero), (y.scale(3), (x * y).scale(3)))
+    assert (a + a).data == a.scale(2).data
+    assert (a - a).is_zero() and (a - a).ring_zero == zero
+    assert a.trace() == x + x * y
+    assert Mat.identity(2, zero, ring.one()) * a == a
+    # a cycle through a dimension-0 vertex has a 0x0 matrix; its trace must
+    # stay in the polynomial ring
+    empty = Mat.zero(0, 0, zero).trace()
+    assert isinstance(empty, Polynomial) and empty == zero
+    assert Mat.zero(0, 0).trace() == 0

@@ -7,7 +7,8 @@ import pytest
 
 from quiverlab.algebra import framed_affine_preprojective, preprojective_relations
 from quiverlab.linalg import Mat
-from quiverlab.polynomials import buchberger
+from quiverlab.modules import ModuleRep, element_matrix
+from quiverlab.polynomials import Polynomial, buchberger
 from quiverlab.quivers import (
     Arrow,
     DimensionVector,
@@ -40,8 +41,8 @@ def test_coordinate_ring_layout():
     coords = RepCoordinates(q, DimensionVector({"1": 2, "2": 3}))
     assert coords.ring.nvars == 12
     mat = coords.matrix("a")
-    assert len(mat) == 3 and len(mat[0]) == 2
-    assert mat[2][0].text() == "x_a_3_1"
+    assert mat.rows == 3 and mat.cols == 2
+    assert mat.entry(2, 0).text() == "x_a_3_1"
     with pytest.raises(ValueError):
         RepCoordinates(q, DimensionVector({"1": 2}))
 
@@ -53,10 +54,10 @@ def test_path_matrix_multiplies_along_the_path():
     a, astar = coords.matrix("a"), coords.matrix("a*")
     for i in range(2):
         for j in range(2):
-            expect = astar[i][0] * a[0][j] + astar[i][1] * a[1][j]
-            assert loop[i][j] == expect
+            expect = astar.entry(i, 0) * a.entry(0, j) + astar.entry(i, 1) * a.entry(1, j)
+            assert loop.entry(i, j) == expect
     ident = coords.path_matrix(Path.idempotent(q, "1"))
-    assert ident[0][0] == coords.ring.one() and ident[0][1] == coords.ring.zero()
+    assert ident.entry(0, 0) == coords.ring.one() and ident.entry(0, 1) == coords.ring.zero()
 
 
 def test_rep_ideal_a2():
@@ -78,9 +79,45 @@ def test_rep_ideal_d4_trace_identity(d4_rep_ideal):
     total = coords.ring.zero()
     for rel in ideal.relations:
         mat = coords.element_matrix(rel)
-        for i in range(len(mat)):
-            total = total + mat[i][i]
+        for i in range(mat.rows):
+            total = total + mat.entry(i, i)
     assert not total
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("D", 4)])
+@pytest.mark.parametrize("seed", range(10))
+def test_generic_relation_matrices_evaluate_to_the_module_ones(kind, rank, seed):
+    # evaluation at a module's entries is a ring map, so the generic matrix
+    # of each relation must evaluate to the module's matrix of it
+    rng = random.Random(seed)
+    q = build_doubled_dynkin(kind, rank)
+    dims = DimensionVector({v: rng.randint(0, 2) for v in q.vertices})
+    mats = {a.name: Mat(dims[a.target], dims[a.source],
+                        tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                    for _ in range(dims[a.source]))
+                              for _ in range(dims[a.target])))
+            for a in q.arrows}
+    module = ModuleRep(q, dims, mats)
+    env = {variable_name(name, i + 1, j + 1): m.entry(i, j)
+           for name, m in mats.items() for i in range(m.rows) for j in range(m.cols)}
+    coords = RepCoordinates(q, dims)
+    for rel in preprojective_relations(q):
+        generic, want = coords.element_matrix(rel), element_matrix(module, rel)
+        assert (generic.rows, generic.cols) == (want.rows, want.cols)
+        assert all(generic.entry(i, j).evaluate(env) == want.entry(i, j)
+                   for i in range(want.rows) for j in range(want.cols))
+
+
+def test_matrices_through_a_zero_dimensional_vertex():
+    q = build_doubled_dynkin("A", 3)
+    coords = RepCoordinates(q, DimensionVector({"1": 1, "2": 0, "3": 2}))
+    # one entry per relation entry, zero ones included: 1 + 0 + 4
+    assert len(rep_ideal(coords, preprojective_relations(q)).generators) == 5
+    through = coords.path_matrix(Path(q, "3", ("b*", "b")))
+    assert (through.rows, through.cols) == (2, 2) and through.is_zero()
+    for cycle in (Path(q, "3", ("b*", "b")), Path(q, "2", ("b", "b*"))):
+        total = trace_generator(coords, cycle).polynomial
+        assert isinstance(total, Polynomial) and total == coords.ring.zero()
 
 
 def test_rep_ideal_quiver_mismatch():
@@ -245,7 +282,7 @@ def test_corner_comparison_map(framed_a1, framed_a1_corner):
     gb = buchberger(rep_ideal(coords, rels).nonzero_generators())
     for r in pres.relations:
         mat = small.element_matrix(r)
-        for row in mat:
+        for row in mat.data:
             for f in row:
                 assert not gb.normal_form(hom(f))
     with pytest.raises(ValueError):
