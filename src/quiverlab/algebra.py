@@ -540,29 +540,37 @@ class Cocenter:
 
 
 def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
-    """Degreewise quotient of the algebra by the span of all commutators.
+    """Degreewise quotient of the algebra by its commutator subspace [A, A].
 
-    For each degree d the commutator subspace is spanned by xy - yx over
-    basis classes of complementary degrees; representatives are the standard
-    basis paths whose coordinates complete that span.
+    Since [xy, z] = [x, yz] + [y, zx], induction on length shows that [A, A]
+    in degree d is spanned by [e_i, y] and by [a, y] = ay - ya, for arrows a
+    and basis paths y.  [e_i, y] is 0 when y is a cycle and +-y otherwise,
+    and a path y = ay' that is not a cycle already equals [a, y'].  So the
+    rows ay - ya over arrows a and basis paths y of degree d - 1 span it:
+    #arrows * dim(d - 1) rows, not one per basis pair of complementary
+    degrees.  Representatives are the standard basis paths whose
+    coordinates complete that span.
     """
     if cutoff is None:
         cutoff = basis.top_degree if basis.finite_dimensional else basis.cutoff
         assert cutoff is not None
-    if cutoff > basis.cutoff:
-        raise ValueError(f"cocenter cutoff {cutoff} exceeds basis cutoff {basis.cutoff}")
+    if not 0 <= cutoff <= basis.cutoff:
+        raise ValueError(f"cocenter cutoff {cutoff} is outside 0..{basis.cutoff}")
+    # each arrow's endpoints and the key of the length-1 path it forms
+    arrows = [(a.source, a.target, Path(basis.quiver, a.source, (a.name,)).key)
+              for a in basis.quiver.arrows]
     dims = []
     reps = []
     for d in range(cutoff + 1):
         span = SpanBuilder()
-        for p in range(d + 1):
-            for x in basis.basis(p):
-                for y in basis.basis(d - p):
-                    row = dict(basis.coords(x * y)) if y.target == x.source else {}
-                    if x.target == y.source:
-                        axpy(row, -1, basis.coords(y * x))
-                    if row:
-                        span.add(row)
+        for y in basis.basis(d - 1) if d else ():
+            for source, target, key in arrows:
+                # a.y: a acts after y; y.a: a acts first
+                row = dict(basis._resolve(d, y.key + key[1:])) if source == y.target else {}
+                if target == y.source:
+                    axpy(row, -1, basis._resolve(d, key + y.key[1:]))
+                if row:
+                    span.add(row)
         degree_reps = tuple(p for p in basis.basis(d) if p.key not in span.pivots)
         dims.append(basis.dimension(d) - span.rank)
         reps.append(degree_reps)

@@ -259,17 +259,6 @@ class CornerPresentation:
     cutoff: int
     completeness: str
 
-    def arrow_path(self, name: str) -> Path:
-        """Ambient-algebra path underlying a presentation arrow."""
-        return self.generator_paths[name]
-
-    def weighted_degree(self, path: Path) -> int:
-        return sum(self.weights[a] for a in path.arrows)
-
-    def check_module(self, module) -> tuple[bool, list]:
-        from .modules import check_relations
-        return check_relations(module, self.relations)
-
 
 def _weighted_words(quiver: Quiver, weights: dict[str, int],
                     cutoff: int) -> list[list[Path]]:

@@ -347,3 +347,35 @@ def reference_dense_mul(zero, a: list, b: list, cols: int) -> list:
     return [[sum((a[i][k] * b[k][j] for k in range(inner)), zero)
              for j in range(cols)]
             for i in range(len(a))]
+
+
+# -- cocenters: the all-pairs commutator loop ---------------------------------
+
+
+def all_pairs_cocenter(basis, cutoff: int):
+    """Degree dimensions and representatives of A/[A, A] from every pair.
+
+    For each degree d the commutator subspace is spanned by xy - yx over
+    basis classes x, y of complementary degrees, Σ_p dim(p)·dim(d - p) rows
+    in all; representatives are the standard basis paths whose coordinates
+    complete that span.  Products are read through ``basis.coords``, so this
+    checks the choice of commutator rows, not the basis.  Kept as the
+    reference that the generator-commutator ``cocenter`` must match exactly.
+    """
+    dims = []
+    reps = []
+    for d in range(cutoff + 1):
+        span = ReferenceSpanBuilder()
+        for p in range(d + 1):
+            for x in basis.basis(p):
+                for y in basis.basis(d - p):
+                    row = dict(basis.coords(x * y)) if y.target == x.source else {}
+                    if x.target == y.source:
+                        for k, c in basis.coords(y * x).items():
+                            row[k] = row.get(k, 0) - c
+                    if row:
+                        span.add(row)
+        leads = set(span.leads)
+        dims.append(basis.dimension(d) - span.rank)
+        reps.append(tuple(p for p in basis.basis(d) if p.key not in leads))
+    return tuple(dims), tuple(reps)

@@ -49,11 +49,12 @@ from quiverlab.repscheme import (
 from conftest import FIXTURES
 from oracles import kleinian_z2_dims, preprojective_total_dim
 
-FINITE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5)]
+FINITE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5),
+                ("E", 6), ("E", 7), ("E", 8)]
 
 # top degree of the finite-type algebra: Coxeter number minus two
 TOP_DEGREE = {("A", 1): 0, ("A", 2): 1, ("A", 3): 2, ("A", 4): 3,
-              ("D", 4): 4, ("D", 5): 6}
+              ("D", 4): 4, ("D", 5): 6, ("E", 6): 10, ("E", 7): 16, ("E", 8): 28}
 
 _BASES: dict = {}
 
@@ -105,11 +106,14 @@ def verdict(capsys):
 
 
 def test_criterion_01_cocenter_vanishing(verdict):
-    with verdict(1, "cocenter concentrated in degree zero for six finite types"):
+    with verdict(1, "cocenter concentrated in degree zero for nine finite types"):
         start = time.monotonic()
         for kind, rank in FINITE_TYPES:
             basis = finite_basis(kind, rank)
             assert basis.finite_dimensional
+            # the positive roots' heights sum to n*h*(h+1)/6 (1,240 for E8)
+            h = TOP_DEGREE[(kind, rank)] + 2
+            assert sum(basis.dimensions) == rank * h * (h + 1) // 6
             coc = cocenter(basis)
             assert not coc.truncated
             assert coc.degree_dims[0] == len(basis.quiver.vertices)

@@ -26,8 +26,8 @@ from quiverlab.quivers import (
     build_doubled_dynkin,
 )
 
-from oracles import (BruteForceQuotient, ReferenceRewriteSpan, path_counts,
-                     preprojective_total_dim)
+from oracles import (BruteForceQuotient, ReferenceRewriteSpan, all_pairs_cocenter,
+                     path_counts, preprojective_total_dim)
 
 
 def random_element(quiver, rng, terms=3, max_len=4):
@@ -370,8 +370,65 @@ def test_cocenter_representatives_are_cycles(framed_a1):
 
 def test_cocenter_cutoff_cannot_exceed_basis(framed_a1):
     _, _, gb = framed_a1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside"):
         cocenter(gb, cutoff=gb.cutoff + 1)
+    with pytest.raises(ValueError, match="outside"):
+        cocenter(gb, cutoff=-1)
+
+
+def assert_cocenter_matches_all_pairs(gb, cutoff=None):
+    cc = cocenter(gb, cutoff)
+    dims, reps = all_pairs_cocenter(gb, len(cc.degree_dims) - 1)
+    assert cc.degree_dims == dims
+    assert ([[p.text() for p in r] for r in cc.representatives]
+            == [[p.text() for p in r] for r in reps])
+
+
+@pytest.mark.parametrize("kind,rank", [("A", n) for n in range(1, 7)]
+                         + [("D", n) for n in range(4, 8)] + [("E", 6), ("E", 7)])
+def test_cocenter_matches_all_pairs_on_finite_types(kind, rank):
+    q = build_doubled_dynkin(kind, rank)
+    gb = graded_basis(q, preprojective_relations(q), 2 * rank + 4)  # past h - 2
+    assert gb.finite_dimensional
+    assert_cocenter_matches_all_pairs(gb)
+
+
+@pytest.mark.parametrize("kind,rank,cutoff", [("A", 1, 8), ("D", 4, 6)])
+def test_cocenter_matches_all_pairs_on_framed_affine(kind, rank, cutoff):
+    q, rels = framed_affine_preprojective(kind, rank)
+    assert_cocenter_matches_all_pairs(graded_basis(q, rels, cutoff), cutoff)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_cocenter_matches_all_pairs_on_random_quotients(seed):
+    q, rels = random_quotient(random.Random(seed))
+    assert_cocenter_matches_all_pairs(graded_basis(q, rels, 5))
+
+
+def test_cocenter_of_two_free_loops_counts_necklaces():
+    q = Quiver(["1"], [Arrow("x", "1", "1"), Arrow("y", "1", "1")])
+    cc = cocenter(graded_basis(q, RelationSet(q, []), 8))
+    # binary necklaces of length d: (1/d) * sum over e | d of phi(e) * 2^(d/e)
+    assert cc.degree_dims == (1, 2, 3, 4, 6, 8, 14, 20, 36)
+    assert cc.truncated
+
+
+def test_cocenter_of_a_commutative_polynomial_ring_is_the_ring():
+    q = Quiver(["1"], [Arrow("x", "1", "1"), Arrow("y", "1", "1")])
+    xy = AlgebraElement.from_path(Path(q, "1", ("y", "x")))
+    yx = AlgebraElement.from_path(Path(q, "1", ("x", "y")))
+    cc = cocenter(graded_basis(q, RelationSet(q, [xy - yx]), 8))
+    assert cc.degree_dims == tuple(range(1, 10))
+
+
+def test_cocenter_of_an_undoubled_path_algebra():
+    # every arrow a from s to t equals [e_t, a], so only the idempotents survive
+    q = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3")])
+    gb = graded_basis(q, RelationSet(q, []), 3)
+    assert gb.dimensions == [3, 2, 1, 0]
+    cc = cocenter(gb)
+    assert cc.degree_dims == (3, 0, 0)
+    assert not cc.truncated
 
 
 # -- vertex restriction ------------------------------------------------------
