@@ -254,6 +254,19 @@ class Mat:
             raise ValueError("trace of a non-square matrix")
         return sum((self.data[i][i] for i in range(self.rows)), self.ring_zero)
 
+    def trace_of_product(self, other: "Mat"):
+        """tr(self · other) from the diagonal alone: the sum of a_ik · b_ki."""
+        if self.cols != other.rows or self.rows != other.cols:
+            raise ValueError("shape mismatch in trace of a product")
+        total = self.ring_zero
+        for i, row in enumerate(self.data):
+            for aik, brow in zip(row, other.data):
+                if aik:
+                    bki = brow[i]
+                    if bki:
+                        total = total + aik * bki
+        return total
+
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")

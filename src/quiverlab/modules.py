@@ -17,7 +17,8 @@ from .errors import BudgetExceeded, VerificationError
 from .linalg import Mat, SpanBuilder, block_diag, block_upper, nullspace
 from .quivers import DimensionVector, Path, Quiver
 from .repscheme import (InvariantGenerator, RepCoordinates, element_matrix,
-                        invariant_generators, path_matrix, variable_name)
+                        invariant_generators, invariant_values, path_matrix,
+                        variable_name)
 
 _ZERO = Fraction(0)
 
@@ -182,14 +183,20 @@ def generated_by_framing(m: ModuleRep, length_budget: int | None = None) -> bool
 
 def invariant_fingerprint(m: ModuleRep,
                           gens: Iterable[InvariantGenerator]) -> tuple[Fraction, ...]:
-    """Exact values of the invariant generators at the module, in order."""
-    env: dict[str, Fraction] = {}
-    for a in m.quiver.arrows:
-        mat = m.matrices[a.name]
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                env[variable_name(a.name, i + 1, j + 1)] = mat.entry(i, j)
-    return tuple(g.polynomial.evaluate(env) for g in gens)
+    """Exact values of the invariant generators at the module, in order.
+
+    Each value comes from the module's own path matrices, which equals the
+    generator's polynomial evaluated at the module's entries.  The
+    generators must be those of the module's dimension vector.
+    """
+    gens = list(gens)
+    # the coordinate names of m's dimension vector, in RepCoordinates' order
+    names = tuple(variable_name(a.name, i, j) for a in m.quiver.arrows
+                  for i in range(1, m.dims[a.target] + 1)
+                  for j in range(1, m.dims[a.source] + 1))
+    if any(ring.variables != names for ring in {g.polynomial.ring for g in gens}):
+        raise ValueError("invariant generators belong to another dimension vector")
+    return tuple(invariant_values(m, gens))
 
 
 # -- extensions ---------------------------------------------------------------

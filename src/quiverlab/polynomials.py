@@ -19,9 +19,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded
-from .linalg import nullspace
+from .linalg import axpy, nullspace
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _NUM = re.compile(r"\d+(?:/\d+)?")
 
 ORDERS = ("degrevlex", "lex")
@@ -55,13 +56,14 @@ class PolyRing:
         return exps
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._raw(self, {})
 
     def one(self) -> "Polynomial":
-        return self.constant(1)
+        return Polynomial._raw(self, {(0,) * self.nvars: _ONE})
 
     def constant(self, c) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: Fraction(c)})
+        c = Fraction(c)
+        return Polynomial._raw(self, {(0,) * self.nvars: c} if c else {})
 
     def variable(self, name: str) -> "Polynomial":
         try:
@@ -69,7 +71,7 @@ class PolyRing:
         except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {exps: Fraction(1)})
+        return Polynomial._raw(self, {exps: _ONE})
 
     def monomial(self, exps: Sequence[int], coefficient=1) -> "Polynomial":
         exps = tuple(int(e) for e in exps)
@@ -193,6 +195,19 @@ class Polynomial:
                     data[e] = c
         self.terms = data
 
+    @classmethod
+    def _raw(cls, ring: PolyRing, terms: dict) -> "Polynomial":
+        """Trusted constructor: ``terms`` must already map to nonzero Fractions.
+
+        The dict is taken over, not copied.  Arithmetic builds its results
+        here, so a coefficient is wrapped in ``Fraction`` once, not again on
+        every operation that carries it along.
+        """
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        return p
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -203,44 +218,54 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _merge(self, other: "Polynomial", op) -> "Polynomial":
+        """``self op other`` for op = operator.add or operator.sub, in one pass."""
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, _ZERO) + c
+            v = op(out.get(e, _ZERO), c)
             if v:
                 out[e] = v
             else:
                 out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._raw(self.ring, out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._merge(other, operator.add)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._merge(other, operator.sub)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial._raw(self.ring, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if not c:
+            return Polynomial._raw(self.ring, {})
+        return Polynomial._raw(self.ring, {e: c * v for e, v in self.terms.items()})
     __rmul__ = scale
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out: dict[tuple, Fraction] = {}
+        add = operator.add
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 v = out.get(e, _ZERO) + c1 * c2
                 if v:
                     out[e] = v
                 else:
                     out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial._raw(self.ring, out)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
-        out = self.ring.one()
-        for _ in range(n):
+        if n == 0:
+            return self.ring.one()
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -261,16 +286,23 @@ class Polynomial:
         return self.scale(1 / self.lead_coeff())
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
-        """Value at a rational point given per-variable values."""
+        """Value at a rational point given per-variable values.
+
+        A variable missing from ``env`` is an error only when some term
+        uses it.
+        """
+        values: dict[int, Fraction] = {}   # each used variable's value, converted once
         total = _ZERO
         for exps, c in self.terms.items():
-            v = Fraction(c)
-            for name, e in zip(self.ring.variables, exps):
-                if not e:
-                    continue
-                if name not in env:
-                    raise ValueError(f"no value for variable {name!r}")
-                v *= Fraction(env[name]) ** e
+            v = c
+            for i, e in enumerate(exps):
+                if e:
+                    if i not in values:
+                        name = self.ring.variables[i]
+                        if name not in env:
+                            raise ValueError(f"no value for variable {name!r}")
+                        values[i] = Fraction(env[name])
+                    v *= values[i] ** e
             total += v
         return total
 
@@ -281,10 +313,13 @@ class Polynomial:
         Variables without an explicit image must exist in the target ring
         under the same name.
         """
-        cache: dict[str, Polynomial] = {}
+        # powers[i][k] is the image of variable i raised to k + 1
+        powers: dict[int, list[Polynomial]] = {}
 
-        def image(name: str) -> Polynomial:
-            if name not in cache:
+        def power(i: int, e: int) -> Polynomial:
+            known = powers.get(i)
+            if known is None:
+                name = self.ring.variables[i]
                 img = images.get(name)
                 if img is None:
                     img = ring.variable(name)
@@ -292,17 +327,26 @@ class Polynomial:
                     img = ring.constant(img)
                 elif img.ring != ring:
                     raise ValueError("image lies in a different ring")
-                cache[name] = img
-            return cache[name]
+                known = powers[i] = [img]
+            while len(known) < e:
+                known.append(known[-1] * known[0])
+            return known[e - 1]
 
-        total = ring.zero()
+        one = {(0,) * ring.nvars: _ONE}
+        out: dict[tuple, Fraction] = {}
         for exps, c in self.terms.items():
-            term = ring.constant(c)
-            for name, e in zip(self.ring.variables, exps):
+            term = None
+            for i, e in enumerate(exps):
                 if e:
-                    term = term * image(name) ** e
-            total = total + term
-        return total
+                    p = power(i, e)
+                    term = p if term is None else term * p
+                    if not term:
+                        break
+            if term is None:
+                axpy(out, c, one)
+            else:
+                axpy(out, c, term.terms)
+        return Polynomial._raw(ring, out)
 
     def text(self) -> str:
         if not self.terms:
@@ -366,7 +410,7 @@ def _reduce(f: Polynomial, leads: Sequence[tuple[tuple, Polynomial]]) -> Polynom
                 for e2, c2 in g.terms.items():
                     if e2 == le:
                         continue
-                    e = tuple(a + b for a, b in zip(e2, shift))
+                    e = tuple(map(operator.add, e2, shift))
                     v = work.get(e, _ZERO) - factor * c2
                     if v:
                         work[e] = v
@@ -375,7 +419,7 @@ def _reduce(f: Polynomial, leads: Sequence[tuple[tuple, Polynomial]]) -> Polynom
                 break
         else:
             out[exps] = coef
-    return Polynomial(ring, out)
+    return Polynomial._raw(ring, out)
 
 
 @dataclass(frozen=True)
@@ -462,8 +506,8 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
         _, i, j = heapq.heappop(pairs)
         (li, fi), (lj, fj) = basis[i], basis[j]
         lcm = _mono_lcm(li, lj)
-        a = Polynomial(ring, {_mono_sub(lcm, li): Fraction(1)})
-        b = Polynomial(ring, {_mono_sub(lcm, lj): Fraction(1)})
+        a = Polynomial._raw(ring, {_mono_sub(lcm, li): _ONE})
+        b = Polynomial._raw(ring, {_mono_sub(lcm, lj): _ONE})
         s = a * fi - b * fj
         r = _reduce(s, basis)
         if r:
@@ -513,7 +557,7 @@ def standard_monomials(gb: GroebnerBasis, max_deg: int) -> list[Polynomial]:
                 exps[i] += 1
             exps = tuple(exps)
             if gb.is_standard(exps):
-                out.append(Polynomial(ring, {exps: Fraction(1)}))
+                out.append(Polynomial._raw(ring, {exps: _ONE}))
     return out
 
 

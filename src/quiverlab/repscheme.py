@@ -13,6 +13,7 @@ from typing import Callable, Iterable, Mapping
 
 from .algebra import AlgebraElement, RelationSet
 from .corner import CornerPresentation
+from .errors import BudgetExceeded
 from .linalg import Mat
 from .quivers import (FRAMING_ARROW, FRAMING_VERTEX, DimensionVector,
                       Path, Quiver)
@@ -30,10 +31,45 @@ def path_matrix(rep, path: Path) -> Mat:
     ``rep`` is a ``ModuleRep`` or ``RepCoordinates``: it has ``dims``,
     ``matrices`` and the ``zero`` and ``one`` of their entries.
     """
-    out = Mat.identity(rep.dims[path.source], rep.zero, rep.one)
-    for name in path.arrows:
-        out = rep.matrices[name] * out
+    return _product(rep, path.source, path.arrows, [])
+
+
+def _product(rep, base: str, arrows: tuple, chain: list) -> Mat:
+    """Matrix of the path (base, arrows), starting from its first arrow.
+
+    ``chain`` holds (arrow, matrix) for each prefix of the last path built
+    through it.  The next path reuses the prefix the two share, so a batch
+    of paths in sorted order shares its products while holding only one
+    path's worth of matrices.
+    """
+    if not arrows:
+        return Mat.identity(rep.dims[base], rep.zero, rep.one)
+    k, n = 0, min(len(chain), len(arrows))
+    while k < n and chain[k][0] == arrows[k]:
+        k += 1
+    if k == len(arrows):
+        return chain[k - 1][1]
+    del chain[k:]
+    mats = rep.matrices
+    out = chain[-1][1] if k else None
+    for name in arrows[k:]:
+        out = mats[name] if out is None else mats[name] * out
+        chain.append((name, out))
     return out
+
+
+def _cycle_trace(rep, path: Path, chain: list):
+    """Trace of a cycle's matrix, from the diagonal of its last product only.
+
+    With A the last arrow's matrix and P the product before it,
+    tr(A·P) = sum of A[i][k]·P[k][i], so A·P is never formed.
+    """
+    if path.source != path.target:
+        raise ValueError("trace needs a cycle")
+    if not path.arrows:
+        return path_matrix(rep, path).trace()
+    head = _product(rep, path.source, path.arrows[:-1], chain)
+    return rep.matrices[path.arrows[-1]].trace_of_product(head)
 
 
 def element_matrix(rep, element: AlgebraElement) -> Mat:
@@ -131,16 +167,26 @@ class InvariantGenerator:
 
 def trace_generator(coords: RepCoordinates, path: Path) -> InvariantGenerator:
     """Trace of a cycle's matrix; a length-0 cycle gives the constant dims."""
-    if path.source != path.target:
-        raise ValueError("trace needs a cycle")
-    total = coords.path_matrix(path).trace()
-    return InvariantGenerator("trace", path, None, None, total)
+    return InvariantGenerator("trace", path, None, None, _cycle_trace(coords, path, []))
 
 
 def entry_generator(coords: RepCoordinates, path: Path,
                     row: int, col: int) -> InvariantGenerator:
     mat = coords.path_matrix(path)
     return InvariantGenerator("entry", path, row, col, mat.entry(row - 1, col - 1))
+
+
+def invariant_values(rep, gens: Iterable[InvariantGenerator]) -> list:
+    """Each generator's value on ``rep``, read off rep's own path matrices.
+
+    On a ``ModuleRep`` this is the generator's polynomial evaluated at the
+    module's entries; on the ``RepCoordinates`` the generators were built
+    from, it is the polynomial itself.  Prefix products are shared.
+    """
+    chain: list = []
+    return [_cycle_trace(rep, g.path, chain) if g.kind == "trace" else
+            _product(rep, g.path.source, g.path.arrows, chain).entry(g.row - 1, g.col - 1)
+            for g in gens]
 
 
 def _cycles(quiver: Quiver, allowed: frozenset, bound: int) -> Iterable[Path]:
@@ -165,13 +211,15 @@ def _cycles(quiver: Quiver, allowed: frozenset, bound: int) -> Iterable[Path]:
 
 def invariant_generators(coords: RepCoordinates,
                          cycle_bound: int | None = None,
-                         path_bound: int | None = None) -> list[InvariantGenerator]:
+                         path_bound: int | None = None,
+                         max_cycles: int = 10_000) -> list[InvariantGenerator]:
     """Trace and framing-entry invariants up to the given length bounds.
 
     Defaults follow the classical degree bound: cycles up to the square of
     the total gauged dimension, framing paths two longer.  Trace generators
     are deduplicated by cycle rotation and by the realized polynomial, and
-    identically zero polynomials are dropped.
+    identically zero polynomials are dropped.  Enumerating more than
+    ``max_cycles`` cycles raises BudgetExceeded before any trace is taken.
     """
     quiver = coords.quiver
     gauged = frozenset(quiver.i_vertices)
@@ -179,24 +227,35 @@ def invariant_generators(coords: RepCoordinates,
         cycle_bound = sum(coords.dims[v] for v in gauged) ** 2
     if path_bound is None:
         path_bound = cycle_bound + 2
+    cycles: list[Path] = []
+    for cycle in _cycles(quiver, gauged, cycle_bound):
+        if len(cycles) >= max_cycles:
+            raise BudgetExceeded(
+                f"invariant cycle enumeration reached {len(cycles) + 1} cycles, "
+                f"over max_cycles={max_cycles}, at cycle bound {cycle_bound}")
+        cycles.append(cycle)
+    cycles.sort(key=lambda p: (p.length, p.key))
     out: list[InvariantGenerator] = []
     seen: set = set()
-    for cycle in sorted(_cycles(quiver, gauged, cycle_bound),
-                        key=lambda p: (p.length, p.key)):
-        gen = trace_generator(coords, cycle)
-        fingerprint = frozenset(gen.polynomial.terms.items())
-        if not gen.polynomial or fingerprint in seen:
+    chain: list = []
+    for cycle in cycles:
+        total = _cycle_trace(coords, cycle, chain)
+        fingerprint = frozenset(total.terms.items())
+        if not total or fingerprint in seen:
             continue
         seen.add(fingerprint)
-        out.append(gen)
+        out.append(InvariantGenerator("trace", cycle, None, None, total))
     f_set = frozenset(quiver.f_vertices)
     frontier = [Path.idempotent(quiver, v) for v in quiver.f_vertices]
     for d in range(path_bound + 1):
         for p in frontier:
-            if p.target in f_set:
-                for i in range(1, coords.dims[p.target] + 1):
-                    for j in range(1, coords.dims[p.source] + 1):
-                        out.append(entry_generator(coords, p, i, j))
+            rows, cols = coords.dims[p.target], coords.dims[p.source]
+            if p.target in f_set and rows and cols:
+                mat = _product(coords, p.source, p.arrows, chain)
+                for i in range(1, rows + 1):
+                    for j in range(1, cols + 1):
+                        out.append(InvariantGenerator("entry", p, i, j,
+                                                      mat.entry(i - 1, j - 1)))
         if d < path_bound:
             frontier = [p.extend(a) for p in frontier
                         for a in quiver.arrows_from(p.target)]

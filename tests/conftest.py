@@ -8,10 +8,21 @@ sys.path.insert(0, str(Path(__file__).parent))
 from quiverlab.algebra import framed_affine_preprojective, graded_basis, preprojective_relations
 from quiverlab.corner import bimodule_generators, corner_generators, corner_presentation
 from quiverlab.polynomials import buchberger
-from quiverlab.quivers import build_doubled_dynkin, delta_k
+from quiverlab.quivers import Arrow, Quiver, build_doubled_dynkin, delta_k
 from quiverlab.repscheme import RepCoordinates, rep_ideal
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+def framing_loop_quiver() -> Quiver:
+    """A framing vertex with a way back and a loop: framing entries of every length."""
+    return Quiver(["∞", "0"], [Arrow("ι", "∞", "0"), Arrow("π", "0", "∞"),
+                               Arrow("x", "0", "0")], {"∞": "F", "0": "K"})
+
+
+def two_loop_quiver() -> Quiver:
+    """One gauged vertex with two loops: cycles that repeat arrows in any order."""
+    return Quiver(["0"], [Arrow("x", "0", "0"), Arrow("y", "0", "0")], {"0": "K"})
 
 
 @pytest.fixture(scope="session")

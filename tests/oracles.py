@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from quiverlab.quivers import Path
+
 _FINITE_EDGES = {
     ("A", 1): [],
     ("A", 2): [(1, 2)],
@@ -379,3 +381,112 @@ def all_pairs_cocenter(basis, cutoff: int):
         dims.append(basis.dimension(d) - span.rank)
         reps.append(tuple(p for p in basis.basis(d) if p.key not in leads))
     return tuple(dims), tuple(reps)
+
+
+# -- invariants and substitution: the loops as they stood before sharing -----
+
+
+def _reference_cycles(quiver, allowed: frozenset, bound: int):
+    """Rotation-canonical cycles within ``allowed``, length 1..bound, unbounded in count."""
+    for base in quiver.vertices:
+        if base not in allowed:
+            continue
+        stack = [Path.idempotent(quiver, base)]
+        while stack:
+            p = stack.pop()
+            for a in quiver.arrows_from(p.target):
+                if a.target not in allowed:
+                    continue
+                q = p.extend(a)
+                if q.target == base:
+                    rots = [q.arrows[k:] + q.arrows[:k] for k in range(q.length)]
+                    if q.arrows == min(rots):
+                        yield q
+                if q.length < bound:
+                    stack.append(q)
+
+
+def _reference_path_rows(coords, path) -> list:
+    """Rows of a path's generic matrix, multiplied out from the identity."""
+    zero, one = coords.zero, coords.one
+    n = coords.dims[path.source]
+    out = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for name in path.arrows:
+        mat = coords.matrices[name]
+        out = reference_pm_mul(zero, [list(r) for r in mat.data], out, n)
+    return out
+
+
+def reference_invariant_generators(coords, cycle_bound: int, path_bound: int) -> list:
+    """(kind, path, row, col, polynomial) per invariant, in output order.
+
+    Every cycle's full matrix is multiplied out from the identity and its
+    diagonal summed; every framing entry rebuilds its path's matrix.
+    """
+    quiver = coords.quiver
+    out = []
+    seen = set()
+    cycles = _reference_cycles(quiver, frozenset(quiver.i_vertices), cycle_bound)
+    for cycle in sorted(cycles, key=lambda p: (p.length, p.key)):
+        rows = _reference_path_rows(coords, cycle)
+        total = coords.zero
+        for i in range(len(rows)):
+            total = total + rows[i][i]
+        fingerprint = frozenset(total.terms.items())
+        if not total or fingerprint in seen:
+            continue
+        seen.add(fingerprint)
+        out.append(("trace", cycle, None, None, total))
+    f_set = frozenset(quiver.f_vertices)
+    frontier = [Path.idempotent(quiver, v) for v in quiver.f_vertices]
+    for d in range(path_bound + 1):
+        for p in frontier:
+            if p.target in f_set:
+                for i in range(1, coords.dims[p.target] + 1):
+                    for j in range(1, coords.dims[p.source] + 1):
+                        rows = _reference_path_rows(coords, p)
+                        out.append(("entry", p, i, j, rows[i - 1][j - 1]))
+        if d < path_bound:
+            frontier = [p.extend(a) for p in frontier
+                        for a in quiver.arrows_from(p.target)]
+    return out
+
+
+def reference_substitute(f, ring, images) -> dict:
+    """Terms of f's image under a ring map, one term at a time.
+
+    Each term becomes its coefficient times the product of its variables'
+    images, multiplied out factor by factor; the terms are then summed.
+    ``images`` maps a variable to a polynomial of ``ring`` or a number;
+    an unmapped variable keeps its name in ``ring``.  Plain dicts only.
+    """
+    n = ring.nvars
+    unit = (0,) * n
+
+    def image(name: str) -> dict:
+        img = images.get(name)
+        if img is None:
+            exps = [0] * n
+            exps[ring.variables.index(name)] = 1
+            return {tuple(exps): Fraction(1)}
+        if not hasattr(img, "terms"):
+            return {unit: Fraction(img)} if img else {}
+        return dict(img.terms)
+
+    def mul(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return {e: c for e, c in out.items() if c}
+
+    total: dict = {}
+    for exps, c in f.terms.items():
+        term = {unit: Fraction(c)}
+        for name, e in zip(f.ring.variables, exps):
+            for _ in range(e):
+                term = mul(term, image(name))
+        for e, v in term.items():
+            total[e] = total.get(e, 0) + v
+    return {e: c for e, c in total.items() if c}

@@ -272,3 +272,17 @@ def test_polynomial_mat_sum_scale_and_trace():
     empty = Mat.zero(0, 0, zero).trace()
     assert isinstance(empty, Polynomial) and empty == zero
     assert Mat.zero(0, 0).trace() == 0
+
+
+@pytest.mark.parametrize("ring", ["fraction", "polynomial"])
+@pytest.mark.parametrize("seed", range(6))
+def test_trace_of_product_reads_only_the_diagonal(ring, seed):
+    rng = random.Random(200 + seed)
+    zero, draw = _entry_source(rng, ring)
+    for m, k, _, a, _ in _product_cases(rng, zero, draw):
+        b = _sparse_rows(rng, k, m, zero, draw)
+        got = _mat(m, k, a, zero).trace_of_product(_mat(k, m, b, zero))
+        assert got == (_mat(m, k, a, zero) * _mat(k, m, b, zero)).trace()
+        assert type(got) is type(zero)
+    with pytest.raises(ValueError, match="trace of a product"):
+        Mat.zero(2, 3, zero).trace_of_product(Mat.zero(3, 3, zero))

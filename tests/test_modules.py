@@ -33,9 +33,9 @@ from quiverlab.quivers import (
     Quiver,
     build_doubled_dynkin,
 )
-from quiverlab.repscheme import RepCoordinates, invariant_generators
+from quiverlab.repscheme import RepCoordinates, invariant_generators, variable_name
 
-from conftest import FIXTURES
+from conftest import FIXTURES, framing_loop_quiver, two_loop_quiver
 
 
 def load_fixture_module(quiver, name):
@@ -119,6 +119,48 @@ def test_direct_sum_blocks_and_fingerprint_symmetry():
     gens = invariant_generators(RepCoordinates(q, total.dims), 4, 6)
     assert (invariant_fingerprint(total, gens)
             == invariant_fingerprint(direct_sum(m2, m1), gens))
+
+
+FINGERPRINT_QUIVERS = {
+    "two-loops": two_loop_quiver,
+    "A3": lambda: build_doubled_dynkin("A", 3),
+    "D4": lambda: build_doubled_dynkin("D", 4),
+    "framed-A1": lambda: framed_affine_preprojective("A", 1)[0],
+    "framing-loop": framing_loop_quiver,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINT_QUIVERS))
+@pytest.mark.parametrize("seed", range(5))
+def test_fingerprint_equals_evaluating_each_generator(name, seed):
+    # any matrices will do: the identity holds off the relations' zero locus too
+    rng = random.Random(seed)
+    q = FINGERPRINT_QUIVERS[name]()
+    dims = DimensionVector({v: rng.randint(0, 2) for v in q.vertices})
+    mats = {a.name: Mat(dims[a.target], dims[a.source],
+                        tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                    for _ in range(dims[a.source]))
+                              for _ in range(dims[a.target])))
+            for a in q.arrows}
+    m = ModuleRep(q, dims, mats)
+    env = {variable_name(a, i + 1, j + 1): mat.entry(i, j)
+           for a, mat in mats.items() for i in range(mat.rows) for j in range(mat.cols)}
+    gens = invariant_generators(RepCoordinates(q, dims), cycle_bound=5, path_bound=3)
+    values = invariant_fingerprint(m, gens)
+    assert values == tuple(g.polynomial.evaluate(env) for g in gens)
+    assert all(type(v) is Fraction for v in values)
+    # any order shares prefixes correctly, a path that is a prefix of the last one included
+    order = list(range(len(gens)))
+    rng.shuffle(order)
+    assert invariant_fingerprint(m, [gens[i] for i in order]) == tuple(values[i] for i in order)
+
+
+def test_fingerprint_rejects_generators_of_another_dimension_vector():
+    q, m = a2_module(1, 2)
+    gens = invariant_generators(RepCoordinates(q, {"1": 2, "2": 1}), 4, 0)
+    with pytest.raises(ValueError, match="another dimension vector"):
+        invariant_fingerprint(m, gens)
+    assert invariant_fingerprint(m, []) == ()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -21,7 +21,7 @@ from quiverlab.polynomials import (
     standard_monomials,
 )
 
-from oracles import reference_reduce
+from oracles import reference_reduce, reference_substitute
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -218,6 +218,84 @@ def _random_poly(ring, rng, terms=4, max_exp=2):
                      for _ in range(ring.nvars))
         out = out + ring.monomial(exps, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
     return out
+
+
+def _assert_trusted(f):
+    """Only nonzero exact Fractions, and what the validating constructor keeps."""
+    assert all(type(c) is Fraction and c for c in f.terms.values())
+    assert f.terms == Polynomial(f.ring, f.terms).terms
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_arithmetic_keeps_coefficients_nonzero_fractions(R, seed, d4_groebner):
+    rng = random.Random(seed)
+    f = _random_poly(R, rng, terms=5)
+    g = _random_poly(R, rng, terms=3) - f   # every term of f cancels in f + g
+    S = PolyRing(["u", "v"])
+    u, v = S.variable("u"), S.variable("v")
+    images = {"x": u - u, "y": u + v, "z": S.constant(Fraction(3, 2))}
+    results = [f + g, f - f, f - g, -f, f * g, (f + g) * (f - g), f * R.zero(),
+               f.scale(0), f.scale(Fraction(-2, 3)), f.scale(3), f.scale(0.5), 2 * f,
+               f ** 0, f ** 3,
+               f.substitute(S, images), (f - f).substitute(S, images),
+               R.constant(0), R.one(), R.variable("y"), R.zero()]
+    results += [gb.normal_form(f * g) for gb in _r_bases(R)]
+    results += list(buchberger([f, g])) if f and g else []
+    for h in results:
+        _assert_trusted(h)
+    assert f + (-f) == R.zero() and f - f == R.zero() and f.scale(0) == R.zero()
+    ring = d4_groebner.ring
+    h = _random_poly(ring, rng) * _random_poly(ring, rng, terms=2)
+    _assert_trusted(d4_groebner.normal_form(h))
+
+
+def test_evaluate_needs_only_the_variables_it_uses(R):
+    f = R.parse("x^2*y - 3/2*y + 1")
+    env = {"x": 2, "y": Fraction(1, 3)}   # no z: no term uses it
+    assert f.evaluate(env) == Fraction(4, 3) - Fraction(1, 2) + 1
+    assert type(f.evaluate(env)) is Fraction
+    with pytest.raises(ValueError, match="no value for variable 'y'"):
+        f.evaluate({"x": 1, "z": 1})
+    assert R.zero().evaluate({}) == 0 and R.constant(5).evaluate({}) == 5
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_substitute_matches_the_reference_loop(R, seed):
+    rng = random.Random(seed)
+    S = PolyRing(["x", "u", "v"])
+    f = _random_poly(R, rng, terms=6, max_exp=3)
+    image = lambda: _random_poly(S, rng, terms=rng.randint(0, 3))
+    cases = [
+        {"x": image(), "y": image(), "z": image()},
+        {"y": image(), "z": S.zero()},                       # x keeps its name
+        {"x": Fraction(rng.randint(-3, 3), 2), "y": 0, "z": image()},
+        {"x": S.parse("u - v"), "y": S.parse("v - u"), "z": S.parse("u + v")},
+    ]
+    for images in cases:
+        assert f.substitute(S, images).terms == reference_substitute(f, S, images)
+    with pytest.raises(ValueError, match="different ring"):
+        R.parse("x*y").substitute(S, {"x": R.variable("x"), "y": S.zero()})
+
+
+def test_power_takes_n_minus_one_products(R, monkeypatch):
+    f = R.parse("x + 2*y - 1")
+    want = f * f * f * f * f
+    calls = []
+    real = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda a, b: calls.append(1) or real(a, b))
+    assert f ** 5 == want and len(calls) == 4
+    assert f ** 1 == f and len(calls) == 4
+    assert f ** 0 == R.one() and R.zero() ** 0 == R.one()
+    with pytest.raises(ValueError, match="negative power"):
+        f ** -1
+
+
+def test_subtraction_builds_no_negated_copy(R, monkeypatch):
+    f, g = R.parse("x^2 - y + 3"), R.parse("x^2 + 2*z + 3")
+    want = f + (-g)
+    monkeypatch.setattr(Polynomial, "__neg__", None)
+    assert f - g == want == R.parse("-y - 2*z")
 
 
 def _r_bases(R):

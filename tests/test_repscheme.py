@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quiverlab.algebra import framed_affine_preprojective, preprojective_relations
+from quiverlab.errors import BudgetExceeded
 from quiverlab.linalg import Mat
 from quiverlab.modules import ModuleRep, element_matrix
 from quiverlab.polynomials import Polynomial, buchberger
@@ -15,7 +16,9 @@ from quiverlab.quivers import (
     Path,
     Quiver,
     build_doubled_dynkin,
+    delta_k,
 )
+from quiverlab import repscheme
 from quiverlab.repscheme import (
     RepCoordinates,
     build_acircledast,
@@ -24,12 +27,15 @@ from quiverlab.repscheme import (
     corner_comparison_map,
     entry_generator,
     invariant_generators,
+    invariant_values,
     product_split_check,
     rep_ideal,
     trace_generator,
     variable_name,
 )
 
+from conftest import framing_loop_quiver, two_loop_quiver
+from oracles import reference_invariant_generators
 
 
 def test_variable_name():
@@ -192,6 +198,57 @@ def test_invariant_generators_framing_entries():
     assert "π.ι[1,1]" in entries
     # cycles through the framing vertex are not gauged, so no traces here
     assert not any(g.kind == "trace" for g in gens)
+
+
+# (quiver, dims, cycle bound, path bound); zero-dimensional vertices included
+INVARIANT_CASES = {
+    "A2": (lambda: build_doubled_dynkin("A", 2), {"1": 1, "2": 2}, 6, 0),
+    "A3-zero": (lambda: build_doubled_dynkin("A", 3), {"1": 2, "2": 1, "3": 0}, 6, 2),
+    "D4": (lambda: build_doubled_dynkin("D", 4), {"1": 1, "2": 2, "3": 1, "4": 1}, 6, 0),
+    "D4-zero": (lambda: build_doubled_dynkin("D", 4), {"1": 1, "2": 1, "3": 0, "4": 2}, 6, 1),
+    "framed-A1": (lambda: framed_affine_preprojective("A", 1)[0],
+                  {"∞": 1, "0": 1, "1": 2}, 4, 3),
+    "framed-A1-zero": (lambda: framed_affine_preprojective("A", 1)[0],
+                       {"∞": 1, "0": 0, "1": 2}, 4, 2),
+    "framed-D4": (lambda: framed_affine_preprojective("D", 4)[0],
+                  {"∞": 1, "0": 1, "1": 1, "2": 2, "3": 1, "4": 0}, 4, 2),
+    "framing-loop": (framing_loop_quiver, {"∞": 2, "0": 2}, 3, 4),
+    "two-loops": (two_loop_quiver, {"0": 2}, 6, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_CASES))
+def test_invariant_generators_match_the_reference_loop(case):
+    build, dims, cycle_bound, path_bound = INVARIANT_CASES[case]
+    coords = RepCoordinates(build(), DimensionVector(dims))
+    gens = invariant_generators(coords, cycle_bound=cycle_bound, path_bound=path_bound)
+    want = reference_invariant_generators(coords, cycle_bound, path_bound)
+    assert [(g.kind, g.path, g.row, g.col, g.polynomial) for g in gens] == want
+    assert gens
+    # reading the values back from the generic matrices gives the polynomials
+    assert invariant_values(coords, gens) == [g.polynomial for g in gens]
+
+
+def test_framing_entries_reach_positive_lengths():
+    build, dims, cycle_bound, path_bound = INVARIANT_CASES["framing-loop"]
+    coords = RepCoordinates(build(), DimensionVector(dims))
+    gens = invariant_generators(coords, cycle_bound=cycle_bound, path_bound=path_bound)
+    lengths = {g.path.length for g in gens if g.kind == "entry"}
+    assert lengths == {0, 2, 3, 4}
+
+
+def test_invariant_cycle_budget():
+    q = build_doubled_dynkin("D", 4)
+    coords = RepCoordinates(q, delta_k("D", 4))
+    # the default bound is (1 + 2 + 1 + 1)^2 = 25, far past any small budget
+    with pytest.raises(BudgetExceeded, match=r"reached 41 cycles.*max_cycles=40"
+                                             r".*cycle bound 25"):
+        invariant_generators(coords, max_cycles=40)
+    n = len(list(repscheme._cycles(q, frozenset(q.i_vertices), 4)))
+    exact = invariant_generators(coords, cycle_bound=4, path_bound=0, max_cycles=n)
+    assert exact == invariant_generators(coords, cycle_bound=4, path_bound=0)
+    with pytest.raises(BudgetExceeded, match=f"reached {n} cycles"):
+        invariant_generators(coords, cycle_bound=4, path_bound=0, max_cycles=n - 1)
 
 
 def test_product_split_check():
