@@ -286,23 +286,16 @@ class Polynomial:
         return self.scale(1 / self.lead_coeff())
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
-        """Value at a rational point given per-variable values.
-
-        A variable missing from ``env`` is an error only when some term
-        uses it.
-        """
-        values: dict[int, Fraction] = {}   # each used variable's value, converted once
+        """Value at a rational point given per-variable values."""
         total = _ZERO
         for exps, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exps):
-                if e:
-                    if i not in values:
-                        name = self.ring.variables[i]
-                        if name not in env:
-                            raise ValueError(f"no value for variable {name!r}")
-                        values[i] = Fraction(env[name])
-                    v *= values[i] ** e
+            v = Fraction(c)
+            for name, e in zip(self.ring.variables, exps):
+                if not e:
+                    continue
+                if name not in env:
+                    raise ValueError(f"no value for variable {name!r}")
+                v *= Fraction(env[name]) ** e
             total += v
         return total
 

@@ -172,7 +172,7 @@ def trace_generator(coords: RepCoordinates, path: Path) -> InvariantGenerator:
 
 def entry_generator(coords: RepCoordinates, path: Path,
                     row: int, col: int) -> InvariantGenerator:
-    mat = coords.path_matrix(path)
+    mat = _product(coords, path.source, path.arrows, [])
     return InvariantGenerator("entry", path, row, col, mat.entry(row - 1, col - 1))
 
 
@@ -209,30 +209,38 @@ def _cycles(quiver: Quiver, allowed: frozenset, bound: int) -> Iterable[Path]:
                     stack.append(q)
 
 
+# Cycle budget for the default (degree-bound) search, whose length grows
+# with the square of the gauged dimension; explicit bounds are honoured.
+_MAX_CYCLES = 10_000
+
+
 def invariant_generators(coords: RepCoordinates,
                          cycle_bound: int | None = None,
-                         path_bound: int | None = None,
-                         max_cycles: int = 10_000) -> list[InvariantGenerator]:
+                         path_bound: int | None = None) -> list[InvariantGenerator]:
     """Trace and framing-entry invariants up to the given length bounds.
 
     Defaults follow the classical degree bound: cycles up to the square of
     the total gauged dimension, framing paths two longer.  Trace generators
     are deduplicated by cycle rotation and by the realized polynomial, and
-    identically zero polynomials are dropped.  Enumerating more than
-    ``max_cycles`` cycles raises BudgetExceeded before any trace is taken.
+    identically zero polynomials are dropped.  Under the default cycle
+    bound, enumerating more than ``_MAX_CYCLES`` cycles raises
+    BudgetExceeded before any trace is taken.
     """
     quiver = coords.quiver
     gauged = frozenset(quiver.i_vertices)
+    budget = None
     if cycle_bound is None:
         cycle_bound = sum(coords.dims[v] for v in gauged) ** 2
+        budget = _MAX_CYCLES
     if path_bound is None:
         path_bound = cycle_bound + 2
     cycles: list[Path] = []
     for cycle in _cycles(quiver, gauged, cycle_bound):
-        if len(cycles) >= max_cycles:
+        if budget is not None and len(cycles) >= budget:
             raise BudgetExceeded(
                 f"invariant cycle enumeration reached {len(cycles) + 1} cycles, "
-                f"over max_cycles={max_cycles}, at cycle bound {cycle_bound}")
+                f"over the budget of {budget}, at the default cycle bound "
+                f"{cycle_bound}; pass an explicit cycle bound")
         cycles.append(cycle)
     cycles.sort(key=lambda p: (p.length, p.key))
     out: list[InvariantGenerator] = []

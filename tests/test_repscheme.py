@@ -237,18 +237,31 @@ def test_framing_entries_reach_positive_lengths():
     assert lengths == {0, 2, 3, 4}
 
 
-def test_invariant_cycle_budget():
+def test_invariant_cycle_budget(monkeypatch):
     q = build_doubled_dynkin("D", 4)
     coords = RepCoordinates(q, delta_k("D", 4))
+    monkeypatch.setattr(repscheme, "_MAX_CYCLES", 40)
     # the default bound is (1 + 2 + 1 + 1)^2 = 25, far past any small budget
-    with pytest.raises(BudgetExceeded, match=r"reached 41 cycles.*max_cycles=40"
-                                             r".*cycle bound 25"):
-        invariant_generators(coords, max_cycles=40)
-    n = len(list(repscheme._cycles(q, frozenset(q.i_vertices), 4)))
-    exact = invariant_generators(coords, cycle_bound=4, path_bound=0, max_cycles=n)
-    assert exact == invariant_generators(coords, cycle_bound=4, path_bound=0)
+    with pytest.raises(BudgetExceeded, match=r"reached 41 cycles.*budget of 40"
+                                             r".*default cycle bound 25"):
+        invariant_generators(coords)
+    # at the default bound 2^2 = 4, two loops give 2 + 3 + 4 + 6 cycles
+    small = RepCoordinates(two_loop_quiver(), DimensionVector({"0": 2}))
+    n = len(list(repscheme._cycles(small.quiver, frozenset({"0"}), 4)))
+    assert n == 15
+    monkeypatch.setattr(repscheme, "_MAX_CYCLES", n)
+    assert invariant_generators(small) == invariant_generators(small, cycle_bound=4)
+    monkeypatch.setattr(repscheme, "_MAX_CYCLES", n - 1)
     with pytest.raises(BudgetExceeded, match=f"reached {n} cycles"):
-        invariant_generators(coords, cycle_bound=4, path_bound=0, max_cycles=n - 1)
+        invariant_generators(small)
+
+
+def test_explicit_cycle_bound_ignores_the_budget(monkeypatch):
+    small = RepCoordinates(two_loop_quiver(), DimensionVector({"0": 2}))
+    unbudgeted = invariant_generators(small, cycle_bound=4)
+    monkeypatch.setattr(repscheme, "_MAX_CYCLES", 1)
+    assert len(unbudgeted) > 1
+    assert invariant_generators(small, cycle_bound=4) == unbudgeted
 
 
 def test_product_split_check():
