@@ -10,7 +10,7 @@ and framed-generation tests.
 
 from .algebra import (AlgebraElement, Cocenter, GradedBasis, RelationSet,
                       cocenter, framed_affine_preprojective, graded_basis,
-                      multiply, normal_form, preprojective_relations,
+                      normal_form, preprojective_relations,
                       restrict_to_vertices, star_pairing)
 from .corner import (BimoduleGenerators, CornerGenerator, CornerGenerators,
                      CornerPresentation, bimodule_generators,

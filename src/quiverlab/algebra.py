@@ -151,11 +151,6 @@ class AlgebraElement:
         return f"AlgebraElement({self.text()})"
 
 
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Product x*y in the path algebra (y acts first)."""
-    return x * y
-
-
 class RelationSet:
     """Homogeneous two-sided ideal generators for a path algebra quotient.
 
@@ -297,7 +292,6 @@ class GradedBasis:
         self.quiver = quiver
         self.relations = relations
         self.cutoff = cutoff
-        self._cands: list[list[Path]] = []
         self._by_key: list[dict[tuple, Path]] = []
         self._std: list[list[Path]] = []
         self._std_by_target: list[dict[str, list[Path]]] = []
@@ -319,7 +313,6 @@ class GradedBasis:
                 # standard lists are key-sorted, so this enumeration is too
                 cands = [p.extend(a) for p in self._std[d - 1]
                          for a in quiver.arrows_from(p.target)]
-            self._cands.append(cands)
             self._by_key.append({p.key: p for p in cands})
             span = SpanBuilder()
             self._spans.append(span)
@@ -373,11 +366,6 @@ class GradedBasis:
     def dimension(self, d: int) -> int:
         self._check_degree(d)
         return self._dims[d]
-
-    def paths(self, d: int) -> list[Path]:
-        """The degree-d spanning candidates (standard extensions), key order."""
-        self._check_degree(d)
-        return list(self._cands[d])
 
     def basis(self, d: int) -> list[Path]:
         self._check_degree(d)

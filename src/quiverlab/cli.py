@@ -39,11 +39,16 @@ def _load_quiver_file(path: str) -> QuiverFile:
 
 def _load_ideal(path: str) -> tuple[PolyRing, list]:
     data = json.loads(_read(path))
-    ring = PolyRing(data["variables"], data.get("order", "degrevlex"))
+    if not isinstance(data, dict):
+        raise ValueError("an ideal document must be a JSON object")
+    names = data["variables"]
+    if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+        raise ValueError("'variables' must be a list of variable names")
+    ring = PolyRing(names, data.get("order", "degrevlex"))
     # a groebner output document ("basis") generates the same ideal
     gens = data.get("generators", data.get("basis"))
-    if gens is None:
-        raise ValueError("ideal document needs a 'generators' or 'basis' list")
+    if not (isinstance(gens, list) and all(isinstance(t, str) for t in gens)):
+        raise ValueError("ideal document needs a 'generators' or 'basis' list of strings")
     return ring, [ring.parse(t) for t in gens]
 
 

@@ -106,48 +106,22 @@ def kernel_combos(vectors: Sequence[dict]) -> list[dict[int, Fraction]]:
     return out
 
 
-def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [[Fraction(x) for x in r] for r in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def _columns(rows: Sequence[Sequence], ncols: int) -> list[dict]:
+    """The columns of a dense matrix as sparse vectors keyed by row index."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0} for a dense rational matrix with ncols columns."""
-    if not matrix:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)] for j in range(ncols)]
-    reduced, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of {x : M x = 0} for a dense rational matrix with ncols columns.
+
+    One vector per column f that depends on the columns before it: 1 at f,
+    and otherwise supported on the independent columns before f.
+    """
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
+    for combo in kernel_combos(_columns(matrix, ncols)):
+        vec = [_ZERO] * ncols
+        for j, c in combo.items():
+            vec[j] = c
         basis.append(vec)
     return basis
 
@@ -271,11 +245,14 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        reduced, pivots = rref([list(r) + [int(i == j) for j in range(n)]
-                                for i, r in enumerate(self.data)])
-        if pivots[:n] != list(range(n)):
+        # Dependencies among the columns a_1..a_n, e_1..e_n: any among the
+        # a_j means A is singular; otherwise the one ending at e_j reads
+        # e_j + A c = 0, so -c is column j of the inverse.
+        combos = kernel_combos(_columns(self.data, n) + [{j: 1} for j in range(n)])
+        if any(max(combo) < n for combo in combos):
             raise ValueError("matrix is singular")
-        return Mat(n, n, tuple(tuple(row[n:]) for row in reduced))
+        return Mat(n, n, tuple(tuple(-combo.get(i, _ZERO) for combo in combos)
+                               for i in range(n)))
 
 
 def block_diag(a: Mat, b: Mat) -> Mat:

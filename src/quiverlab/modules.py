@@ -14,7 +14,7 @@ from .algebra import AlgebraElement
 from .corner import (BimoduleGenerators, CornerPresentation,
                      sufficient_dimension_bound)
 from .errors import BudgetExceeded, VerificationError
-from .linalg import Mat, SpanBuilder, block_diag, block_upper, nullspace
+from .linalg import Mat, SpanBuilder, block_diag, block_upper, kernel_combos
 from .quivers import DimensionVector, Path, Quiver
 from .repscheme import (InvariantGenerator, RepCoordinates, element_matrix,
                         invariant_generators, invariant_values, path_matrix,
@@ -209,7 +209,7 @@ def random_extension(sub: ModuleRep, quot: ModuleRep,
 
     With both diagonal blocks satisfying the relations, the residuals are
     linear in the off-diagonal blocks; the off-diagonal data is drawn as a
-    random integer combination of an exact nullspace basis of that linear
+    random integer combination of an exact kernel basis of that linear
     system, so the result always satisfies the relations.
     """
     quiver = sub.quiver
@@ -237,27 +237,21 @@ def random_extension(sub: ModuleRep, quot: ModuleRep,
                                        quot.matrices[a.name])
         return ModuleRep(quiver, sub.dims + quot.dims, mats)
 
+    # one sparse column per unknown: its residual entries, row-major per relation
     columns = []
     for u in unknowns:
         e = assemble({u: Fraction(1)})
-        col = []
-        for rel in rels:
-            res = element_matrix(e, rel)
-            col.extend(res.entry(i, j)
-                       for i in range(res.rows) for j in range(res.cols))
-        columns.append(col)
-    n_eq = len(columns[0]) if columns else 0
-    system = [[columns[u][r] for u in range(len(unknowns))] for r in range(n_eq)]
-    kernel = nullspace(system, len(unknowns))
+        col = [x for rel in rels for row in element_matrix(e, rel).data for x in row]
+        columns.append({r: x for r, x in enumerate(col) if x})
 
     values: dict[tuple[str, int, int], Fraction] = {}
-    for vec in kernel:
+    for combo in kernel_combos(columns):
         c = Fraction(rng.randint(-coef_bound, coef_bound))
         if not c:
             continue
-        for u, entry in zip(unknowns, vec):
-            if entry:
-                values[u] = values.get(u, _ZERO) + c * entry
+        for k, entry in combo.items():
+            u = unknowns[k]
+            values[u] = values.get(u, _ZERO) + c * entry
     result = assemble(values)
     ok, _ = check_relations(result, rels)
     if not ok:
@@ -411,9 +405,21 @@ def module_to_json(m: ModuleRep) -> dict:
     }
 
 
+def _json_entry(x) -> Fraction:
+    try:
+        return Fraction(str(x))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in matrix entry {x!r}") from None
+
+
 def module_from_json(quiver: Quiver, data: Mapping) -> ModuleRep:
+    if not (isinstance(data, Mapping) and isinstance(data.get("dimension"), Mapping)):
+        raise ValueError("a module document must be a JSON object whose "
+                         "'dimension' maps vertices to dimensions")
     dims = DimensionVector(data["dimension"])
     arrows = data.get("arrows", {})
+    if not isinstance(arrows, Mapping):
+        raise ValueError("'arrows' must map arrow names to matrices")
     mats = {}
     for a in quiver.arrows:
         rows, cols = dims[a.target], dims[a.source]
@@ -421,8 +427,9 @@ def module_from_json(quiver: Quiver, data: Mapping) -> ModuleRep:
         if raw is None:
             mats[a.name] = Mat.zero(rows, cols)
             continue
+        if not (isinstance(raw, list) and all(isinstance(r, list) for r in raw)):
+            raise ValueError(f"matrix for {a.name!r} must be a list of rows")
         if len(raw) != rows or any(len(r) != cols for r in raw):
             raise ValueError(f"matrix for {a.name!r} has the wrong shape")
-        mats[a.name] = Mat(rows, cols,
-                           tuple(tuple(Fraction(str(x)) for x in r) for r in raw))
+        mats[a.name] = Mat(rows, cols, tuple(tuple(map(_json_entry, r)) for r in raw))
     return ModuleRep(quiver, dims, mats)

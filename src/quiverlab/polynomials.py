@@ -168,7 +168,10 @@ class PolyRing:
                 if ch.isdigit():
                     m = _NUM.match(text, i)
                     assert m is not None
-                    tokens.append(("num", Fraction(m.group())))
+                    try:
+                        tokens.append(("num", Fraction(m.group())))
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {m.group()!r}") from None
                     i = m.end()
                 elif ch in "+-*^":
                     tokens.append(("op", ch))

@@ -177,7 +177,11 @@ def _parse_relation(quiver: Quiver, body: str, lineno: int,
         coef = sign
         m = _COEF_RE.match(term)
         if m is not None:
-            coef *= Fraction(m.group(1))
+            try:
+                coef *= Fraction(m.group(1))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {m.group(1)!r}", lineno,
+                                 col + len(token) - len(term)) from None
             term = term[m.end():]
         if not term:
             raise ParseError("coefficient without a path", lineno, col)

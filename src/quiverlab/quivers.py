@@ -216,7 +216,10 @@ class DimensionVector(Mapping):
     def __init__(self, entries: Mapping[str, int]) -> None:
         data = {}
         for k, v in entries.items():
-            v = int(v)
+            try:
+                v = int(v)
+            except TypeError:
+                raise ValueError(f"dimension at vertex {k} is not a number: {v!r}") from None
             if v < 0:
                 raise ValueError(f"negative dimension at vertex {k}")
             data[str(k)] = v

@@ -191,22 +191,21 @@ def invariant_values(rep, gens: Iterable[InvariantGenerator]) -> list:
 
 def _cycles(quiver: Quiver, allowed: frozenset, bound: int) -> Iterable[Path]:
     """Rotation-canonical cycles within the allowed vertex set, length 1..bound."""
+    # walks are (arrow names, current vertex); a Path is built only per cycle
     for base in quiver.vertices:
         if base not in allowed:
             continue
-        stack = [Path.idempotent(quiver, base)]
+        stack = [((), base)]
         while stack:
-            p = stack.pop()
-            for a in quiver.arrows_from(p.target):
+            walk, at = stack.pop()
+            for a in quiver.arrows_from(at):
                 if a.target not in allowed:
                     continue
-                q = p.extend(a)
-                if q.target == base:
-                    rots = [q.arrows[k:] + q.arrows[:k] for k in range(q.length)]
-                    if q.arrows == min(rots):
-                        yield q
-                if q.length < bound:
-                    stack.append(q)
+                q = walk + (a.name,)
+                if a.target == base and all(q <= q[k:] + q[:k] for k in range(1, len(q))):
+                    yield Path(quiver, base, q)
+                if len(q) < bound:
+                    stack.append((q, a.target))
 
 
 # Cycle budget for the default (degree-bound) search, whose length grows

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 from quiverlab.quivers import Path
 
@@ -227,6 +228,52 @@ def reference_kernel_combos(vectors) -> list[dict]:
         else:
             out.append(combo)
     return out
+
+
+def reference_rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows = [[Fraction(x) for x in r] for r in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def reference_nullspace(matrix: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of {x : M x = 0} for a dense rational matrix with ncols columns."""
+    if not matrix:
+        return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)] for j in range(ncols)]
+    reduced, pivots = reference_rref(matrix)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
 
 
 def reference_insert_row(repl: dict, row: dict) -> None:

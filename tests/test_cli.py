@@ -202,6 +202,47 @@ def test_exit_code_domain_error(capsys):
     assert err.startswith("error:")
 
 
+_A2_DIMS = {"1": 1, "2": 1}
+
+# (subcommand, kind of input, its content): each must exit 1 with `error:`
+_MALFORMED_INPUTS = {
+    "relation_zero_denominator": (
+        "basis", "quiver", "vertex 1\nvertex 2\narrow a: 1 -> 2\nrelation 1/0*a\n"),
+    "ideal_zero_denominator": (
+        "groebner", "ideal", {"variables": ["x"], "generators": ["1/0*x"]}),
+    "ideal_variables_not_a_list": (
+        "groebner", "ideal", {"variables": 5, "generators": ["x"]}),
+    "module_zero_denominator": (
+        "check-module", "module", {"dimension": _A2_DIMS, "arrows": {"a": [["1/0"]]}}),
+    "module_document_is_a_list": ("check-module", "module", [_A2_DIMS]),
+    "module_dimension_not_a_number": (
+        "check-module", "module", {"dimension": {"1": None, "2": 1}}),
+    "module_arrows_not_an_object": (
+        "check-module", "module", {"dimension": _A2_DIMS, "arrows": [[["1"]]]}),
+    "module_matrix_not_rows": (
+        "check-module", "module", {"dimension": _A2_DIMS, "arrows": {"a": [1]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_malformed_input_exits_1_without_a_traceback(case, tmp_path):
+    command, kind, content = _MALFORMED_INPUTS[case]
+    path = tmp_path / ("input.quiver" if kind == "quiver" else "input.json")
+    path.write_text(content if kind == "quiver" else json.dumps(content))
+    if kind == "module":
+        argv = [command, "--in", A2, "--module", str(path)]
+    else:
+        argv = [command, "--in", str(path)] + (["--cutoff", "2"] if kind == "quiver" else [])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "quiverlab", *argv],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
 def test_exit_code_budget(capsys, tmp_path):
     ideal_file = tmp_path / "sq.json"
     ideal_file.write_text(json.dumps(

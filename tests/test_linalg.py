@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverlab import linalg
 from quiverlab.linalg import (
     Mat,
     SpanBuilder,
@@ -12,13 +13,14 @@ from quiverlab.linalg import (
     kernel_combos,
     nullspace,
     primitive_kernel_vector,
-    rref,
 )
 
 from quiverlab.polynomials import Polynomial, PolyRing
+from quiverlab.quivers import delta
 
 from oracles import (ReferenceSpanBuilder, reference_dense_mul,
-                     reference_kernel_combos, reference_pm_mul)
+                     reference_kernel_combos, reference_nullspace, reference_pm_mul,
+                     reference_rref)
 
 F = Fraction
 
@@ -32,7 +34,7 @@ def test_rank_nullity(seed):
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 6), rng.randint(1, 6)
     m = _random_matrix(rng, rows, cols)
-    _, pivots = rref(m)
+    _, pivots = reference_rref(m)
     null = nullspace(m, cols)
     assert len(pivots) + len(null) == cols
     for vec in null:
@@ -52,7 +54,7 @@ def test_span_builder_matches_rref_rank(seed):
     span = SpanBuilder()
     for row in m:
         span.add({i: c for i, c in enumerate(row) if c})
-    _, pivots = rref(m)
+    _, pivots = reference_rref(m)
     assert span.rank == len(pivots)
     # anything in the row space fails to enlarge the span
     cs = [F(rng.randint(-2, 2)) for _ in range(rows)]
@@ -177,12 +179,60 @@ def test_mat_inverse_agrees_with_rank(seed):
     bound = rng.choice([1, 2, 5])
     a = Mat(n, n, tuple(tuple(F(rng.randint(-bound, bound)) for _ in range(n))
                         for _ in range(n)))
-    if len(rref(a.data)[1]) < n:
+    if len(reference_rref(a.data)[1]) < n:
         with pytest.raises(ValueError, match="singular"):
             a.inverse()
     else:
         inv = a.inverse()
         assert a * inv == Mat.identity(n) == inv * a
+
+
+# -- the sparse kernel engine against dense Gauss-Jordan ----------------------
+# Results are compared by repr: equal values of equal types, in equal order.
+
+
+def _dense_matrix(rng, rows, cols):
+    density = rng.choice([0.0, 0.2, 0.6, 1.0])
+    bound = rng.choice([1, 2, 5])
+    return [[F(rng.randint(-bound, bound), rng.randint(1, 3)) if rng.random() < density
+             else F(0) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_nullspace_matches_reference(seed):
+    rng = random.Random(300 + seed)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+    shapes += [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(30)]
+    for rows, cols in shapes:
+        m = _dense_matrix(rng, rows, cols)
+        assert repr(nullspace(m, cols)) == repr(reference_nullspace(m, cols))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mat_inverse_matches_reference(seed):
+    rng = random.Random(400 + seed)
+    for _ in range(30):
+        n = rng.randint(0, 6)
+        rows = _dense_matrix(rng, n, n)
+        if n >= 2 and rng.random() < 0.2:
+            rows[-1] = list(rows[0])
+        a = Mat(n, n, tuple(map(tuple, rows)))
+        reduced, pivots = reference_rref([row + [F(int(i == j)) for j in range(n)]
+                                          for i, row in enumerate(rows)])
+        if pivots[:n] != list(range(n)):
+            with pytest.raises(ValueError, match="matrix is singular"):
+                a.inverse()
+        else:
+            want = Mat(n, n, tuple(tuple(row[n:]) for row in reduced))
+            assert repr(a.inverse()) == repr(want)
+
+
+def test_delta_matches_the_dense_reference(monkeypatch):
+    types = [("A", r) for r in range(1, 9)] + [("D", r) for r in range(4, 9)]
+    types += [("E", 6), ("E", 7), ("E", 8)]
+    got = [dict(delta(kind, rank)) for kind, rank in types]
+    monkeypatch.setattr(linalg, "nullspace", reference_nullspace)
+    assert got == [dict(delta(kind, rank)) for kind, rank in types]
 
 
 # -- Mat over Fraction and Polynomial entries --------------------------------

@@ -237,6 +237,62 @@ def test_random_extension_guards():
         random_extension(good, other, rels, rng)
 
 
+def _int_mat(rng, rows, cols, bound=2):
+    return Mat.from_rows([[rng.randint(-bound, bound) for _ in range(cols)]
+                          for _ in range(rows)])
+
+
+def _a2_blocks(rng, quiver):
+    ds = {"1": rng.randint(1, 2), "2": rng.randint(1, 2)}
+    dq = {"1": rng.randint(1, 2), "2": rng.randint(1, 2)}
+    sub = ModuleRep(quiver, ds, {"a": Mat.zero(ds["2"], ds["1"]),
+                                 "a*": _int_mat(rng, ds["1"], ds["2"])})
+    quot = ModuleRep(quiver, dq, {"a": _int_mat(rng, dq["2"], dq["1"]),
+                                  "a*": Mat.zero(dq["1"], dq["2"])})
+    return sub, quot
+
+
+def _framed_a1_blocks(rng, quiver):
+    def block():
+        n = rng.randint(1, 2)
+        m = _int_mat(rng, n, n)
+        return ModuleRep(quiver, {"∞": 1, "0": n, "1": n}, {
+            "a": Mat.identity(n), "b": Mat.identity(n), "a*": m, "b*": m.scale(-1),
+            "ι": _int_mat(rng, n, 1)})
+    return block(), block()
+
+
+# The off-diagonal blocks random_extension drew, on the criterion-08 recipes,
+# when it still solved its kernel by dense Gauss-Jordan elimination.
+_PINNED_EXTENSIONS = [
+    ("A2", 4000, {"a": [["0", "0"], ["-2", "0"]], "a*": [["-1"], ["-1"]]}),
+    ("A2", 4001, {"a": [["-3", "-6"]], "a*": [["3"], ["3"]]}),
+    ("A2", 4002, {"a": [["0"], ["0"]], "a*": [["1"], ["0"]]}),
+    ("framed A1", 5000, {"a": [["0", "1"]], "a*": [["1", "-1"]], "b": [["0", "1"]],
+                         "b*": [["-1", "1"]], "ι": [["-3"]]}),
+    ("framed A1", 5001, {"a": [["2"], ["3"]], "a*": [["-6"], ["0"]], "b": [["0"], ["2"]],
+                         "b*": [["2"], ["-2"]], "ι": [["0"], ["0"]]}),
+]
+
+
+@pytest.mark.parametrize("kind, seed, blocks", _PINNED_EXTENSIONS)
+def test_random_extension_pinned_values(kind, seed, blocks):
+    if kind == "A2":
+        quiver = build_doubled_dynkin("A", 2)
+        rels, make = preprojective_relations(quiver), _a2_blocks
+    else:
+        quiver, rels = framed_affine_preprojective("A", 1)
+        make = _framed_a1_blocks
+    rng = random.Random(seed)
+    sub, quot = make(rng, quiver)
+    ext = random_extension(sub, quot, rels, rng)
+    got = {}
+    for a in quiver.arrows:
+        rows, cols = sub.dims[a.target], sub.dims[a.source]
+        got[a.name] = [[str(x) for x in row[cols:]] for row in ext.matrices[a.name].data[:rows]]
+    assert got == blocks
+
+
 # -- induction -----------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from quiverlab import polynomials
 from quiverlab.errors import BudgetExceeded
 from quiverlab.polynomials import (
     GroebnerBasis,
@@ -21,7 +22,7 @@ from quiverlab.polynomials import (
     standard_monomials,
 )
 
-from oracles import reference_reduce, reference_substitute
+from oracles import reference_nullspace, reference_reduce, reference_substitute
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -209,6 +210,13 @@ def test_d4_groebner_shape(d4_groebner):
         for g in d4_groebner:
             values = {sum(wi * e for wi, e in zip(w, exps)) for exps in g.terms}
             assert len(values) == 1
+
+
+def test_ideal_multigrading_matches_the_dense_reference(d4_groebner, R, monkeypatch):
+    bases = [d4_groebner] + [buchberger([R.parse(t) for t in gens]) for gens in R_IDEALS]
+    got = [ideal_multigrading(gb) for gb in bases]
+    monkeypatch.setattr(polynomials, "nullspace", reference_nullspace)
+    assert got == [ideal_multigrading(gb) for gb in bases]
 
 
 def _random_poly(ring, rng, terms=4, max_exp=2):

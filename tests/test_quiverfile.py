@@ -122,6 +122,14 @@ def test_error_column_points_at_the_token():
     assert (info.value.line, info.value.column) == (3, 14)
 
 
+@pytest.mark.parametrize("relation, column", [("1/0*f", 10), ("f - 3/0*f", 14),
+                                              ("-2/0*f", 11)])
+def test_zero_denominator_points_at_the_coefficient(relation, column):
+    with pytest.raises(ParseError, match="zero denominator") as info:
+        parse_quiver_file(f"vertex u\narrow f: u -> u\nrelation {relation}\n")
+    assert (info.value.line, info.value.column) == (3, column)
+
+
 def test_printer_is_canonical():
     q, rels = framed_affine_preprojective("D", 4)
     qf = QuiverFile(q, rels)
