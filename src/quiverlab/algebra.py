@@ -296,7 +296,6 @@ class GradedBasis:
         self._std: list[list[Path]] = []
         self._std_by_target: list[dict[str, list[Path]]] = []
         self._spans: list[SpanBuilder] = []
-        self._resolved: list[dict[tuple, dict[tuple, Fraction]]] = []
         self.finite_dimensional = False
         self.top_degree: int | None = None
         self._dims: list[int] = []
@@ -316,10 +315,19 @@ class GradedBasis:
             self._by_key.append({p.key: p for p in cands})
             span = SpanBuilder()
             self._spans.append(span)
-            self._resolved.append({})
             for row in self._relation_rows(d):
                 span.add(row)
-            std = [p for p in cands if p.key not in span.pivots]
+            pivots = span.pivots
+            # every tail key is below its lead, so the tails a lead draws on
+            # are already rewritten over standard keys when it comes up
+            for lead in sorted(pivots):
+                tail = pivots[lead]
+                out = {t: c for t, c in tail.items() if t not in pivots}
+                for t, c in tail.items():
+                    if t in pivots:
+                        axpy(out, c, pivots[t])
+                pivots[lead] = out
+            std = [p for p in cands if p.key not in pivots]
             self._std.append(std)
             by_t: dict[str, list[Path]] = {v: [] for v in quiver.vertices}
             for p in std:
@@ -353,10 +361,6 @@ class GradedBasis:
                     yield row
 
     # -- queries ----------------------------------------------------------
-
-    @property
-    def truncated(self) -> bool:
-        return not self.finite_dimensional
 
     @property
     def dimensions(self) -> list[int]:
@@ -397,35 +401,14 @@ class GradedBasis:
         return coords
 
     def _resolve_cand(self, d: int, key: tuple) -> dict[tuple, Fraction]:
-        """Standard coordinates of a degree-d candidate key (memoized)."""
+        """Standard coordinates of a degree-d candidate key."""
         pivots = self._spans[d].pivots
-        memo = self._resolved[d]
-        if key not in pivots:
-            return {key: Fraction(1)}
-        stack = [key]     # every key on the stack is a lead
-        while stack:
-            k = stack[-1]
-            if k in memo:
-                stack.pop()
-                continue
-            tail = pivots[k]
-            pending = [t for t in tail if t in pivots and t not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            # standard keys of the tail are distinct, so they seed the result
-            out = {t: c for t, c in tail.items() if t not in pivots}
-            for t, c in tail.items():
-                if t in pivots:
-                    axpy(out, c, memo[t])
-            memo[k] = out
-            stack.pop()
-        return memo[key]
+        return pivots[key] if key in pivots else {key: Fraction(1)}
 
     def coords(self, path: Path) -> dict[tuple, Fraction]:
         """Coordinates of a path over the standard keys of its degree.
 
-        The result may be shared with the basis's memo: read it, or copy it
+        The result may be shared with the basis's pivots: read it, or copy it
         before changing it.
         """
         self._check_degree(path.length)

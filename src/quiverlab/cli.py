@@ -256,7 +256,7 @@ def _cmd_stability(args) -> None:
     ok, _ = check_relations(mod, qf.relations)
     if not ok:
         raise ValueError("module does not satisfy the relations")
-    value = generated_by_framing(mod, length_budget=args.budget)
+    value = generated_by_framing(mod)
     data = {"generated_by_framing": value}
     _emit(args, data,
           "generated by the framing vector" if value
@@ -388,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="module JSON document")
     sp["induce"].add_argument("--budget", type=int, default=40,
                               help="largest symbol degree for the induction")
-    sp["stability"].add_argument("--budget", type=int, default=None,
-                                 help="path-length budget for the span closure")
 
     sp["delta"].add_argument("--type", required=True, choices=("A", "D", "E"),
                              help="affine Dynkin family")

@@ -33,9 +33,6 @@ class CornerGenerator:
     source: str
     target: str
 
-    def element(self) -> AlgebraElement:
-        return AlgebraElement.from_path(self.path)
-
 
 @dataclass(frozen=True)
 class CornerGenerators:
@@ -51,9 +48,6 @@ class CornerGenerators:
     def degree_bound(self) -> int:
         """Largest generator degree the theory allows: k_top_degree + 2."""
         return self.k_top_degree + 2
-
-    def names(self) -> list[str]:
-        return [g.name for g in self.generators]
 
 
 @dataclass(frozen=True)
@@ -78,15 +72,44 @@ def _h_block(basis: GradedBasis, d: int, h_set: frozenset) -> list[Path]:
     return [p for p in basis.basis(d) if p.source in h_set and p.target in h_set]
 
 
-def _product_coords(basis: GradedBasis, gen_path: Path,
-                    vec: dict) -> dict:
-    """Normal-form coordinates of gen * (element with coordinates vec)."""
-    out: dict = {}
-    for key, c in vec.items():
-        p = basis.path_at(key)
-        if p.target == gen_path.source:
-            axpy(out, c, basis.coords(gen_path * p))
-    return out
+def _retain(basis: GradedBasis, retained: list[CornerGenerator],
+            degrees: range, top: int, cand_targets: frozenset,
+            span_targets: frozenset, letter: str, what: str) -> None:
+    """Extend ``retained`` degree by degree, verifying each degree's span.
+
+    In degree d the products gen * q span, over the retained generators gen
+    and the standard H-to-H paths q of degree d - gen.degree ending at gen's
+    source.  Up to degree ``top`` every standard path from H into
+    ``cand_targets`` outside that span is retained, in key order, and named
+    by its arrow or by ``letter`` and a count.  The span must then be all of
+    the standard paths from H into ``span_targets``.
+    """
+    h_set = frozenset(basis.quiver.h_vertices)
+    blocks = [_h_block(basis, e, h_set) for e in range(degrees.stop)]
+    for d in degrees:
+        builder = SpanBuilder()
+        for gen in retained:
+            if gen.degree > d:
+                continue
+            for q in blocks[d - gen.degree]:
+                if q.target == gen.source:
+                    builder.add(basis.coords(gen.path * q))
+        from_h = [p for p in basis.basis(d) if p.source in h_set]
+        if d <= top:
+            for cand in from_h:
+                coords = {cand.key: Fraction(1)}
+                if cand.target not in cand_targets or builder.contains(coords):
+                    continue
+                name = (cand.arrows[0] if cand.length == 1 else
+                        f"{letter}{sum(1 for g in retained if g.path.length > 1) + 1}")
+                retained.append(CornerGenerator(
+                    name, cand, d, cand.source, cand.target))
+                builder.add(coords)
+        expected = sum(1 for p in from_h if p.target in span_targets)
+        if builder.rank != expected:
+            raise VerificationError(
+                f"{what} generators span only {builder.rank} of {expected} "
+                f"dimensions in degree {d}")
 
 
 def corner_generators(basis: GradedBasis, verify_cutoff: int | None = None,
@@ -101,7 +124,8 @@ def corner_generators(basis: GradedBasis, verify_cutoff: int | None = None,
     earlier retained generators.  Spanning of the whole H block is then
     verified degree by degree up to ``verify_cutoff`` (default: the basis
     cutoff); failure raises VerificationError rather than returning a wrong
-    answer.
+    answer.  Products are spanned over standard H-to-H paths: each lower
+    degree has already been verified to be the whole corner there.
     """
     quiver = basis.quiver
     h_set = frozenset(quiver.h_vertices)
@@ -125,39 +149,8 @@ def corner_generators(basis: GradedBasis, verify_cutoff: int | None = None,
             f"basis cutoff {basis.cutoff} is below the generation bound {bound}")
 
     retained: list[CornerGenerator] = []
-    # independent spanning coordinate vectors per degree
-    vecs: list[list[dict]] = [[{Path.idempotent(quiver, h).key: Fraction(1)}
-                               for h in quiver.h_vertices]]
-
-    for d in range(1, verify_cutoff + 1):
-        builder = SpanBuilder()
-        degree_vecs: list[dict] = []
-        for gen in retained:
-            k = gen.degree
-            if k > d:
-                continue
-            for vec in vecs[d - k]:
-                coords = _product_coords(basis, gen.path, vec)
-                if coords and builder.add(coords):
-                    degree_vecs.append(coords)
-        if d <= bound:
-            for cand in _h_block(basis, d, h_set):
-                coords = {cand.key: Fraction(1)}
-                if builder.contains(coords):
-                    continue
-                name = (cand.arrows[0] if cand.length == 1
-                        else f"g{sum(1 for g in retained if g.path.length > 1) + 1}")
-                retained.append(CornerGenerator(
-                    name, cand, d, cand.source, cand.target))
-                builder.add(coords)
-                degree_vecs.append(coords)
-        expected = len(_h_block(basis, d, h_set))
-        if builder.rank != expected:
-            raise VerificationError(
-                f"corner generators span only {builder.rank} of {expected} "
-                f"dimensions in degree {d}")
-        vecs.append(degree_vecs)
-
+    _retain(basis, retained, range(1, verify_cutoff + 1), bound,
+            h_set, h_set, "g", "corner")
     return CornerGenerators(basis, quiver.h_vertices, k_top,
                             tuple(retained), verify_cutoff)
 
@@ -174,14 +167,12 @@ def bimodule_generators(corner: CornerGenerators,
     """
     basis = corner.basis
     quiver = basis.quiver
-    h_set = frozenset(quiver.h_vertices)
     if verify_cutoff is None:
         verify_cutoff = corner.verified_to
     if verify_cutoff > corner.verified_to:
         raise ValueError(
             f"verify_cutoff {verify_cutoff} exceeds the corner verification "
             f"degree {corner.verified_to}")
-    bound = corner.k_top_degree + 1
 
     retained: list[CornerGenerator] = [
         CornerGenerator(f"e_{h}", Path.idempotent(quiver, h), 0, h, h)
@@ -189,36 +180,9 @@ def bimodule_generators(corner: CornerGenerators,
     ]
     # corner spanning is verified, so the corner in degree e is the full
     # H-to-H block of the standard basis
-    corner_block = {e: _h_block(basis, e, h_set) for e in range(verify_cutoff + 1)}
-
-    for d in range(verify_cutoff + 1):
-        builder = SpanBuilder()
-        for gen in retained:
-            k = gen.degree
-            if k > d:
-                continue
-            for q in corner_block[d - k]:
-                coords = _product_coords(basis, gen.path,
-                                         {q.key: Fraction(1)})
-                builder.add(coords)
-        if 1 <= d <= bound:
-            for cand in basis.basis(d):
-                if cand.source not in h_set or cand.target in h_set:
-                    continue
-                coords = {cand.key: Fraction(1)}
-                if builder.contains(coords):
-                    continue
-                name = (cand.arrows[0] if cand.length == 1
-                        else f"m{sum(1 for g in retained if g.path.length > 1) + 1}")
-                retained.append(CornerGenerator(
-                    name, cand, d, cand.source, cand.target))
-                builder.add(coords)
-        expected = sum(1 for p in basis.basis(d) if p.source in h_set)
-        if builder.rank != expected:
-            raise VerificationError(
-                f"bimodule generators span only {builder.rank} of {expected} "
-                f"dimensions in degree {d}")
-
+    _retain(basis, retained, range(verify_cutoff + 1), corner.k_top_degree + 1,
+            frozenset(quiver.k_vertices), frozenset(quiver.vertices),
+            "m", "bimodule")
     return BimoduleGenerators(corner, tuple(retained), verify_cutoff)
 
 

@@ -146,12 +146,12 @@ def _matvec(mat: Mat, vec: dict) -> dict:
     return out
 
 
-def generated_by_framing(m: ModuleRep, length_budget: int | None = None) -> bool:
+def generated_by_framing(m: ModuleRep) -> bool:
     """Whether the framing component generates m under all arrow actions.
 
-    Requires exactly one framing vertex of dimension one.  The closure grows
-    by at least one dimension per useful layer, so the default budget of
-    total dimension many layers always reaches the fixpoint.
+    Requires exactly one framing vertex of dimension one.  The closure keeps
+    only vectors that raise some vertex's rank, so it stops within the total
+    dimension many layers.
     """
     f = m.quiver.f_vertices
     if len(f) != 1:
@@ -159,15 +159,11 @@ def generated_by_framing(m: ModuleRep, length_budget: int | None = None) -> bool
     start = f[0]
     if m.dims[start] != 1:
         raise ValueError("framing component must be one-dimensional")
-    if length_budget is None:
-        length_budget = m.dims.total()
     spans = {v: SpanBuilder() for v in m.quiver.vertices}
     seed = {0: Fraction(1)}
     spans[start].add(seed)
     frontier = [(start, seed)]
-    for _ in range(length_budget):
-        if not frontier:
-            break
+    while frontier:
         fresh = []
         for v, vec in frontier:
             for a in m.quiver.arrows_from(v):
@@ -417,6 +413,11 @@ def module_from_json(quiver: Quiver, data: Mapping) -> ModuleRep:
         raise ValueError("a module document must be a JSON object whose "
                          "'dimension' maps vertices to dimensions")
     dims = DimensionVector(data["dimension"])
+    missing = [v for v in quiver.vertices if v not in dims]
+    unknown = [v for v in dims if v not in quiver.vertices]
+    if missing or unknown:
+        raise ValueError("'dimension' must name exactly the quiver's vertices "
+                         f"(missing: {missing}, unknown: {unknown})")
     arrows = data.get("arrows", {})
     if not isinstance(arrows, Mapping):
         raise ValueError("'arrows' must map arrow names to matrices")

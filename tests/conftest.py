@@ -1,17 +1,19 @@
+import pathlib
 import sys
-from pathlib import Path
+from fractions import Fraction
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from quiverlab.algebra import framed_affine_preprojective, graded_basis, preprojective_relations
+from quiverlab.algebra import (AlgebraElement, RelationSet, framed_affine_preprojective,
+                               graded_basis, preprojective_relations)
 from quiverlab.corner import bimodule_generators, corner_generators, corner_presentation
 from quiverlab.polynomials import buchberger
-from quiverlab.quivers import Arrow, Quiver, build_doubled_dynkin, delta_k
+from quiverlab.quivers import Arrow, Path, Quiver, build_doubled_dynkin, delta_k
 from quiverlab.repscheme import RepCoordinates, rep_ideal
 
-FIXTURES = Path(__file__).parent.parent / "fixtures"
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
 
 def framing_loop_quiver() -> Quiver:
@@ -23,6 +25,27 @@ def framing_loop_quiver() -> Quiver:
 def two_loop_quiver() -> Quiver:
     """One gauged vertex with two loops: cycles that repeat arrows in any order."""
     return Quiver(["0"], [Arrow("x", "0", "0"), Arrow("y", "0", "0")], {"0": "K"})
+
+
+def random_quotient(rng):
+    """Seeded random quiver (loops and multiple arrows allowed) with one to
+    three random homogeneous relations of lengths 1 to 3."""
+    vertices = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
+    arrows = [Arrow(f"x{i}", rng.choice(vertices), rng.choice(vertices))
+              for i in range(rng.randint(1, 4))]
+    q = Quiver(vertices, arrows)
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        source, target = rng.choice(vertices), rng.choice(vertices)
+        words = [Path.idempotent(q, source)]
+        for _ in range(rng.randint(1, 3)):
+            words = [p.extend(a) for p in words for a in q.arrows_from(p.target)]
+        words = [p for p in words if p.target == target]
+        if words:
+            picked = rng.sample(words, min(len(words), rng.randint(1, 3)))
+            rels.append(AlgebraElement(
+                q, {p: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for p in picked}))
+    return q, RelationSet(q, rels)
 
 
 @pytest.fixture(scope="session")

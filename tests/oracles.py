@@ -10,6 +10,11 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
+from quiverlab.algebra import GradedBasis, restrict_to_vertices
+from quiverlab.corner import (BimoduleGenerators, CornerGenerator,
+                              CornerGenerators, _h_block)
+from quiverlab.errors import VerificationError
+from quiverlab.linalg import SpanBuilder, axpy
 from quiverlab.quivers import Path
 
 _FINITE_EDGES = {
@@ -537,3 +542,154 @@ def reference_substitute(f, ring, images) -> dict:
         for e, v in term.items():
             total[e] = total.get(e, 0) + v
     return {e: c for e, c in total.items() if c}
+
+
+# -- corner generators: the two searches as they stood before sharing -------
+#
+# The corner search spanned products through coordinate vectors kept per
+# degree; the column-module search through single H-to-H paths.  Kept as the
+# references that the shared search must match generator for generator.
+
+
+def _reference_product_coords(basis: GradedBasis, gen_path: Path,
+                              vec: dict) -> dict:
+    """Normal-form coordinates of gen * (element with coordinates vec)."""
+    out: dict = {}
+    for key, c in vec.items():
+        p = basis.path_at(key)
+        if p.target == gen_path.source:
+            axpy(out, c, basis.coords(gen_path * p))
+    return out
+
+
+def reference_corner_generators(basis: GradedBasis, verify_cutoff: int | None = None,
+                                safety_bound: int = 64) -> CornerGenerators:
+    """Minimized generating set of the corner subalgebra e_H A e_H.
+
+    The interior quotient (restrict to the K vertices) must come out finite
+    dimensional within ``safety_bound`` degrees; its top nonzero degree n
+    bounds the generator search at n + 2.  Candidates are the standard basis
+    paths between H vertices, scanned in (degree, path-key) order, and a
+    candidate is retained exactly when it is not a combination of products of
+    earlier retained generators.  Spanning of the whole H block is then
+    verified degree by degree up to ``verify_cutoff`` (default: the basis
+    cutoff); failure raises VerificationError rather than returning a wrong
+    answer.
+    """
+    quiver = basis.quiver
+    h_set = frozenset(quiver.h_vertices)
+    if not h_set:
+        raise ValueError("quiver has no F or J vertices to corner at")
+    if verify_cutoff is None:
+        verify_cutoff = basis.cutoff
+    if verify_cutoff > basis.cutoff:
+        raise ValueError(f"verify_cutoff {verify_cutoff} exceeds basis cutoff {basis.cutoff}")
+
+    sub, subrels = restrict_to_vertices(quiver, basis.relations, quiver.k_vertices)
+    interior = GradedBasis(sub, subrels, safety_bound)
+    if not interior.finite_dimensional:
+        raise VerificationError(
+            f"interior quotient is still nonzero at degree {safety_bound}; "
+            "the corner may not be finitely generated")
+    k_top = interior.top_degree or 0
+    bound = k_top + 2
+    if basis.cutoff < bound:
+        raise ValueError(
+            f"basis cutoff {basis.cutoff} is below the generation bound {bound}")
+
+    retained: list[CornerGenerator] = []
+    # independent spanning coordinate vectors per degree
+    vecs: list[list[dict]] = [[{Path.idempotent(quiver, h).key: Fraction(1)}
+                               for h in quiver.h_vertices]]
+
+    for d in range(1, verify_cutoff + 1):
+        builder = SpanBuilder()
+        degree_vecs: list[dict] = []
+        for gen in retained:
+            k = gen.degree
+            if k > d:
+                continue
+            for vec in vecs[d - k]:
+                coords = _reference_product_coords(basis, gen.path, vec)
+                if coords and builder.add(coords):
+                    degree_vecs.append(coords)
+        if d <= bound:
+            for cand in _h_block(basis, d, h_set):
+                coords = {cand.key: Fraction(1)}
+                if builder.contains(coords):
+                    continue
+                name = (cand.arrows[0] if cand.length == 1
+                        else f"g{sum(1 for g in retained if g.path.length > 1) + 1}")
+                retained.append(CornerGenerator(
+                    name, cand, d, cand.source, cand.target))
+                builder.add(coords)
+                degree_vecs.append(coords)
+        expected = len(_h_block(basis, d, h_set))
+        if builder.rank != expected:
+            raise VerificationError(
+                f"corner generators span only {builder.rank} of {expected} "
+                f"dimensions in degree {d}")
+        vecs.append(degree_vecs)
+
+    return CornerGenerators(basis, quiver.h_vertices, k_top,
+                            tuple(retained), verify_cutoff)
+
+
+def reference_bimodule_generators(corner: CornerGenerators,
+                                  verify_cutoff: int | None = None) -> BimoduleGenerators:
+    """Generators of the source-in-H column space as a right corner module.
+
+    The H idempotents are retained up front; the remaining candidates are
+    standard H-to-K paths of degree <= k_top_degree + 1, scanned in (degree,
+    key) order and retained when independent of products (earlier generator)
+    * (corner element).  Spanning against every standard path with source in
+    H is verified degreewise up to ``verify_cutoff``.
+    """
+    basis = corner.basis
+    quiver = basis.quiver
+    h_set = frozenset(quiver.h_vertices)
+    if verify_cutoff is None:
+        verify_cutoff = corner.verified_to
+    if verify_cutoff > corner.verified_to:
+        raise ValueError(
+            f"verify_cutoff {verify_cutoff} exceeds the corner verification "
+            f"degree {corner.verified_to}")
+    bound = corner.k_top_degree + 1
+
+    retained: list[CornerGenerator] = [
+        CornerGenerator(f"e_{h}", Path.idempotent(quiver, h), 0, h, h)
+        for h in quiver.h_vertices
+    ]
+    # corner spanning is verified, so the corner in degree e is the full
+    # H-to-H block of the standard basis
+    corner_block = {e: _h_block(basis, e, h_set) for e in range(verify_cutoff + 1)}
+
+    for d in range(verify_cutoff + 1):
+        builder = SpanBuilder()
+        for gen in retained:
+            k = gen.degree
+            if k > d:
+                continue
+            for q in corner_block[d - k]:
+                coords = _reference_product_coords(basis, gen.path,
+                                                   {q.key: Fraction(1)})
+                builder.add(coords)
+        if 1 <= d <= bound:
+            for cand in basis.basis(d):
+                if cand.source not in h_set or cand.target in h_set:
+                    continue
+                coords = {cand.key: Fraction(1)}
+                if builder.contains(coords):
+                    continue
+                name = (cand.arrows[0] if cand.length == 1
+                        else f"m{sum(1 for g in retained if g.path.length > 1) + 1}")
+                retained.append(CornerGenerator(
+                    name, cand, d, cand.source, cand.target))
+                builder.add(coords)
+        expected = sum(1 for p in basis.basis(d) if p.source in h_set)
+        if builder.rank != expected:
+            raise VerificationError(
+                f"bimodule generators span only {builder.rank} of {expected} "
+                f"dimensions in degree {d}")
+
+    return BimoduleGenerators(corner, tuple(retained), verify_cutoff)

@@ -26,6 +26,7 @@ from quiverlab.quivers import (
     build_doubled_dynkin,
 )
 
+from conftest import random_quotient
 from oracles import (BruteForceQuotient, ReferenceRewriteSpan, all_pairs_cocenter,
                      path_counts, preprojective_total_dim)
 
@@ -251,27 +252,6 @@ def test_graded_basis_errors():
         gb.coords(Path(q, "1", ("a", "a*", "a")))
 
 
-def random_quotient(rng):
-    """Seeded random quiver (loops and multiple arrows allowed) with one to
-    three random homogeneous relations of lengths 1 to 3."""
-    vertices = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
-    arrows = [Arrow(f"x{i}", rng.choice(vertices), rng.choice(vertices))
-              for i in range(rng.randint(1, 4))]
-    q = Quiver(vertices, arrows)
-    rels = []
-    for _ in range(rng.randint(1, 3)):
-        source, target = rng.choice(vertices), rng.choice(vertices)
-        words = [Path.idempotent(q, source)]
-        for _ in range(rng.randint(1, 3)):
-            words = [p.extend(a) for p in words for a in q.arrows_from(p.target)]
-        words = [p for p in words if p.target == target]
-        if words:
-            picked = rng.sample(words, min(len(words), rng.randint(1, 3)))
-            rels.append(AlgebraElement(
-                q, {p: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for p in picked}))
-    return q, RelationSet(q, rels)
-
-
 def brute_force(q, rels, cutoff):
     return BruteForceQuotient(
         q.vertices, {a.name: (a.source, a.target) for a in q.arrows},
@@ -319,6 +299,28 @@ def test_graded_basis_matches_reference_elimination(seed, monkeypatch):
         for b, w in paths:
             p = Path(q, b, w)
             assert gb.nf_path(p) == ref.nf_path(p)
+
+
+@pytest.mark.parametrize("case", [("A", 1), ("A", 2), ("D", 4)] + list(range(30)),
+                         ids=lambda c: "".join(map(str, c)) if isinstance(c, tuple) else f"seed{c}")
+def test_pivot_tails_hold_only_standard_keys(case):
+    """Each stored pivot is its lead's normal form: standard keys only, and
+    lead minus tail lies in the ideal."""
+    if isinstance(case, tuple):
+        q, rels = framed_affine_preprojective(*case)
+    else:
+        q, rels = random_quotient(random.Random(case))
+    cutoff = 5
+    gb = graded_basis(q, rels, cutoff)
+    oracle = brute_force(q, rels, cutoff)
+    for d in range(cutoff + 1):
+        standard = {p.key for p in gb.basis(d)}
+        for lead, tail in gb._spans[d].pivots.items():
+            assert lead not in standard and set(tail) <= standard
+            assert all(type(c) is Fraction and c for c in tail.values())
+            x = {(p.base, p.arrows): c for p, c in
+                 [(gb.path_at(lead), 1)] + [(gb.path_at(k), -c) for k, c in tail.items()]}
+            assert oracle.in_ideal(x)
 
 
 def test_relations_reduce_to_zero(framed_a1):

@@ -157,6 +157,16 @@ def test_stability(capsys):
     assert data == {"generated_by_framing": False}
 
 
+def test_stability_has_no_budget_option(capsys):
+    # the closure always stops within the total dimension; a cut-off budget
+    # could only turn a generated module into a wrong "not generated"
+    with pytest.raises(SystemExit) as info:
+        main(["stability", "--in", FRAMED_A1, "--budget", "1",
+              "--module", str(MODULES / "framed_a1_generated_1.json")])
+    assert info.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_stability_rejects_non_modules(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dimension": {"∞": 1, "0": 1, "1": 1},
@@ -221,6 +231,10 @@ _MALFORMED_INPUTS = {
         "check-module", "module", {"dimension": _A2_DIMS, "arrows": [[["1"]]]}),
     "module_matrix_not_rows": (
         "check-module", "module", {"dimension": _A2_DIMS, "arrows": {"a": [1]}}),
+    "module_dimension_misses_a_vertex": (
+        "check-module", "module", {"dimension": {"1": 1}}),
+    "module_dimension_has_an_unknown_vertex": (
+        "check-module", "module", {"dimension": {"1": 1, "2": 1, "9": 2}}),
 }
 
 
@@ -241,6 +255,20 @@ def test_malformed_input_exits_1_without_a_traceback(case, tmp_path):
     assert out.returncode == 1, out.stderr
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("dims, named", [
+    ({"1": 1}, "missing: ['2']"),
+    ({"1": 1, "2": 1, "9": 2}, "unknown: ['9']"),
+    ({"1": 1, "9": 2}, "missing: ['2'], unknown: ['9']"),
+])
+def test_module_dimension_names_the_vertices(capsys, tmp_path, dims, named):
+    mod = tmp_path / "m.json"
+    # the matrix for a has the wrong shape too: vertices are checked first
+    mod.write_text(json.dumps({"dimension": dims, "arrows": {"a": [[1, 2, 3]]}}))
+    assert main(["check-module", "--in", A2, "--module", str(mod)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
 
 
 def test_exit_code_budget(capsys, tmp_path):

@@ -1,12 +1,15 @@
 """Corner subalgebras: generators, bimodule columns, presentations."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from quiverlab.algebra import AlgebraElement, RelationSet, graded_basis, preprojective_relations
+from quiverlab.algebra import (AlgebraElement, RelationSet, framed_affine_preprojective,
+                               graded_basis, preprojective_relations)
 from quiverlab.corner import (
     VerificationError,
+    _retain,
     bimodule_generators,
     corner_generators,
     corner_presentation,
@@ -14,7 +17,9 @@ from quiverlab.corner import (
 )
 from quiverlab.quivers import Arrow, DimensionVector, Quiver, build_doubled_dynkin
 
-from oracles import kleinian_z2_dims
+from conftest import random_quotient
+from oracles import (kleinian_z2_dims, reference_bimodule_generators,
+                     reference_corner_generators)
 
 
 def ambient_word(pres, path):
@@ -112,6 +117,49 @@ def test_bimodule_cutoff_guard(framed_a1_corner):
     corner, _, _ = framed_a1_corner
     with pytest.raises(ValueError):
         bimodule_generators(corner, verify_cutoff=corner.verified_to + 1)
+
+
+@pytest.mark.parametrize("kind, rank, cutoff", [
+    ("A", 1, 14), ("A", 2, 12), ("A", 3, 12), ("D", 4, 14), ("D", 5, 14), ("E", 6, 20)])
+def test_generators_match_the_reference_searches(kind, rank, cutoff):
+    """One shared search gives the generators of both earlier loops."""
+    q, rels = framed_affine_preprojective(kind, rank)
+    basis = graded_basis(q, rels, cutoff)
+    for verify in (cutoff, cutoff - 3):
+        corner = corner_generators(basis, verify_cutoff=verify)
+        ref = reference_corner_generators(basis, verify_cutoff=verify)
+        assert corner == ref
+        assert (bimodule_generators(corner, verify - 1)
+                == reference_bimodule_generators(ref, verify - 1))
+
+
+def _search(search, *args):
+    try:
+        return search(*args)
+    except (ValueError, VerificationError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_generators_match_the_reference_searches_on_random_quotients(seed):
+    rng = random.Random(seed)
+    q, rels = random_quotient(rng)
+    tagged = Quiver(q.vertices, q.arrows, {v: rng.choice("FJK") for v in q.vertices})
+    basis = graded_basis(tagged, rels.on_quiver(tagged), 5)
+    corner = _search(corner_generators, basis, None, 8)
+    ref = _search(reference_corner_generators, basis, None, 8)
+    assert corner == ref
+    if not isinstance(corner, tuple):
+        assert (_search(bimodule_generators, corner)
+                == _search(reference_bimodule_generators, ref))
+
+
+def test_search_refuses_a_short_span(framed_a1):
+    _, _, basis = framed_a1
+    h = frozenset(basis.quiver.h_vertices)
+    with pytest.raises(VerificationError,
+                       match="corner generators span only 0 of 1 dimensions in degree 1"):
+        _retain(basis, [], range(1, 3), 0, h, h, "g", "corner")
 
 
 def test_sufficient_dimension_bound(framed_a1_corner):
