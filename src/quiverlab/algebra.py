@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import VerificationError
 from .linalg import SpanBuilder, axpy
 from .quivers import Path, Quiver, build_doubled_affine_dynkin, frame
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class AlgebraElement:
@@ -294,11 +295,9 @@ class GradedBasis:
         self.cutoff = cutoff
         self._by_key: list[dict[tuple, Path]] = []
         self._std: list[list[Path]] = []
-        self._std_by_target: list[dict[str, list[Path]]] = []
         self._spans: list[SpanBuilder] = []
         self.finite_dimensional = False
         self.top_degree: int | None = None
-        self._dims: list[int] = []
         self._build()
 
     # -- construction ----------------------------------------------------
@@ -329,29 +328,25 @@ class GradedBasis:
                 pivots[lead] = out
             std = [p for p in cands if p.key not in pivots]
             self._std.append(std)
-            by_t: dict[str, list[Path]] = {v: [] for v in quiver.vertices}
-            for p in std:
-                by_t[p.target].append(p)
-            self._std_by_target.append(by_t)
-            self._dims.append(len(std))
-        if any(n == 0 for n in self._dims):
+        if not all(self._std):
             self.finite_dimensional = True
-            self.top_degree = max((d for d, n in enumerate(self._dims) if n),
+            self.top_degree = max((d for d, std in enumerate(self._std) if std),
                                   default=0)
 
     def _relation_rows(self, d: int):
-        index = self.quiver.arrow_index
         for rel in self.relations:
             e = rel.length
             if e > d:
                 continue
-            for s in self._std_by_target[d - e][rel.source]:   # s acts first
+            source = rel.source
+            terms = [(c, p.key[1:]) for p, c in rel.terms.items()]
+            for s in self._std[d - e]:   # s acts first
+                if s.target != source:
+                    continue
                 row: dict[tuple, Fraction] = {}
-                for p, c in rel.terms.items():
-                    last = index(p.arrows[-1])
-                    prefix = s.key + tuple(index(a) for a in p.arrows[:-1])
-                    for m, cm in self._resolve(d - 1, prefix).items():
-                        key = m + (last,)
+                for c, arrows in terms:
+                    for m, cm in self.extend({s.key: _ONE}, arrows[:-1]).items():
+                        key = m + (arrows[-1],)
                         v = row.get(key, _ZERO) + c * cm
                         if v:
                             row[key] = v
@@ -365,11 +360,11 @@ class GradedBasis:
     @property
     def dimensions(self) -> list[int]:
         """Graded dimensions for degrees 0..cutoff."""
-        return list(self._dims)
+        return [len(std) for std in self._std]
 
     def dimension(self, d: int) -> int:
         self._check_degree(d)
-        return self._dims[d]
+        return len(self._std[d])
 
     def basis(self, d: int) -> list[Path]:
         self._check_degree(d)
@@ -379,40 +374,49 @@ class GradedBasis:
         if d < 0 or d > self.cutoff:
             raise ValueError(f"degree {d} exceeds the cutoff {self.cutoff}")
 
-    def _resolve(self, d: int, key: tuple) -> dict[tuple, Fraction]:
-        """Coordinates of a degree-d raw path key over the standard paths.
+    def extend(self, vec: Mapping[tuple, Fraction],
+               arrows: Sequence[int]) -> Mapping[tuple, Fraction]:
+        """Coordinates of ``vec`` with ``arrows`` (by index) applied after it.
 
-        A candidate key reduces within its degree; any other path is rebuilt
-        one arrow at a time from its base, staying in standard coordinates
-        throughout, so the cost is bounded by the quotient dimensions.
+        ``vec`` holds coordinates over the standard keys of one degree.  Each
+        arrow step reads one candidate's pivot per key; a term whose path
+        ends away from the arrow's source vanishes, and a unit vector steps
+        to its candidate's pivot with no product.  The result may be shared
+        with ``vec`` or with the basis's pivots: read it, or copy it before
+        changing it.
         """
-        if self.finite_dimensional and self.top_degree is not None and d > self.top_degree:
-            return {}
-        if d == 0 or key in self._by_key[d]:
-            return self._resolve_cand(d, key)
-        coords: dict[tuple, Fraction] = {key[:1]: Fraction(1)}
-        for pos, ai in enumerate(key[1:], start=1):
-            new: dict[tuple, Fraction] = {}
-            for m, cm in coords.items():
-                axpy(new, cm, self._resolve_cand(pos, m + (ai,)))
-            coords = new
-            if not coords:
-                break
-        return coords
+        if not vec:
+            return vec
+        d = len(next(iter(vec))) - 1
+        self._check_degree(d + len(arrows))
+        for ai in arrows:
+            d += 1
+            cands, pivots = self._by_key[d], self._spans[d].pivots
+            out: dict[tuple, Fraction] = {}
+            for m, c in vec.items():
+                key = m + (ai,)
+                if key in pivots:
+                    tail = pivots[key]
+                elif key in cands:
+                    tail = {key: _ONE}
+                else:
+                    continue
+                if c == 1 and len(vec) == 1:
+                    out = tail
+                else:
+                    axpy(out, c, tail)
+            vec = out
+        return vec
 
-    def _resolve_cand(self, d: int, key: tuple) -> dict[tuple, Fraction]:
-        """Standard coordinates of a degree-d candidate key."""
-        pivots = self._spans[d].pivots
-        return pivots[key] if key in pivots else {key: Fraction(1)}
-
-    def coords(self, path: Path) -> dict[tuple, Fraction]:
+    def coords(self, path: Path) -> Mapping[tuple, Fraction]:
         """Coordinates of a path over the standard keys of its degree.
 
         The result may be shared with the basis's pivots: read it, or copy it
         before changing it.
         """
-        self._check_degree(path.length)
-        return self._resolve(path.length, path.key)
+        if path.quiver is not self.quiver and path.quiver != self.quiver:
+            raise ValueError("path over a different quiver")
+        return self.extend({path.key[:1]: _ONE}, path.key[1:])
 
     def path_at(self, key: tuple) -> Path:
         """The candidate path with this key; every standard key is one."""
@@ -455,7 +459,7 @@ class GradedBasis:
 
     def __repr__(self) -> str:
         kind = "finite" if self.finite_dimensional else f"truncated@{self.cutoff}"
-        return f"GradedBasis(dims={self._dims}, {kind})"
+        return f"GradedBasis(dims={self.dimensions}, {kind})"
 
 
 def graded_basis(quiver: Quiver, relations: RelationSet, max_degree: int) -> GradedBasis:
@@ -527,19 +531,20 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
         assert cutoff is not None
     if not 0 <= cutoff <= basis.cutoff:
         raise ValueError(f"cocenter cutoff {cutoff} is outside 0..{basis.cutoff}")
-    # each arrow's endpoints and the key of the length-1 path it forms
-    arrows = [(a.source, a.target, Path(basis.quiver, a.source, (a.name,)).key)
-              for a in basis.quiver.arrows]
+    # each arrow's endpoints, its source's idempotent key and its index
+    quiver = basis.quiver
+    arrows = [(a.source, a.target, (quiver.vertex_index(a.source),),
+               quiver.arrow_index(a.name)) for a in quiver.arrows]
     dims = []
     reps = []
     for d in range(cutoff + 1):
         span = SpanBuilder()
         for y in basis.basis(d - 1) if d else ():
-            for source, target, key in arrows:
+            for source, target, base, ai in arrows:
                 # a.y: a acts after y; y.a: a acts first
-                row = dict(basis._resolve(d, y.key + key[1:])) if source == y.target else {}
+                row = dict(basis.extend({y.key: _ONE}, (ai,))) if source == y.target else {}
                 if target == y.source:
-                    axpy(row, -1, basis._resolve(d, key + y.key[1:]))
+                    axpy(row, -1, basis.extend({base: _ONE}, (ai,) + y.key[1:]))
                 if row:
                     span.add(row)
         degree_reps = tuple(p for p in basis.basis(d) if p.key not in span.pivots)

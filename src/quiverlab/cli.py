@@ -6,13 +6,15 @@ runs one pipeline from the library, and prints the result to stdout.  With
 with sorted keys; ``--format text`` prints human-readable lines.
 
 Exit codes: 0 success, 1 domain or input error, 2 usage error,
-3 a bounded search ran out of budget.
+3 a bounded search ran out of budget.  A reader that closes stdout early
+(``quiverlab ... | head``) ends the run with exit 1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import RelationSet, cocenter, graded_basis
@@ -400,9 +402,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()   # a closed pipe fails here, not at exit
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # as in Python's SIGPIPE recipe: the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, VerificationError, KeyError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from .errors import VerificationError
 from .linalg import SpanBuilder, axpy, kernel_combos
 from .quivers import Arrow, DimensionVector, Path, Quiver
 
-_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,14 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
         for gen in retained:
             if gen.degree > d:
                 continue
+            arrows = gen.path.key[1:]
             for q in blocks[d - gen.degree]:
                 if q.target == gen.source:
-                    builder.add(basis.coords(gen.path * q))
+                    builder.add(basis.extend({q.key: _ONE}, arrows))
         from_h = [p for p in basis.basis(d) if p.source in h_set]
         if d <= top:
             for cand in from_h:
-                coords = {cand.key: Fraction(1)}
+                coords = {cand.key: _ONE}
                 if cand.target not in cand_targets or builder.contains(coords):
                     continue
                 name = (cand.arrows[0] if cand.length == 1 else
@@ -133,8 +134,8 @@ def corner_generators(basis: GradedBasis, verify_cutoff: int | None = None,
         raise ValueError("quiver has no F or J vertices to corner at")
     if verify_cutoff is None:
         verify_cutoff = basis.cutoff
-    if verify_cutoff > basis.cutoff:
-        raise ValueError(f"verify_cutoff {verify_cutoff} exceeds basis cutoff {basis.cutoff}")
+    if not 0 <= verify_cutoff <= basis.cutoff:
+        raise ValueError(f"verify_cutoff {verify_cutoff} is outside 0..{basis.cutoff}")
 
     sub, subrels = restrict_to_vertices(quiver, basis.relations, quiver.k_vertices)
     interior = GradedBasis(sub, subrels, safety_bound)
@@ -169,10 +170,8 @@ def bimodule_generators(corner: CornerGenerators,
     quiver = basis.quiver
     if verify_cutoff is None:
         verify_cutoff = corner.verified_to
-    if verify_cutoff > corner.verified_to:
-        raise ValueError(
-            f"verify_cutoff {verify_cutoff} exceeds the corner verification "
-            f"degree {corner.verified_to}")
+    if not 0 <= verify_cutoff <= corner.verified_to:
+        raise ValueError(f"verify_cutoff {verify_cutoff} is outside 0..{corner.verified_to}")
 
     retained: list[CornerGenerator] = [
         CornerGenerator(f"e_{h}", Path.idempotent(quiver, h), 0, h, h)
@@ -224,31 +223,18 @@ class CornerPresentation:
     completeness: str
 
 
-def _weighted_words(quiver: Quiver, weights: dict[str, int],
-                    cutoff: int) -> list[list[Path]]:
-    """All arrow words grouped by total weight 0..cutoff, in key order."""
-    words: list[list[Path]] = [[Path.idempotent(quiver, v) for v in quiver.vertices]]
-    for wd in range(1, cutoff + 1):
-        layer = []
-        for a in quiver.arrows:
-            w = weights[a.name]
-            if w > wd:
-                continue
-            for p in words[wd - w]:
-                if p.target == a.source:
-                    layer.append(p.extend(a))
-        layer.sort(key=lambda p: p.key)
-        words.append(layer)
-    return words
-
-
 def corner_presentation(corner: CornerGenerators,
                         cutoff: int | None = None) -> CornerPresentation:
     """Quiver-with-relations presentation of the corner, truncated in degree.
 
     Builds the generator quiver, then for each weighted degree finds all
     linear dependencies among evaluated arrow words and keeps those not
-    already in the two-sided ideal of relations found earlier.  Every kept
+    already in the two-sided ideal of relations found earlier.  A word's
+    coordinates are its prefix's, extended by its last generator's arrows.
+    Every dependency of lower weight lies in that ideal, and a product with
+    a nonempty factor on either side of a relation factors through one
+    generator, so in weight wd the ideal is spanned by x*k and k*x over
+    generators x and dependencies k of weight wd - weight(x).  Every kept
     relation is re-evaluated in the ambient algebra (it must vanish) and the
     word-space ranks must agree with the corner's graded dimensions.
     """
@@ -256,10 +242,8 @@ def corner_presentation(corner: CornerGenerators,
     big = basis.quiver
     if cutoff is None:
         cutoff = corner.verified_to
-    if cutoff > corner.verified_to:
-        raise ValueError(
-            f"cutoff {cutoff} exceeds the corner verification degree "
-            f"{corner.verified_to}")
+    if not 0 <= cutoff <= corner.verified_to:
+        raise ValueError(f"cutoff {cutoff} is outside 0..{corner.verified_to}")
     h_set = frozenset(big.h_vertices)
 
     arrows = []
@@ -271,7 +255,6 @@ def corner_presentation(corner: CornerGenerators,
         gen_paths[g.name] = g.path
     partition = {h: big.tag(h) for h in big.h_vertices}
     qh = Quiver(big.h_vertices, arrows, partition)
-    words = _weighted_words(qh, weights, cutoff)
 
     def ambient(word: Path) -> Path:
         arrs: tuple[str, ...] = ()
@@ -279,56 +262,58 @@ def corner_presentation(corner: CornerGenerators,
             arrs = arrs + gen_paths[name].arrows
         return Path(big, word.base, arrs)
 
-    relations: list[tuple[int, AlgebraElement]] = []   # (weighted degree, element)
+    # arrow words by weight, each with its ambient coordinates, and the
+    # dependencies among each weight's words
+    words = [[(Path.idempotent(qh, h), {(big.vertex_index(h),): _ONE})
+              for h in qh.vertices]]
+    deps: list[list[dict[Path, Fraction]]] = [[]]
+    relations: list[AlgebraElement] = []
     for wd in range(1, cutoff + 1):
-        layer = words[wd]
-        index = {p.key: i for i, p in enumerate(layer)}
-        evals = [basis.coords(ambient(p)) for p in layer]
-        combos = kernel_combos(evals)
+        layer = []
+        for a in qh.arrows:
+            if weights[a.name] <= wd:
+                extension = gen_paths[a.name].key[1:]
+                for p, vec in words[wd - weights[a.name]]:
+                    if p.target == a.source:
+                        layer.append((p.extend(a), basis.extend(vec, extension)))
+        layer.sort(key=lambda word: word[0].key)
+        words.append(layer)
+        combos = kernel_combos([vec for _, vec in layer])
         if len(layer) - len(combos) != len(_h_block(basis, wd, h_set)):
             raise VerificationError(
                 f"word evaluations in weighted degree {wd} have rank "
                 f"{len(layer) - len(combos)}, expected the corner dimension "
                 f"{len(_h_block(basis, wd, h_set))}")
+        index = {p.key: i for i, (p, _) in enumerate(layer)}
         ideal = SpanBuilder()
-        for rd, rel in relations:
-            for post_w in range(wd - rd + 1):
-                pre_w = wd - rd - post_w
-                for post in words[post_w]:        # applied after the relation
-                    if post.source != rel.target:
-                        continue
-                    for pre in words[pre_w]:      # applied before it
-                        if pre.target != rel.source:
-                            continue
-                        row: dict = {}
-                        for p, c in rel.terms.items():
-                            full = Path(qh, pre.base,
-                                        pre.arrows + p.arrows + post.arrows)
-                            j = index[full.key]
-                            v = row.get(j, _ZERO) + c
-                            if v:
-                                row[j] = v
-                            else:
-                                row.pop(j, None)
-                        if row:
-                            ideal.add(row)
-        for combo in combos:
+        for xi, x in enumerate(qh.arrows):
+            if weights[x.name] > wd:
+                continue
+            first = (qh.vertex_index(x.source), xi)
+            for k in deps[wd - weights[x.name]]:
+                # x*k: x acts after k; k*x: x acts first
+                ideal.add({index[p.key + (xi,)]: c
+                           for p, c in k.items() if p.target == x.source})
+                ideal.add({index[first + p.key[1:]]: c
+                           for p, c in k.items() if p.source == x.target})
+        deps.append([{layer[i][0]: c for i, c in combo.items()} for combo in combos])
+        for combo, dep in zip(combos, deps[wd]):
             if ideal.contains(combo):
                 continue
-            el = AlgebraElement(qh, {layer[i]: c for i, c in combo.items()})
+            el = AlgebraElement(qh, dep)
             check: dict = {}
             for p, c in el.terms.items():
                 axpy(check, c, basis.coords(ambient(p)))
             if check:
                 raise VerificationError(
                     "a found relation does not vanish in the ambient algebra")
-            relations.append((wd, el))
+            relations.append(el)
             ideal.add(combo)
 
     return CornerPresentation(
         quiver=qh,
         weights=weights,
-        relations=tuple(el for _, el in relations),
+        relations=tuple(relations),
         generator_paths=gen_paths,
         cutoff=cutoff,
         completeness=f"truncated-at-{cutoff}",

@@ -15,12 +15,13 @@ from .corner import (BimoduleGenerators, CornerPresentation,
                      sufficient_dimension_bound)
 from .errors import BudgetExceeded, VerificationError
 from .linalg import Mat, SpanBuilder, block_diag, block_upper, kernel_combos
-from .quivers import DimensionVector, Path, Quiver
+from .quivers import DimensionVector, Quiver
 from .repscheme import (InvariantGenerator, RepCoordinates, element_matrix,
                         invariant_generators, invariant_values, path_matrix,
                         variable_name)
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ModuleRep:
@@ -289,7 +290,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
     top = min(budget, basis.cutoff)
 
     span = SpanBuilder()
-    symbol_info: dict[tuple, tuple[Path, int]] = {}
+    symbol_target: dict[tuple, str] = {}
     total_by_vertex = {v: 0 for v in quiver.vertices}
     pivot_by_vertex = {v: 0 for v in quiver.vertices}
 
@@ -298,13 +299,13 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
             if p.source not in h_set:
                 continue
             for j in range(v_h.dims[p.source]):
-                symbol_info[(d, p.key, j)] = (p, j)
+                symbol_target[(d, p.key, j)] = p.target
                 total_by_vertex[p.target] += 1
 
     def add_row(row: dict) -> None:
         if span.add(row):
             lead = next(reversed(span.pivots))
-            pivot_by_vertex[symbol_info[lead][0].target] += 1
+            pivot_by_vertex[symbol_target[lead]] += 1
 
     enumerate_degree(0)
     history: list[dict] = [dict(total_by_vertex)]
@@ -316,21 +317,18 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
             if k > d:
                 continue
             m_gen = v_h.matrices[gen.name]
+            start = {gen.path.key: _ONE}
             for p in basis.basis(d - k):
                 if p.source != gen.target or p.source not in h_set:
                     continue
-                nf = basis.coords(p * gen.path)
+                nf = basis.extend(start, p.key[1:])   # p * gen: gen acts first
                 for j in range(v_h.dims[gen.source]):
                     row = {(d, qkey, j): c for qkey, c in nf.items()}
                     for i in range(v_h.dims[gen.target]):
                         c = m_gen.entry(i, j)
                         if c:
-                            key = (d - k, p.key, i)
-                            v = row.get(key, _ZERO) - c
-                            if v:
-                                row[key] = v
-                            else:
-                                row.pop(key, None)
+                            # a symbol of degree d - k, never a key of nf
+                            row[(d - k, p.key, i)] = -c
                     if row:
                         add_row(row)
         dims_now = {v: total_by_vertex[v] - pivot_by_vertex[v]
@@ -340,7 +338,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
             stable = all(history[-1] == history[-1 - i] for i in range(1, window + 1))
             tail_clear = not any(
                 key not in span.pivots
-                for key in symbol_info if d - window < key[0] <= d)
+                for key in symbol_target if d - window < key[0] <= d)
             if stable and tail_clear:
                 stopped_at = d
                 break
@@ -348,10 +346,10 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
         raise BudgetExceeded(
             f"induction dimensions did not stabilize within degree {top}")
 
-    survivors = sorted(k for k in symbol_info if k not in span.pivots)
+    survivors = sorted(k for k in symbol_target if k not in span.pivots)
     by_vertex: dict[str, list[tuple]] = {v: [] for v in quiver.vertices}
     for key in survivors:
-        by_vertex[symbol_info[key][0].target].append(key)
+        by_vertex[symbol_target[key]].append(key)
     index = {v: {key: i for i, key in enumerate(keys)}
              for v, keys in by_vertex.items()}
     dims_out = DimensionVector({v: len(keys) for v, keys in by_vertex.items()})
@@ -360,10 +358,11 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
     for a in quiver.arrows:
         rows, cols = dims_out[a.target], dims_out[a.source]
         data = [[_ZERO] * cols for _ in range(rows)]
+        step = (quiver.arrow_index(a.name),)
         for col, key in enumerate(by_vertex[a.source]):
-            d, _, j = key
-            moved = symbol_info[key][0].extend(a)
-            vec = {(d + 1, qkey, j): c for qkey, c in basis.coords(moved).items()}
+            d, pkey, j = key
+            vec = {(d + 1, qkey, j): c
+                   for qkey, c in basis.extend({pkey: _ONE}, step).items()}
             for rkey, c in span.residue(vec).items():
                 data[index[a.target][rkey]][col] = c
         matrices[a.name] = Mat(rows, cols, tuple(tuple(r) for r in data))

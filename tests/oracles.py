@@ -10,12 +10,14 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from quiverlab.algebra import GradedBasis, restrict_to_vertices
+from quiverlab.algebra import AlgebraElement, GradedBasis, restrict_to_vertices
 from quiverlab.corner import (BimoduleGenerators, CornerGenerator,
-                              CornerGenerators, _h_block)
+                              CornerGenerators, CornerPresentation, _h_block)
 from quiverlab.errors import VerificationError
-from quiverlab.linalg import SpanBuilder, axpy
-from quiverlab.quivers import Path
+from quiverlab.linalg import SpanBuilder, axpy, kernel_combos
+from quiverlab.quivers import Arrow, Path, Quiver
+
+_ZERO = Fraction(0)
 
 _FINITE_EDGES = {
     ("A", 1): [],
@@ -693,3 +695,123 @@ def reference_bimodule_generators(corner: CornerGenerators,
                 f"dimensions in degree {d}")
 
     return BimoduleGenerators(corner, tuple(retained), verify_cutoff)
+
+
+# -- corner presentation: the (pre, relation, post) ideal loop --------------
+#
+# The presentation as it stood before word coordinates were shared with
+# prefixes and the ideal of earlier relations came from lower-weight
+# dependencies: every word is evaluated from its ambient path, and the ideal
+# is rebuilt from every (pre-word, relation, post-word) triple.  Kept as the
+# reference the presentation must match relation for relation.
+
+
+def _weighted_words(quiver: Quiver, weights: dict[str, int],
+                    cutoff: int) -> list[list[Path]]:
+    """All arrow words grouped by total weight 0..cutoff, in key order."""
+    words: list[list[Path]] = [[Path.idempotent(quiver, v) for v in quiver.vertices]]
+    for wd in range(1, cutoff + 1):
+        layer = []
+        for a in quiver.arrows:
+            w = weights[a.name]
+            if w > wd:
+                continue
+            for p in words[wd - w]:
+                if p.target == a.source:
+                    layer.append(p.extend(a))
+        layer.sort(key=lambda p: p.key)
+        words.append(layer)
+    return words
+
+
+def reference_corner_presentation(corner: CornerGenerators,
+                                  cutoff: int | None = None) -> CornerPresentation:
+    """Quiver-with-relations presentation of the corner, truncated in degree.
+
+    Builds the generator quiver, then for each weighted degree finds all
+    linear dependencies among evaluated arrow words and keeps those not
+    already in the two-sided ideal of relations found earlier.  Every kept
+    relation is re-evaluated in the ambient algebra (it must vanish) and the
+    word-space ranks must agree with the corner's graded dimensions.
+    """
+    basis = corner.basis
+    big = basis.quiver
+    if cutoff is None:
+        cutoff = corner.verified_to
+    if cutoff > corner.verified_to:
+        raise ValueError(
+            f"cutoff {cutoff} exceeds the corner verification degree "
+            f"{corner.verified_to}")
+    h_set = frozenset(big.h_vertices)
+
+    arrows = []
+    weights: dict[str, int] = {}
+    gen_paths: dict[str, Path] = {}
+    for g in corner.generators:
+        arrows.append(Arrow(g.name, g.source, g.target))
+        weights[g.name] = g.degree
+        gen_paths[g.name] = g.path
+    partition = {h: big.tag(h) for h in big.h_vertices}
+    qh = Quiver(big.h_vertices, arrows, partition)
+    words = _weighted_words(qh, weights, cutoff)
+
+    def ambient(word: Path) -> Path:
+        arrs: tuple[str, ...] = ()
+        for name in word.arrows:
+            arrs = arrs + gen_paths[name].arrows
+        return Path(big, word.base, arrs)
+
+    relations: list[tuple[int, AlgebraElement]] = []   # (weighted degree, element)
+    for wd in range(1, cutoff + 1):
+        layer = words[wd]
+        index = {p.key: i for i, p in enumerate(layer)}
+        evals = [basis.coords(ambient(p)) for p in layer]
+        combos = kernel_combos(evals)
+        if len(layer) - len(combos) != len(_h_block(basis, wd, h_set)):
+            raise VerificationError(
+                f"word evaluations in weighted degree {wd} have rank "
+                f"{len(layer) - len(combos)}, expected the corner dimension "
+                f"{len(_h_block(basis, wd, h_set))}")
+        ideal = SpanBuilder()
+        for rd, rel in relations:
+            for post_w in range(wd - rd + 1):
+                pre_w = wd - rd - post_w
+                for post in words[post_w]:        # applied after the relation
+                    if post.source != rel.target:
+                        continue
+                    for pre in words[pre_w]:      # applied before it
+                        if pre.target != rel.source:
+                            continue
+                        row: dict = {}
+                        for p, c in rel.terms.items():
+                            full = Path(qh, pre.base,
+                                        pre.arrows + p.arrows + post.arrows)
+                            j = index[full.key]
+                            v = row.get(j, _ZERO) + c
+                            if v:
+                                row[j] = v
+                            else:
+                                row.pop(j, None)
+                        if row:
+                            ideal.add(row)
+        for combo in combos:
+            if ideal.contains(combo):
+                continue
+            el = AlgebraElement(qh, {layer[i]: c for i, c in combo.items()})
+            check: dict = {}
+            for p, c in el.terms.items():
+                axpy(check, c, basis.coords(ambient(p)))
+            if check:
+                raise VerificationError(
+                    "a found relation does not vanish in the ambient algebra")
+            relations.append((wd, el))
+            ideal.add(combo)
+
+    return CornerPresentation(
+        quiver=qh,
+        weights=weights,
+        relations=tuple(el for _, el in relations),
+        generator_paths=gen_paths,
+        cutoff=cutoff,
+        completeness=f"truncated-at-{cutoff}",
+    )

@@ -252,6 +252,17 @@ def test_graded_basis_errors():
         gb.coords(Path(q, "1", ("a", "a*", "a")))
 
 
+def test_coords_reject_a_path_of_another_quiver():
+    # D4's b*.b has the key of A3's a.a* once arrows are read by index
+    a3, d4 = build_doubled_dynkin("A", 3), build_doubled_dynkin("D", 4)
+    gb = graded_basis(a3, preprojective_relations(a3), 3)
+    foreign = Path(d4, "2", ("b", "b*"))
+    with pytest.raises(ValueError, match="different quiver"):
+        gb.coords(foreign)
+    with pytest.raises(ValueError, match="different quiver"):
+        gb.nf_path(foreign)
+
+
 def brute_force(q, rels, cutoff):
     return BruteForceQuotient(
         q.vertices, {a.name: (a.source, a.target) for a in q.arrows},
@@ -293,12 +304,19 @@ def test_graded_basis_matches_reference_elimination(seed, monkeypatch):
     monkeypatch.setattr("quiverlab.algebra.SpanBuilder", ReferenceRewriteSpan)
     ref = graded_basis(q, rels, cutoff)
     assert gb.dimensions == ref.dimensions
-    for d, paths in enumerate(brute_force(q, RelationSet(q, []), cutoff).paths):
+    walks = brute_force(q, RelationSet(q, []), cutoff).paths
+    rng = random.Random(seed)
+    for d, paths in enumerate(walks):
         assert gb.basis(d) == ref.basis(d)
         assert [gb.path_at(p.key) for p in gb.basis(d)] == gb.basis(d)
         for b, w in paths:
             p = Path(q, b, w)
             assert gb.nf_path(p) == ref.nf_path(p)
+            # extending p's coordinates by q's arrows gives q.p, p acting first
+            q_walks = [Path(q, b2, w2) for e in range(cutoff - d + 1)
+                       for b2, w2 in walks[e] if b2 == p.target]
+            for after in rng.sample(q_walks, min(3, len(q_walks))):
+                assert gb.extend(gb.coords(p), after.key[1:]) == gb.coords(after * p)
 
 
 @pytest.mark.parametrize("case", [("A", 1), ("A", 2), ("D", 4)] + list(range(30)),
@@ -315,8 +333,12 @@ def test_pivot_tails_hold_only_standard_keys(case):
     oracle = brute_force(q, rels, cutoff)
     for d in range(cutoff + 1):
         standard = {p.key for p in gb.basis(d)}
-        for lead, tail in gb._spans[d].pivots.items():
-            assert lead not in standard and set(tail) <= standard
+        # the candidates outside the standard basis are the pivot leads
+        cands = ([Path.idempotent(q, v) for v in q.vertices] if d == 0 else
+                 [p.extend(a) for p in gb.basis(d - 1) for a in q.arrows_from(p.target)])
+        for lead in (p.key for p in cands if p.key not in standard):
+            tail = gb.coords(gb.path_at(lead))
+            assert set(tail) <= standard
             assert all(type(c) is Fraction and c for c in tail.values())
             x = {(p.base, p.arrows): c for p, c in
                  [(gb.path_at(lead), 1)] + [(gb.path_at(k), -c) for k, c in tail.items()]}

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand against the fixture files."""
 
+import io
 import json
 import os
 import shutil
@@ -281,6 +282,25 @@ def test_exit_code_budget(capsys, tmp_path):
     assert err.startswith("budget exhausted:")
     assert main(["nilwitness", "--in", str(ideal_file),
                  "--max-deg", "2", "--max-pow", "2", "--max-ops", "1"]) == 3
+
+
+def test_closed_pipe_exits_1_without_a_message(capsys, monkeypatch, tmp_path):
+    """A reader that closes stdout early (``quiverlab ... | head``) gets no
+    ``error:`` line, and stdout's descriptor is pointed at devnull so the
+    flush at exit cannot fail again."""
+    with open(tmp_path / "sink", "wb") as sink:
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["delta", "--type", "A", "--rank", "2"]) == 1
+        os.write(sink.fileno(), b"after")
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "sink").read_bytes() == b""
 
 
 REPO = Path(__file__).resolve().parents[1]

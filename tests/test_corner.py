@@ -19,7 +19,7 @@ from quiverlab.quivers import Arrow, DimensionVector, Quiver, build_doubled_dynk
 
 from conftest import random_quotient
 from oracles import (kleinian_z2_dims, reference_bimodule_generators,
-                     reference_corner_generators)
+                     reference_corner_generators, reference_corner_presentation)
 
 
 def ambient_word(pres, path):
@@ -76,6 +76,8 @@ def test_corner_cutoff_guards(framed_a1):
     q, rels, basis = framed_a1
     with pytest.raises(ValueError):
         corner_generators(basis, verify_cutoff=basis.cutoff + 1)
+    with pytest.raises(ValueError, match="verify_cutoff -1 is outside"):
+        corner_generators(basis, verify_cutoff=-1)
     shallow = graded_basis(q, rels, 1)
     with pytest.raises(ValueError):
         corner_generators(shallow)
@@ -117,6 +119,8 @@ def test_bimodule_cutoff_guard(framed_a1_corner):
     corner, _, _ = framed_a1_corner
     with pytest.raises(ValueError):
         bimodule_generators(corner, verify_cutoff=corner.verified_to + 1)
+    with pytest.raises(ValueError, match="verify_cutoff -3 is outside"):
+        bimodule_generators(corner, verify_cutoff=-3)
 
 
 @pytest.mark.parametrize("kind, rank, cutoff", [
@@ -214,3 +218,42 @@ def test_presentation_cutoff_guard(framed_a1_corner):
     corner, _, _ = framed_a1_corner
     with pytest.raises(ValueError):
         corner_presentation(corner, cutoff=corner.verified_to + 1)
+    with pytest.raises(ValueError, match="cutoff -1 is outside"):
+        corner_presentation(corner, -1)
+
+
+def assert_same_presentation(pres, ref):
+    """Equal presentations, with each relation's terms in the same order."""
+    assert pres == ref
+    assert ([list(r.terms.items()) for r in pres.relations]
+            == [list(r.terms.items()) for r in ref.relations])
+
+
+@pytest.mark.parametrize("kind, rank, cutoff", [
+    ("A", 1, 8), ("A", 1, 12), ("A", 2, 12), ("A", 3, 12), ("D", 4, 14)])
+def test_presentation_matches_the_reference_loop(kind, rank, cutoff):
+    """Lower-weight dependencies span the ideal the (pre, relation, post)
+    loop builds, so both keep the same relations."""
+    q, rels = framed_affine_preprojective(kind, rank)
+    corner = corner_generators(graded_basis(q, rels, cutoff))
+    assert_same_presentation(corner_presentation(corner),
+                             reference_corner_presentation(corner))
+    assert_same_presentation(corner_presentation(corner, cutoff - 2),
+                             reference_corner_presentation(corner, cutoff - 2))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_presentation_matches_the_reference_loop_on_random_quotients(seed):
+    rng = random.Random(seed)
+    q, rels = random_quotient(rng)
+    tagged = Quiver(q.vertices, q.arrows, {v: rng.choice("FJK") for v in q.vertices})
+    basis = graded_basis(tagged, rels.on_quiver(tagged), 5)
+    corner = _search(corner_generators, basis, None, 8)
+    if isinstance(corner, tuple):   # no corner to present
+        return
+    pres = _search(corner_presentation, corner)
+    ref = _search(reference_corner_presentation, corner)
+    if isinstance(ref, tuple):
+        assert pres == ref
+    else:
+        assert_same_presentation(pres, ref)
