@@ -20,6 +20,11 @@ def axpy(dst: dict, c, src: dict) -> None:
             dst.pop(k, None)
 
 
+def _fractions(row: dict) -> dict:
+    """Copy of a sparse vector without its zeros; only non-Fractions are wrapped."""
+    return {k: c if type(c) is Fraction else Fraction(c) for k, c in row.items() if c}
+
+
 class SpanBuilder:
     """Incrementally built row space of sparse vectors.
 
@@ -43,7 +48,7 @@ class SpanBuilder:
 
     def _eliminate(self, row: dict) -> dict:
         """Copy of ``row`` reduced until its largest key is not a lead."""
-        row = {k: Fraction(c) for k, c in row.items() if c}
+        row = _fractions(row)
         pivots = self.pivots
         while row:
             lead = max(row)
@@ -76,7 +81,7 @@ class SpanBuilder:
         Unlike :meth:`contains` this clears pivot keys everywhere in the
         vector, not just in leading position.
         """
-        out = {k: Fraction(c) for k, c in row.items() if c}
+        out = _fractions(row)
         while True:
             hits = [k for k in out if k in self.pivots]
             if not hits:
@@ -153,8 +158,10 @@ class Mat:
     """Dense matrix over an exact ring, with explicit shape (zero-sized sides allowed).
 
     Entries are ``Fraction`` by default; ``ring_zero`` is the additive
-    identity of the entries, so the same type holds ``Polynomial`` matrices.
-    ``from_rows`` and ``inverse`` are for ``Fraction`` entries only.
+    identity of the entries, so the same type holds ``Polynomial`` matrices;
+    for them, products and traces of products sum each entry through
+    ``Polynomial._sum_of_products``.  ``from_rows`` and ``inverse`` are for
+    ``Fraction`` entries only.
     """
 
     rows: int
@@ -205,9 +212,13 @@ class Mat:
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        # Order i, k, j with zero factors skipped: a product of sparse
-        # polynomial matrices then builds no term it does not need.
         zero = self.ring_zero
+        if type(zero) is not Fraction:
+            cols = tuple(zip(*other.data)) or ((),) * other.cols
+            return Mat(self.rows, other.cols,
+                       tuple(tuple(zero._sum_of_products(row, col) for col in cols)
+                             for row in self.data), zero)
+        # Order i, k, j with zero factors skipped.
         data = []
         for row in self.data:
             acc = [zero] * other.cols
@@ -233,6 +244,10 @@ class Mat:
         if self.cols != other.rows or self.rows != other.cols:
             raise ValueError("shape mismatch in trace of a product")
         total = self.ring_zero
+        if type(total) is not Fraction:
+            return total._sum_of_products(
+                (a for row in self.data for a in row),
+                (b for col in zip(*other.data) for b in col))
         for i, row in enumerate(self.data):
             for aik, brow in zip(row, other.data):
                 if aik:

@@ -222,34 +222,45 @@ def random_extension(sub: ModuleRep, quot: ModuleRep,
             for j in range(quot.dims[a.source]):
                 unknowns.append((a.name, i, j))
 
-    def assemble(values: dict[tuple[str, int, int], Fraction]) -> ModuleRep:
-        mats = {}
-        for a in quiver.arrows:
-            x = [[values.get((a.name, i, j), _ZERO)
-                  for j in range(quot.dims[a.source])]
-                 for i in range(sub.dims[a.target])]
-            xm = Mat(sub.dims[a.target], quot.dims[a.source],
-                     tuple(tuple(row) for row in x))
-            mats[a.name] = block_upper(sub.matrices[a.name], xm,
-                                       quot.matrices[a.name])
-        return ModuleRep(quiver, sub.dims + quot.dims, mats)
-
-    # one sparse column per unknown: its residual entries, row-major per relation
-    columns = []
-    for u in unknowns:
-        e = assemble({u: Fraction(1)})
-        col = [x for rel in rels for row in element_matrix(e, rel).data for x in row]
-        columns.append({r: x for r, x in enumerate(col) if x})
+    # One sparse residual column per unknown, keyed (relation, row, col).
+    # A path a_k…a_1 has off-diagonal block Σ_i S(a_k…a_{i+1})·X(a_i)·Q(a_{i−1}…a_1),
+    # so the unknown (a_i, r, c) adds column r of S(a_k…a_{i+1}) times row c
+    # of Q(a_{i−1}…a_1); the diagonal blocks' relation residuals vanish.
+    columns: dict[tuple[str, int, int], dict] = {u: {} for u in unknowns}
+    for n, rel in enumerate(rels):
+        for p, coeff in rel.terms.items():
+            prefixes = [Mat.identity(quot.dims[p.source])]
+            for name in p.arrows[:-1]:
+                prefixes.append(quot.matrices[name] * prefixes[-1])
+            suffix = Mat.identity(sub.dims[p.target])
+            for name, prefix in zip(reversed(p.arrows), reversed(prefixes)):
+                for r in range(suffix.cols):
+                    for c, qrow in enumerate(prefix.data):
+                        col = columns[(name, r, c)]
+                        for i, srow in enumerate(suffix.data):
+                            if srow[r]:
+                                s = coeff * srow[r]
+                                for j, q in enumerate(qrow):
+                                    if q:
+                                        col[(n, i, j)] = col.get((n, i, j), _ZERO) + s * q
+                suffix = suffix * sub.matrices[name]
 
     values: dict[tuple[str, int, int], Fraction] = {}
-    for combo in kernel_combos(columns):
+    for combo in kernel_combos([columns[u] for u in unknowns]):
         c = Fraction(rng.randint(-coef_bound, coef_bound))
         if not c:
             continue
         for k, entry in combo.items():
             u = unknowns[k]
             values[u] = values.get(u, _ZERO) + c * entry
-    result = assemble(values)
+    mats = {}
+    for a in quiver.arrows:
+        x = Mat(sub.dims[a.target], quot.dims[a.source],
+                tuple(tuple(values.get((a.name, i, j), _ZERO)
+                            for j in range(quot.dims[a.source]))
+                      for i in range(sub.dims[a.target])))
+        mats[a.name] = block_upper(sub.matrices[a.name], x, quot.matrices[a.name])
+    result = ModuleRep(quiver, sub.dims + quot.dims, mats)
     ok, _ = check_relations(result, rels)
     if not ok:
         raise VerificationError("extension construction produced an invalid module")

@@ -250,16 +250,28 @@ class Polynomial:
     __rmul__ = scale
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        return self._sum_of_products((self,), (other,))
+
+    def _sum_of_products(self, xs: Iterable["Polynomial"],
+                         ys: Iterable["Polynomial"]) -> "Polynomial":
+        """Σ x·y over the paired polynomials, in the ring of ``self``.
+
+        Every term product goes into one dict, so no intermediate polynomial
+        is built; ``Mat`` products and traces over polynomials sum here.
+        """
         out: dict[tuple, Fraction] = {}
         add = operator.add
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                v = out.get(e, _ZERO) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
+        for x, y in zip(xs, ys):
+            for e1, c1 in x.terms.items():
+                for e2, c2 in y.terms.items():
+                    e = tuple(map(add, e1, e2))
+                    v = out.get(e)
+                    if v is None:
+                        out[e] = c1 * c2
+                    elif v := v + c1 * c2:
+                        out[e] = v
+                    else:
+                        del out[e]
         return Polynomial._raw(self.ring, out)
 
     def __pow__(self, n: int) -> "Polynomial":

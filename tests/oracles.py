@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from quiverlab.algebra import AlgebraElement, GradedBasis, restrict_to_vertices
 from quiverlab.corner import (BimoduleGenerators, CornerGenerator,
                               CornerGenerators, CornerPresentation, _h_block)
 from quiverlab.errors import VerificationError
-from quiverlab.linalg import SpanBuilder, axpy, kernel_combos
+from quiverlab.linalg import Mat, SpanBuilder, axpy, block_upper, kernel_combos
+from quiverlab.modules import ModuleRep, check_relations, element_matrix
 from quiverlab.quivers import Arrow, Path, Quiver
 
 _ZERO = Fraction(0)
@@ -815,3 +816,63 @@ def reference_corner_presentation(corner: CornerGenerators,
         cutoff=cutoff,
         completeness=f"truncated-at-{cutoff}",
     )
+
+
+# -- extensions: one whole block module per unknown ---------------------------
+
+
+def reference_random_extension(sub: ModuleRep, quot: ModuleRep,
+                               relations: Iterable[AlgebraElement], rng,
+                               coef_bound: int = 3) -> ModuleRep:
+    """A seeded-random block-triangular extension of quot by sub.
+
+    With both diagonal blocks satisfying the relations, the residuals are
+    linear in the off-diagonal blocks; the off-diagonal data is drawn as a
+    random integer combination of an exact kernel basis of that linear
+    system, so the result always satisfies the relations.
+    """
+    quiver = sub.quiver
+    if quiver != quot.quiver:
+        raise ValueError("blocks live over different quivers")
+    rels = list(relations)
+    if not check_relations(sub, rels)[0] or not check_relations(quot, rels)[0]:
+        raise ValueError("both blocks must satisfy the relations")
+
+    unknowns: list[tuple[str, int, int]] = []
+    for a in quiver.arrows:
+        for i in range(sub.dims[a.target]):
+            for j in range(quot.dims[a.source]):
+                unknowns.append((a.name, i, j))
+
+    def assemble(values: dict[tuple[str, int, int], Fraction]) -> ModuleRep:
+        mats = {}
+        for a in quiver.arrows:
+            x = [[values.get((a.name, i, j), _ZERO)
+                  for j in range(quot.dims[a.source])]
+                 for i in range(sub.dims[a.target])]
+            xm = Mat(sub.dims[a.target], quot.dims[a.source],
+                     tuple(tuple(row) for row in x))
+            mats[a.name] = block_upper(sub.matrices[a.name], xm,
+                                       quot.matrices[a.name])
+        return ModuleRep(quiver, sub.dims + quot.dims, mats)
+
+    # one sparse column per unknown: its residual entries, row-major per relation
+    columns = []
+    for u in unknowns:
+        e = assemble({u: Fraction(1)})
+        col = [x for rel in rels for row in element_matrix(e, rel).data for x in row]
+        columns.append({r: x for r, x in enumerate(col) if x})
+
+    values: dict[tuple[str, int, int], Fraction] = {}
+    for combo in kernel_combos(columns):
+        c = Fraction(rng.randint(-coef_bound, coef_bound))
+        if not c:
+            continue
+        for k, entry in combo.items():
+            u = unknowns[k]
+            values[u] = values.get(u, _ZERO) + c * entry
+    result = assemble(values)
+    ok, _ = check_relations(result, rels)
+    if not ok:
+        raise VerificationError("extension construction produced an invalid module")
+    return result

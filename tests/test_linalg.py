@@ -283,28 +283,43 @@ def test_mat_product_matches_reference_loops(ring, seed):
         assert [list(r) for r in got.data] == reference_dense_mul(zero, a, b, n)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_polynomial_mat_product_repeats_the_reference_operations(seed, monkeypatch):
-    # the same sums and products of the same operands, in the same order
-    calls = []
-    mul, add = Polynomial.__mul__, Polynomial.__add__
+def _cancelling_source(rng):
+    """(zero, draw) with entries of ±1 on four monomials: term products collide and cancel."""
+    ring = PolyRing(["x", "y"])
+    monomials = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
-    def logged(op, fn):
-        def wrapper(x, y):
-            calls.append((op, tuple(x.terms.items()), tuple(y.terms.items())))
-            return fn(x, y)
-        return wrapper
-    monkeypatch.setattr(Polynomial, "__mul__", logged("*", mul))
-    monkeypatch.setattr(Polynomial, "__add__", logged("+", add))
+    def draw():
+        return Polynomial(ring, {e: F(rng.choice([-1, 1]))
+                                 for e in rng.sample(monomials, rng.randint(1, 3))})
+    return ring.zero(), draw
+
+
+@pytest.mark.parametrize("cancelling", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_polynomial_mat_product_sums_in_one_dict(seed, cancelling, monkeypatch):
     rng = random.Random(100 + seed)
-    zero, draw = _entry_source(rng, "polynomial")
-    for m, k, n, a, b in _product_cases(rng, zero, draw):
-        calls.clear()
-        reference_pm_mul(zero, a, b, n)
-        want = list(calls)
-        calls.clear()
-        _mat(m, k, a, zero) * _mat(k, n, b, zero)
-        assert calls == want
+    zero, draw = _cancelling_source(rng) if cancelling else _entry_source(rng, "polynomial")
+    cases = list(_product_cases(rng, zero, draw))
+    if cancelling:
+        x, y = zero.ring.variable("x"), zero.ring.variable("y")
+        cases.append((1, 2, 1, [[x, y]], [[y], [-x]]))        # xy - yx = 0
+    transposes = [_sparse_rows(rng, k, m, zero, draw) for m, k, _, _, _ in cases]
+    # the reference sums with Polynomial.__add__, so it runs before the patch
+    want = [reference_pm_mul(zero, a, b, n) for _, _, n, a, b in cases]
+    want_traces = [sum((row[i] for i, row in enumerate(reference_pm_mul(zero, a, bt, m))), zero)
+                   for (m, _, _, a, _), bt in zip(cases, transposes)]
+
+    def no_add(x, y):
+        raise AssertionError("Polynomial.__add__ called")
+    monkeypatch.setattr(Polynomial, "__add__", no_add)
+    for (m, k, n, a, b), bt, rows, trace in zip(cases, transposes, want, want_traces):
+        got = _mat(m, k, a, zero) * _mat(k, n, b, zero)
+        assert [list(r) for r in got.data] == rows
+        assert [[x.text() for x in r] for r in got.data] == [[x.text() for x in r] for r in rows]
+        got_trace = _mat(m, k, a, zero).trace_of_product(_mat(k, m, bt, zero))
+        assert got_trace == trace and got_trace.text() == trace.text()
+    if cancelling:
+        assert got.is_zero() and rows == [[zero]]
 
 
 def test_polynomial_mat_sum_scale_and_trace():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from quiverlab.algebra import framed_affine_preprojective, preprojective_relations
+from quiverlab.algebra import (AlgebraElement, RelationSet, framed_affine_preprojective,
+                               preprojective_relations)
 from quiverlab.errors import VerificationError
 from quiverlab.linalg import Mat
 from quiverlab.modules import (
@@ -36,6 +37,7 @@ from quiverlab.quivers import (
 from quiverlab.repscheme import RepCoordinates, invariant_generators, variable_name
 
 from conftest import FIXTURES, framing_loop_quiver, two_loop_quiver
+from oracles import reference_random_extension
 
 
 def load_fixture_module(quiver, name):
@@ -238,6 +240,8 @@ def test_random_extension_guards():
 
 
 def _int_mat(rng, rows, cols, bound=2):
+    if not rows:
+        return Mat.zero(0, cols)
     return Mat.from_rows([[rng.randint(-bound, bound) for _ in range(cols)]
                           for _ in range(rows)])
 
@@ -291,6 +295,77 @@ def test_random_extension_pinned_values(kind, seed, blocks):
         rows, cols = sub.dims[a.target], sub.dims[a.source]
         got[a.name] = [[str(x) for x in row[cols:]] for row in ext.matrices[a.name].data[:rows]]
     assert got == blocks
+
+
+def _extension_matches_the_reference(sub, quot, rels, rng):
+    """random_extension against the per-unknown reference, from one generator state."""
+    state = rng.getstate()
+    got = random_extension(sub, quot, rels, rng)
+    ref_rng = random.Random()
+    ref_rng.setstate(state)
+    assert got == reference_random_extension(sub, quot, rels, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+    return got
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_extension_matches_the_reference_on_criterion_08_blocks(seed):
+    a2 = build_doubled_dynkin("A", 2)
+    rng = random.Random(4000 + seed)
+    _extension_matches_the_reference(*_a2_blocks(rng, a2), preprojective_relations(a2), rng)
+    framed, rels = framed_affine_preprojective("A", 1)
+    rng = random.Random(5000 + seed)
+    _extension_matches_the_reference(*_framed_a1_blocks(rng, framed), rels, rng)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_extension_matches_the_reference_through_zero_dimensions(seed):
+    quiver = build_doubled_dynkin("A", 2)
+    rels = preprojective_relations(quiver)
+    rng = random.Random(600 + seed)
+    ds = {"1": rng.randint(0, 2), "2": rng.randint(0, 2)}
+    dq = {"1": rng.randint(0, 2), "2": rng.randint(0, 2)}
+    ds[rng.choice(["1", "2"])] = 0
+    sub = ModuleRep(quiver, ds, {"a": Mat.zero(ds["2"], ds["1"]),
+                                 "a*": _int_mat(rng, ds["1"], ds["2"])})
+    quot = ModuleRep(quiver, dq, {"a": _int_mat(rng, dq["2"], dq["1"]),
+                                  "a*": Mat.zero(dq["1"], dq["2"])})
+    ext = _extension_matches_the_reference(sub, quot, rels, rng)
+    # an extension is a block again, with nonzero off-diagonal data
+    _extension_matches_the_reference(ext, quot, rels, rng)
+
+
+def _layered_module(rng, quiver, dims, layers):
+    """Each basis vector gets a layer below ``layers`` and arrows only raise
+    layers, so every path of length ``layers`` or more acts as zero."""
+    level = {v: [rng.randrange(layers) for _ in range(dims[v])] for v in quiver.vertices}
+    return ModuleRep(quiver, dims, {a.name: Mat.from_rows(
+        [[rng.randint(-2, 2) if level[a.target][i] > level[a.source][j] else 0
+          for j in range(dims[a.source])] for i in range(dims[a.target])])
+        if dims[a.target] else Mat.zero(0, dims[a.source]) for a in quiver.arrows})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_extension_matches_the_reference_on_long_relations(seed):
+    # relations of lengths 3 and 4 put nonzero path matrices on both sides of X
+    quiver = Quiver(["0", "1"], [Arrow("a", "0", "1"), Arrow("b", "1", "0"),
+                                 Arrow("x", "0", "0")])
+
+    def rel(*terms):
+        return AlgebraElement(quiver, {Path(quiver, base, arrows): c
+                                       for base, arrows, c in terms})
+    rels = RelationSet(quiver, [
+        rel(("0", ("x", "a", "b"), 1), ("0", ("a", "b", "x"), 2), ("0", ("x", "x", "x"), -1)),
+        rel(("1", ("b", "x", "x", "a"), 1), ("1", ("b", "a", "b", "a"), 3)),
+    ])
+    rng = random.Random(700 + seed)
+    blocks = []
+    while not any(not path_matrix(m, p).is_zero() for m in blocks
+                  for p in (Path(quiver, "0", ("x", "a")), Path(quiver, "1", ("b", "x")))):
+        blocks = [_layered_module(rng, quiver, {"0": rng.randint(1, 3), "1": rng.randint(0, 2)},
+                                  3) for _ in range(2)]
+    assert all(check_relations(m, rels)[0] for m in blocks)
+    _extension_matches_the_reference(*blocks, rels, rng)
 
 
 # -- induction -----------------------------------------------------------------
