@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="largest power to test")
     sp["nilwitness"].add_argument("--seed", type=int, default=0)
     sp["nilwitness"].add_argument("--trials", type=int, default=200,
-                                  help="random combinations per degree")
+                                  help="random combinations tried in the last search phase")
     sp["nilwitness"].add_argument("--max-ops", type=int, default=None,
                                   help="abort after this many reduction steps")
 

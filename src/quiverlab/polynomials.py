@@ -55,6 +55,12 @@ class PolyRing:
             return (sum(exps), tuple(-e for e in reversed(exps)))
         return exps
 
+    def heap_key(self, exps: tuple[int, ...]):
+        """Min-heap key; the monomial order's largest element minimizes it."""
+        if self.order == "degrevlex":
+            return (-sum(exps), exps[::-1])
+        return tuple(map(operator.neg, exps))
+
     def zero(self) -> "Polynomial":
         return Polynomial._raw(self, {})
 
@@ -391,6 +397,11 @@ def _divides(a: tuple, b: tuple) -> bool:
     return all(map(operator.le, a, b))
 
 
+def _support(exps: tuple) -> int:
+    """Bitmask of the variables a monomial uses; a divisor's mask is a subset."""
+    return int.from_bytes(bytes(map(bool, exps)), "big")
+
+
 def _mono_sub(a: tuple, b: tuple) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -399,31 +410,46 @@ def _mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _reduce(f: Polynomial, leads: Sequence[tuple[tuple, Polynomial]]) -> Polynomial:
+def _reduce(f: Polynomial, leads: Sequence[tuple[tuple, Polynomial]],
+            masks: Sequence[int]) -> Polynomial:
     """Full multivariate division remainder of f by the listed polynomials.
 
-    ``leads`` pairs each divisor with its leading exponents; the first
-    divisor in list order whose lead divides a term cancels it.
+    ``leads`` pairs each divisor with its leading exponents, ``masks`` holds
+    their ``_support``s; the first divisor in list order whose lead divides
+    a term cancels it.  A term enters the heap when it enters ``work``, and
+    an entry whose term has cancelled since is skipped.  A popped term never
+    returns, since all a reducer adds lies below the term it cancels.
     """
     ring = f.ring
+    heap_key = ring.heap_key
+    push, pop = heapq.heappush, heapq.heappop
+    add = operator.add
     work = dict(f.terms)
+    heap = [(heap_key(e), e) for e in work]
+    heapq.heapify(heap)
     out: dict[tuple, Fraction] = {}
-    while work:
-        exps = max(work, key=ring.key)
-        coef = work.pop(exps)
-        for le, g in leads:
-            if _divides(le, exps):
+    while heap:
+        exps = pop(heap)[1]
+        coef = work.pop(exps, None)
+        if coef is None:
+            continue
+        support = _support(exps)
+        for mask, (le, g) in zip(masks, leads):
+            if mask & support == mask and _divides(le, exps):
                 shift = _mono_sub(exps, le)
                 factor = coef / g.terms[le]
                 for e2, c2 in g.terms.items():
                     if e2 == le:
                         continue
-                    e = tuple(map(operator.add, e2, shift))
-                    v = work.get(e, _ZERO) - factor * c2
-                    if v:
+                    e = tuple(map(add, e2, shift))
+                    v = work.get(e)
+                    if v is None:
+                        work[e] = -factor * c2
+                        push(heap, (heap_key(e), e))
+                    elif v := v - factor * c2:
                         work[e] = v
                     else:
-                        work.pop(e, None)
+                        del work[e]
                 break
         else:
             out[exps] = coef
@@ -439,10 +465,13 @@ class GroebnerBasis:
     # (leading exponents, polynomial) per member, computed once
     leads: tuple[tuple[tuple, Polynomial], ...] = field(
         init=False, repr=False, compare=False)
+    # _support of each lead, in the same order
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "leads",
-                           tuple((g.lead_exps(), g) for g in self.polys))
+        leads = tuple((g.lead_exps(), g) for g in self.polys)
+        object.__setattr__(self, "leads", leads)
+        object.__setattr__(self, "_masks", tuple(_support(le) for le, _ in leads))
 
     def __iter__(self):
         return iter(self.polys)
@@ -453,7 +482,7 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        return _reduce(f, self.leads)
+        return _reduce(f, self.leads, self._masks)
 
     def ideal_member(self, f: Polynomial) -> tuple[bool, Polynomial]:
         nf = self.normal_form(f)
@@ -461,7 +490,9 @@ class GroebnerBasis:
 
     def is_standard(self, exps: tuple) -> bool:
         """True when the monomial avoids every leading term."""
-        return not any(_divides(le, exps) for le, _ in self.leads)
+        support = _support(exps)
+        return not any(mask & support == mask and _divides(le, exps)
+                       for mask, (le, _) in zip(self._masks, self.leads))
 
     def texts(self) -> list[str]:
         return [g.text() for g in self.polys]
@@ -476,6 +507,8 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
     ideal (no nonzero generators) is allowed when ``ring`` says where it
     lives.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, not {max_steps}")
     gens = [g for g in generators if g]
     if not gens:
         if ring is None:
@@ -487,6 +520,7 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
         raise ValueError("generators from different rings")
 
     basis: list[tuple[tuple, Polynomial]] = []   # (lead exps, monic member)
+    masks: list[int] = []                        # _support of each lead
     pairs: list[tuple] = []
 
     def push(f: Polynomial) -> None:
@@ -494,6 +528,7 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
         lt = f.lead_exps()
         t = len(basis)
         basis.append((lt, f))
+        masks.append(_support(lt))
         for i in range(t):
             li = basis[i][0]
             if all(min(a, b) == 0 for a, b in zip(li, lt)):
@@ -502,7 +537,7 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
             heapq.heappush(pairs, (sum(lcm), i, t))
 
     for g in gens:
-        r = _reduce(g, basis)
+        r = _reduce(g, basis, masks)
         if r:
             push(r)
 
@@ -517,13 +552,13 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
         a = Polynomial._raw(ring, {_mono_sub(lcm, li): _ONE})
         b = Polynomial._raw(ring, {_mono_sub(lcm, lj): _ONE})
         s = a * fi - b * fj
-        r = _reduce(s, basis)
+        r = _reduce(s, basis, masks)
         if r:
             push(r)
 
     # minimalize: drop members whose lead another member's lead divides
-    keep: list[tuple[tuple, Polynomial]] = []
-    for i, (lt, g) in enumerate(basis):
+    keep: list[int] = []
+    for i, (lt, _) in enumerate(basis):
         redundant = False
         for j, (lh, _) in enumerate(basis):
             if i == j:
@@ -532,11 +567,13 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
                 redundant = True
                 break
         if not redundant:
-            keep.append((lt, g))
+            keep.append(i)
     reduced = []
-    for i, (_, g) in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = _reduce(g, others) if others else g
+    for i in keep:
+        g = basis[i][1]
+        others = [j for j in keep if j != i]
+        r = (_reduce(g, [basis[j] for j in others], [masks[j] for j in others])
+             if others else g)
         if r:
             reduced.append(r.monic())
     reduced.sort(key=lambda g: g.ring.key(g.lead_exps()))
@@ -617,6 +654,8 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
     """
     if max_deg < 1 or max_pow < 2:
         raise ValueError("need max_deg >= 1 and max_pow >= 2")
+    if trials < 0 or (max_ops is not None and max_ops < 0):
+        raise ValueError("trials and max_ops must be nonnegative")
     ops = 0
 
     def charge() -> None:

@@ -6,6 +6,7 @@ algebra machinery, so agreement is meaningful.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -13,9 +14,10 @@ from typing import Iterable, Sequence
 from quiverlab.algebra import AlgebraElement, GradedBasis, restrict_to_vertices
 from quiverlab.corner import (BimoduleGenerators, CornerGenerator,
                               CornerGenerators, CornerPresentation, _h_block)
-from quiverlab.errors import VerificationError
+from quiverlab.errors import BudgetExceeded, VerificationError
 from quiverlab.linalg import Mat, SpanBuilder, axpy, block_upper, kernel_combos
 from quiverlab.modules import ModuleRep, check_relations, element_matrix
+from quiverlab.polynomials import GroebnerBasis, Polynomial
 from quiverlab.quivers import Arrow, Path, Quiver
 
 _ZERO = Fraction(0)
@@ -125,6 +127,92 @@ def reference_reduce(f, basis) -> dict:
         else:
             out[exps] = coef
     return out
+
+
+def reference_buchberger(generators, max_steps: int = 50_000, ring=None):
+    """Reduced Gröbner basis by the plain loop, reducing with reference_reduce.
+
+    ``polynomials.buchberger`` as it stood before its reductions moved onto
+    a heap-ordered work list and lead support masks; the bases must agree
+    exactly, member for member.
+    """
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def mono_sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def mono_lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def reduce(f, basis):
+        return Polynomial(f.ring, reference_reduce(f, [g for _, g in basis]))
+
+    gens = [g for g in generators if g]
+    if not gens:
+        if ring is None:
+            raise ValueError("no nonzero generators and no ring given")
+        return GroebnerBasis(ring, ())
+    if ring is None:
+        ring = gens[0].ring
+    if any(g.ring != ring for g in gens):
+        raise ValueError("generators from different rings")
+
+    basis = []   # (lead exps, monic member)
+    pairs = []
+
+    def push(f):
+        f = f.monic()
+        lt = f.lead_exps()
+        t = len(basis)
+        basis.append((lt, f))
+        for i in range(t):
+            li = basis[i][0]
+            if all(min(a, b) == 0 for a, b in zip(li, lt)):
+                continue   # coprime leads never yield a new element
+            lcm = mono_lcm(li, lt)
+            heapq.heappush(pairs, (sum(lcm), i, t))
+
+    for g in gens:
+        r = reduce(g, basis)
+        if r:
+            push(r)
+
+    steps = 0
+    while pairs:
+        steps += 1
+        if steps > max_steps:
+            raise BudgetExceeded(f"Gröbner computation exceeded {max_steps} steps")
+        _, i, j = heapq.heappop(pairs)
+        (li, fi), (lj, fj) = basis[i], basis[j]
+        lcm = mono_lcm(li, lj)
+        a = Polynomial(ring, {mono_sub(lcm, li): 1})
+        b = Polynomial(ring, {mono_sub(lcm, lj): 1})
+        s = a * fi - b * fj
+        r = reduce(s, basis)
+        if r:
+            push(r)
+
+    # minimalize: drop members whose lead another member's lead divides
+    keep = []
+    for i, (lt, g) in enumerate(basis):
+        redundant = False
+        for j, (lh, _) in enumerate(basis):
+            if i == j:
+                continue
+            if divides(lh, lt) and (lh != lt or j < i):
+                redundant = True
+                break
+        if not redundant:
+            keep.append((lt, g))
+    reduced = []
+    for i, (_, g) in enumerate(keep):
+        others = keep[:i] + keep[i + 1:]
+        r = reduce(g, others) if others else g
+        if r:
+            reduced.append(r.monic())
+    reduced.sort(key=lambda g: g.ring.key(g.lead_exps()))
+    return GroebnerBasis(ring, tuple(reduced))
 
 
 # -- sparse elimination: the three engines as they stood before the merge ----

@@ -284,6 +284,34 @@ def test_exit_code_budget(capsys, tmp_path):
                  "--max-deg", "2", "--max-pow", "2", "--max-ops", "1"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["groebner", "--max-steps", "-3"],
+    ["nilwitness", "--max-steps", "-1", "--max-deg", "2", "--max-pow", "2"],
+    ["nilwitness", "--max-ops", "-5", "--max-deg", "2", "--max-pow", "2"],
+    ["nilwitness", "--trials", "-1", "--max-deg", "2", "--max-pow", "2"],
+])
+def test_negative_budget_is_malformed_input(capsys, tmp_path, argv):
+    ideal_file = tmp_path / "sq.json"
+    ideal_file.write_text(json.dumps({"variables": ["x", "y"],
+                                      "generators": ["x^2*y"]}))
+    assert main([argv[0], "--in", str(ideal_file), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be nonnegative" in err
+
+
+def test_zero_budgets_are_legal(capsys, tmp_path):
+    ideal_file = tmp_path / "sq.json"
+    ideal_file.write_text(json.dumps({"variables": ["x", "y"],
+                                      "generators": ["x^2*y"]}))
+    data = run_json(capsys, "groebner", "--in", str(ideal_file), "--max-steps", "0")
+    assert data["basis"] == ["x^2*y"]
+    data = run_json(capsys, "nilwitness", "--in", str(ideal_file), "--max-steps", "0",
+                    "--trials", "0", "--max-deg", "2", "--max-pow", "2")
+    assert data["witness"] == {"element": "x*y", "power": 2}
+    assert main(["nilwitness", "--in", str(ideal_file), "--max-ops", "0",
+                 "--max-deg", "2", "--max-pow", "2"]) == 3
+
+
 def test_closed_pipe_exits_1_without_a_message(capsys, monkeypatch, tmp_path):
     """A reader that closes stdout early (``quiverlab ... | head``) gets no
     ``error:`` line, and stdout's descriptor is pointed at devnull so the

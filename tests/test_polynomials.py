@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, Gröbner bases, nilpotent witness search."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -11,8 +12,10 @@ from pathlib import Path
 import pytest
 
 from quiverlab import polynomials
+from quiverlab.algebra import framed_affine_preprojective
 from quiverlab.errors import BudgetExceeded
 from quiverlab.polynomials import (
+    ORDERS,
     GroebnerBasis,
     PolyRing,
     Polynomial,
@@ -21,8 +24,11 @@ from quiverlab.polynomials import (
     nilpotent_witness_search,
     standard_monomials,
 )
+from quiverlab.quivers import DimensionVector
+from quiverlab.repscheme import RepCoordinates, rep_ideal
 
-from oracles import reference_nullspace, reference_reduce, reference_substitute
+from oracles import (reference_buchberger, reference_nullspace, reference_reduce,
+                     reference_substitute)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -33,6 +39,11 @@ R_IDEALS = [
     ["x*y - z^2"],
     ["x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y"],
 ]
+
+# ten variables, so lead support masks span several bytes; its reduced basis
+# has 44 members under degrevlex and reaches v9^450 under lex
+WIDE = [f"v{i}" for i in range(10)]
+WIDE_IDEAL = [f"v{i}^2 - v{i + 1}" for i in range(9)] + ["v0*v9 - v5^2"]
 
 
 @pytest.fixture
@@ -110,6 +121,17 @@ def test_buchberger_guards(R):
     with pytest.raises(BudgetExceeded):
         buchberger([R.parse("x^3 - y*z"), R.parse("y^2 - x*z"), R.parse("z^2 - x^2*y")],
                    max_steps=1)
+
+
+def test_buchberger_rejects_a_negative_budget(R):
+    # no S-pair arises for a single generator, so only the check can refuse
+    with pytest.raises(ValueError, match="max_steps must be nonnegative"):
+        buchberger([R.parse("x - y")], max_steps=-1)
+    with pytest.raises(ValueError, match="max_steps must be nonnegative"):
+        buchberger([], max_steps=-1, ring=R)
+    assert buchberger([R.parse("x - y")], max_steps=0).texts() == ["x - y"]
+    with pytest.raises(BudgetExceeded):
+        buchberger([R.parse("x^2 - 1"), R.parse("x*y - 1")], max_steps=0)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -198,6 +220,19 @@ def test_witness_guards():
         nilpotent_witness_search(gb, 2, 1)
     with pytest.raises(BudgetExceeded):
         nilpotent_witness_search(gb, 3, 3, max_ops=2)
+
+
+def test_witness_search_rejects_negative_budgets():
+    L = PolyRing(["x", "y"])
+    gb = buchberger([L.parse("x^2*y")])
+    for budget in ({"max_ops": -1}, {"trials": -1}, {"max_ops": -5, "trials": 3}):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            nilpotent_witness_search(gb, 2, 2, **budget)
+    # zero is a budget: no reduction at all, or no random trial
+    with pytest.raises(BudgetExceeded):
+        nilpotent_witness_search(gb, 2, 2, max_ops=0)
+    assert nilpotent_witness_search(buchberger([L.parse("x^2 - y^2")]), 2, 3,
+                                    trials=0) is None
 
 
 def test_d4_groebner_shape(d4_groebner):
@@ -310,16 +345,77 @@ def _r_bases(R):
     return [buchberger([R.parse(t) for t in texts]) for texts in R_IDEALS]
 
 
+def _test_bases(R, d4_groebner):
+    """R_IDEALS in both orders, WIDE_IDEAL in both orders, and D4."""
+    L = PolyRing(R.variables, order="lex")
+    bases = _r_bases(R) + _r_bases(L)
+    for order in ORDERS:
+        W = PolyRing(WIDE, order=order)
+        bases.append(buchberger([W.parse(t) for t in WIDE_IDEAL]))
+    return bases + [d4_groebner]
+
+
 def test_normal_form_matches_reference_division(R, d4_groebner):
     rng = random.Random(11)
-    for gb in _r_bases(R):
+    bases = _test_bases(R, d4_groebner)
+    assert {gb.ring.order for gb in bases} == set(ORDERS)
+    assert max(gb.ring.nvars for gb in bases) > 8
+    for gb in bases[:-1]:
         for _ in range(25):
-            f = _random_poly(R, rng, max_exp=3)
+            f = _random_poly(gb.ring, rng, max_exp=3)
             assert gb.normal_form(f).terms == reference_reduce(f, gb.polys)
     ring = d4_groebner.ring
     for _ in range(40):
         f = _random_poly(ring, rng) * _random_poly(ring, rng, terms=2)
         assert d4_groebner.normal_form(f).terms == reference_reduce(f, d4_groebner.polys)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_normal_form_survives_a_cancelled_and_recreated_term(order):
+    # x^2 > y^2 > z^2 in both orders.  Reducing x^2 cancels the waiting z^2;
+    # reducing y^2 then creates z^2 again, while the cancelled entry is still
+    # queued.  In the second case z^2 is cancelled and never comes back.
+    R = PolyRing(["x", "y", "z"], order=order)
+    gb = buchberger([R.parse("x^2 - z^2"), R.parse("y^2 - z^2")])
+    assert gb.texts() == ["y^2 - z^2", "x^2 - z^2"]
+    cases = {"x^2 + y^2 - z^2": "z^2", "x^2 - z^2": "0",
+             "x^2*y^2 - z^4 + y^2*z^2": "z^4"}
+    for text, want in cases.items():
+        f = R.parse(text)
+        nf = gb.normal_form(f)
+        assert nf.terms == reference_reduce(f, gb.polys)
+        assert nf.text() == want
+
+
+def test_buchberger_matches_the_reference_loop(R, d4_rep_ideal, d4_groebner):
+    L = PolyRing(R.variables, order="lex")
+    cases = [[ring.parse(t) for t in texts] for ring in (R, L) for texts in R_IDEALS]
+    cases += [[PolyRing(WIDE, order=order).parse(t) for t in WIDE_IDEAL]
+              for order in ORDERS]
+    for gens in cases:
+        gb, want = buchberger(gens), reference_buchberger(gens)
+        assert gb.texts() == want.texts() and gb == want
+    _, ideal = d4_rep_ideal
+    want = reference_buchberger(ideal.nonzero_generators())
+    assert len(want) == 22 and d4_groebner.texts() == want.texts()
+    # framed affine A1 at (∞, 0, 1) = (1, 2, 2): 18 variables
+    quiver, rels = framed_affine_preprojective("A", 1)
+    coords = RepCoordinates(quiver, DimensionVector({"∞": 1, "0": 2, "1": 2}))
+    gens = rep_ideal(coords, rels).nonzero_generators()
+    gb = buchberger(gens)
+    assert coords.ring.nvars == 18 and len(gb) == 20
+    assert gb.texts() == reference_buchberger(gens).texts()
+
+
+def test_is_standard_matches_brute_force(R, d4_groebner):
+    for gb in _test_bases(R, d4_groebner):
+        n = gb.ring.nvars
+        leads = [g.lead_exps() for g in gb]
+        for d in range(5):
+            for combo in itertools.combinations_with_replacement(range(n), d):
+                exps = tuple(combo.count(i) for i in range(n))
+                brute = not any(all(a <= b for a, b in zip(le, exps)) for le in leads)
+                assert gb.is_standard(exps) == brute
 
 
 def test_groebner_basis_equality_ignores_cached_leads(R):
