@@ -293,9 +293,8 @@ class GradedBasis:
         self.quiver = quiver
         self.relations = relations
         self.cutoff = cutoff
-        self._by_key: list[dict[tuple, Path]] = []
-        self._std: list[list[Path]] = []
-        self._spans: list[SpanBuilder] = []
+        self._std: list[dict[tuple, Path]] = []
+        self._pivots: list[dict[tuple, dict[tuple, Fraction]]] = []
         self.finite_dimensional = False
         self.top_degree: int | None = None
         self._build()
@@ -304,16 +303,19 @@ class GradedBasis:
 
     def _build(self) -> None:
         quiver = self.quiver
-        for d in range(self.cutoff + 1):
-            if d == 0:
-                cands = [Path.idempotent(quiver, v) for v in quiver.vertices]
-            else:
-                # standard lists are key-sorted, so this enumeration is too
-                cands = [p.extend(a) for p in self._std[d - 1]
-                         for a in quiver.arrows_from(p.target)]
-            self._by_key.append({p.key: p for p in cands})
+        outgoing = {v: [(a, quiver.arrow_index(a.name)) for a in quiver.arrows_from(v)]
+                    for v in quiver.vertices}
+        # relations have positive degree, so every idempotent is standard
+        self._std.append({(i,): Path.idempotent(quiver, v)
+                          for i, v in enumerate(quiver.vertices)})
+        self._pivots.append({})
+        for d in range(1, self.cutoff + 1):
+            # candidates stay keys, a standard key plus one arrow index, until
+            # elimination has picked the leads; only the rest become Paths.
+            # The standard tables are key-ordered, so this enumeration is too.
+            cands = [(key + (ai,), p, a) for key, p in self._std[d - 1].items()
+                     for a, ai in outgoing[p.target]]
             span = SpanBuilder()
-            self._spans.append(span)
             for row in self._relation_rows(d):
                 span.add(row)
             pivots = span.pivots
@@ -326,8 +328,8 @@ class GradedBasis:
                     if t in pivots:
                         axpy(out, c, pivots[t])
                 pivots[lead] = out
-            std = [p for p in cands if p.key not in pivots]
-            self._std.append(std)
+            self._pivots.append(pivots)
+            self._std.append({key: p.extend(a) for key, p, a in cands if key not in pivots})
         if not all(self._std):
             self.finite_dimensional = True
             self.top_degree = max((d for d, std in enumerate(self._std) if std),
@@ -340,12 +342,12 @@ class GradedBasis:
                 continue
             source = rel.source
             terms = [(c, p.key[1:]) for p, c in rel.terms.items()]
-            for s in self._std[d - e]:   # s acts first
+            for s_key, s in self._std[d - e].items():   # s acts first
                 if s.target != source:
                     continue
                 row: dict[tuple, Fraction] = {}
                 for c, arrows in terms:
-                    for m, cm in self.extend({s.key: _ONE}, arrows[:-1]).items():
+                    for m, cm in self.extend({s_key: _ONE}, arrows[:-1]).items():
                         key = m + (arrows[-1],)
                         v = row.get(key, _ZERO) + c * cm
                         if v:
@@ -368,7 +370,7 @@ class GradedBasis:
 
     def basis(self, d: int) -> list[Path]:
         self._check_degree(d)
-        return list(self._std[d])
+        return list(self._std[d].values())
 
     def _check_degree(self, d: int) -> None:
         if d < 0 or d > self.cutoff:
@@ -391,13 +393,13 @@ class GradedBasis:
         self._check_degree(d + len(arrows))
         for ai in arrows:
             d += 1
-            cands, pivots = self._by_key[d], self._spans[d].pivots
+            std, pivots = self._std[d], self._pivots[d]
             out: dict[tuple, Fraction] = {}
             for m, c in vec.items():
                 key = m + (ai,)
                 if key in pivots:
                     tail = pivots[key]
-                elif key in cands:
+                elif key in std:
                     tail = {key: _ONE}
                 else:
                     continue
@@ -418,14 +420,10 @@ class GradedBasis:
             raise ValueError("path over a different quiver")
         return self.extend({path.key[:1]: _ONE}, path.key[1:])
 
-    def path_at(self, key: tuple) -> Path:
-        """The candidate path with this key; every standard key is one."""
-        return self._by_key[len(key) - 1][key]
-
     def nf_path(self, path: Path) -> dict[Path, Fraction]:
         """Normal form of a single path as a basis-path combination."""
         coords = self.coords(path)
-        table = self._by_key[path.length]
+        table = self._std[path.length]
         return {table[k]: c for k, c in coords.items()}
 
     def reduce(self, x: AlgebraElement) -> AlgebraElement:
@@ -444,18 +442,13 @@ class GradedBasis:
         over ``basis(d)``; x lies in the ideal exactly when every vector is
         zero.
         """
-        reduced = self.reduce(x)
-        degrees = sorted({p.length for p in x.terms})
-        out = {}
-        for d in degrees:
-            basis = self.basis(d)
-            index = {p: i for i, p in enumerate(basis)}
-            vec = [Fraction(0)] * len(basis)
-            for p, c in reduced.terms.items():
-                if p.length == d:
-                    vec[index[p]] = c
-            out[d] = tuple(vec)
-        return out
+        if x.quiver != self.quiver:
+            raise ValueError("element over a different quiver")
+        vecs: dict[int, dict[tuple, Fraction]] = {}
+        for p, c in x.terms.items():
+            axpy(vecs.setdefault(p.length, {}), c, self.coords(p))
+        return {d: tuple(vecs[d].get(k, _ZERO) for k in self._std[d])
+                for d in sorted(vecs)}
 
     def __repr__(self) -> str:
         kind = "finite" if self.finite_dimensional else f"truncated@{self.cutoff}"

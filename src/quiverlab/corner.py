@@ -136,6 +136,8 @@ def corner_generators(basis: GradedBasis, verify_cutoff: int | None = None,
         verify_cutoff = basis.cutoff
     if not 0 <= verify_cutoff <= basis.cutoff:
         raise ValueError(f"verify_cutoff {verify_cutoff} is outside 0..{basis.cutoff}")
+    if safety_bound < 0:
+        raise ValueError(f"safety_bound must be nonnegative, not {safety_bound}")
 
     sub, subrels = restrict_to_vertices(quiver, basis.relations, quiver.k_vertices)
     interior = GradedBasis(sub, subrels, safety_bound)

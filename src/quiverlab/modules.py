@@ -284,6 +284,8 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
     its corner restriction with V_H — any failure raises VerificationError,
     and running out of degrees raises BudgetExceeded.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, not {budget}")
     corner = gens.corner
     basis = corner.basis
     quiver = basis.quiver

@@ -49,14 +49,8 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.variables)
 
-    def key(self, exps: tuple[int, ...]):
-        """Sort key; the monomial order's largest element maximizes it."""
-        if self.order == "degrevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        return exps
-
     def heap_key(self, exps: tuple[int, ...]):
-        """Min-heap key; the monomial order's largest element minimizes it."""
+        """The monomial order, reversed: its largest element has the least key."""
         if self.order == "degrevlex":
             return (-sum(exps), exps[::-1])
         return tuple(map(operator.neg, exps))
@@ -298,7 +292,7 @@ class Polynomial:
     def lead_exps(self) -> tuple:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=self.ring.key)
+        return min(self.terms, key=self.ring.heap_key)
 
     def lead_coeff(self) -> Fraction:
         return self.terms[self.lead_exps()]
@@ -365,8 +359,7 @@ class Polynomial:
     def text(self) -> str:
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda it: self.ring.key(it[0]),
-                       reverse=True)
+        items = sorted(self.terms.items(), key=lambda it: self.ring.heap_key(it[0]))
         rendered = []
         for exps, c in items:
             factors = []
@@ -576,7 +569,7 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
              if others else g)
         if r:
             reduced.append(r.monic())
-    reduced.sort(key=lambda g: g.ring.key(g.lead_exps()))
+    reduced.sort(key=lambda g: ring.heap_key(g.lead_exps()), reverse=True)
     return GroebnerBasis(ring, tuple(reduced))
 
 

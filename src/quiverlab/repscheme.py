@@ -191,7 +191,10 @@ def invariant_values(rep, gens: Iterable[InvariantGenerator]) -> list:
 
 def _cycles(quiver: Quiver, allowed: frozenset, bound: int) -> Iterable[Path]:
     """Rotation-canonical cycles within the allowed vertex set, length 1..bound."""
-    # walks are (arrow names, current vertex); a Path is built only per cycle
+    # walks are (arrow names, current vertex); a Path is built only per cycle.
+    # Every walk on the stack is shorter than the bound, the empty one too.
+    if bound < 1:
+        return
     for base in quiver.vertices:
         if base not in allowed:
             continue
@@ -225,6 +228,9 @@ def invariant_generators(coords: RepCoordinates,
     bound, enumerating more than ``_MAX_CYCLES`` cycles raises
     BudgetExceeded before any trace is taken.
     """
+    for name, bound in (("cycle_bound", cycle_bound), ("path_bound", path_bound)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{name} must be nonnegative, not {bound}")
     quiver = coords.quiver
     gauged = frozenset(quiver.i_vertices)
     budget = None

@@ -6,6 +6,7 @@ algebra machinery, so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from fractions import Fraction
@@ -95,6 +96,13 @@ def rational_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _order_key(ring, exps: tuple):
+    """Sort key of the monomial order; its largest element maximizes it."""
+    if ring.order == "degrevlex":
+        return (sum(exps), tuple(-e for e in reversed(exps)))
+    return exps
+
+
 def reference_reduce(f, basis) -> dict:
     """Terms of the full division remainder of f by the listed polynomials.
 
@@ -103,7 +111,7 @@ def reference_reduce(f, basis) -> dict:
     remaining term cancels it.  Kept as the reference that cached-lead
     normal forms must match exactly.
     """
-    key = f.ring.key
+    key = functools.partial(_order_key, f.ring)
     work = dict(f.terms)
     out = {}
     leads = [(max(g.terms, key=key), g) for g in basis]
@@ -211,7 +219,7 @@ def reference_buchberger(generators, max_steps: int = 50_000, ring=None):
         r = reduce(g, others) if others else g
         if r:
             reduced.append(r.monic())
-    reduced.sort(key=lambda g: g.ring.key(g.lead_exps()))
+    reduced.sort(key=lambda g: max(_order_key(ring, e) for e in g.terms))
     return GroebnerBasis(ring, tuple(reduced))
 
 
@@ -647,7 +655,7 @@ def _reference_product_coords(basis: GradedBasis, gen_path: Path,
     """Normal-form coordinates of gen * (element with coordinates vec)."""
     out: dict = {}
     for key, c in vec.items():
-        p = basis.path_at(key)
+        p = next(b for b in basis.basis(len(key) - 1) if b.key == key)
         if p.target == gen_path.source:
             axpy(out, c, basis.coords(gen_path * p))
     return out

@@ -308,7 +308,6 @@ def test_graded_basis_matches_reference_elimination(seed, monkeypatch):
     rng = random.Random(seed)
     for d, paths in enumerate(walks):
         assert gb.basis(d) == ref.basis(d)
-        assert [gb.path_at(p.key) for p in gb.basis(d)] == gb.basis(d)
         for b, w in paths:
             p = Path(q, b, w)
             assert gb.nf_path(p) == ref.nf_path(p)
@@ -336,12 +335,13 @@ def test_pivot_tails_hold_only_standard_keys(case):
         # the candidates outside the standard basis are the pivot leads
         cands = ([Path.idempotent(q, v) for v in q.vertices] if d == 0 else
                  [p.extend(a) for p in gb.basis(d - 1) for a in q.arrows_from(p.target)])
-        for lead in (p.key for p in cands if p.key not in standard):
-            tail = gb.coords(gb.path_at(lead))
+        by_key = {p.key: p for p in cands}
+        for lead in (k for k in by_key if k not in standard):
+            tail = gb.coords(by_key[lead])
             assert set(tail) <= standard
             assert all(type(c) is Fraction and c for c in tail.values())
             x = {(p.base, p.arrows): c for p, c in
-                 [(gb.path_at(lead), 1)] + [(gb.path_at(k), -c) for k, c in tail.items()]}
+                 [(by_key[lead], 1)] + [(by_key[k], -c) for k, c in tail.items()]}
             assert oracle.in_ideal(x)
 
 
@@ -366,6 +366,39 @@ def test_normal_form_is_linear_and_multiplicative(framed_a1, seed):
     assert gb.reduce(gb.reduce(x)) == gb.reduce(x)
     assert gb.reduce(x * y) == gb.reduce(gb.reduce(x) * gb.reduce(y))
     assert normal_form(x, gb) == gb.normal_form(x)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_normal_form_reads_reduce_over_the_basis(seed):
+    """normal_form is the reduced element read as coordinates over basis(d)."""
+    rng = random.Random(seed)
+    q, rels = (framed_affine_preprojective("A", 1) if seed % 3 == 0
+               else random_quotient(rng))
+    gb = graded_basis(q, rels, 5)
+    for _ in range(4):
+        x = random_element(q, rng, terms=rng.randint(1, 5), max_len=5)
+        if rng.random() < 0.3:
+            # a degree whose terms cancel in the quotient keeps its zero vector
+            x = x + random_element(q, rng, terms=2, max_len=5) - gb.reduce(x)
+        reduced = gb.reduce(x)
+        expected = {d: tuple(reduced.terms.get(p, Fraction(0)) for p in gb.basis(d))
+                    for d in sorted({p.length for p in x.terms})}
+        assert gb.normal_form(x) == expected
+
+
+def test_build_constructs_a_path_only_per_basis_path(monkeypatch):
+    """Candidates that are pivot leads stay keys: one Path per basis path."""
+    q, rels = framed_affine_preprojective("A", 1)
+    built = []
+    post_init = Path.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Path, "__post_init__", counting)
+    gb = graded_basis(q, rels, 10)
+    assert len(built) == sum(gb.dimensions) == 188
 
 
 # -- cocenter ----------------------------------------------------------------

@@ -128,14 +128,18 @@ def test_check_module(capsys, tmp_path):
     assert data["valid"] is False
 
 
-def test_induce(capsys, tmp_path):
+def _corner_module_file(tmp_path):
     vh = tmp_path / "vh.json"
     vh.write_text(json.dumps({
         "dimension": {"∞": 1, "0": 1},
         "arrows": {"ι": [["1"]], "g1": [["0"]], "g2": [["0"]], "g3": [["0"]]},
     }))
+    return str(vh)
+
+
+def test_induce(capsys, tmp_path):
     data = run_json(capsys, "induce", "--in", FRAMED_A1, "--cutoff", "8",
-                    "--module", str(vh))
+                    "--module", _corner_module_file(tmp_path))
     assert data["dimension"] == {"∞": 1, "0": 1, "1": 2}
     assert data["arrows"]["ι"] == [["1"]]
 
@@ -310,6 +314,29 @@ def test_zero_budgets_are_legal(capsys, tmp_path):
     assert data["witness"] == {"element": "x*y", "power": 2}
     assert main(["nilwitness", "--in", str(ideal_file), "--max-ops", "0",
                  "--max-deg", "2", "--max-pow", "2"]) == 3
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["invariants", "--in", A2, "--cycle-bound", "-3"], "cycle_bound"),
+    (["invariants", "--in", A2, "--cycle-bound", "2", "--path-bound", "-1"], "path_bound"),
+    (["corner", "--in", FRAMED_A1, "--cutoff", "6", "--safety-bound", "-1"], "safety_bound"),
+    (["induce", "--in", FRAMED_A1, "--cutoff", "8", "--budget", "-1"], "budget"),
+])
+def test_negative_bound_is_malformed_input(capsys, tmp_path, argv, named):
+    if argv[0] == "induce":
+        argv = argv + ["--module", _corner_module_file(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{named} must be nonnegative" in err
+
+
+def test_cycle_bound_zero_gives_no_traces(capsys, tmp_path):
+    loop = tmp_path / "loop.quiver"
+    loop.write_text("vertex 0 K\narrow x: 0 -> 0\ndimension 0=2\n")
+    data = run_json(capsys, "invariants", "--in", str(loop), "--cycle-bound", "0")
+    assert data["generators"] == []
+    data = run_json(capsys, "invariants", "--in", str(loop), "--cycle-bound", "1")
+    assert [g["expr"] for g in data["generators"]] == ["tr(x)"]
 
 
 def test_closed_pipe_exits_1_without_a_message(capsys, monkeypatch, tmp_path):

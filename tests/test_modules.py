@@ -8,7 +8,7 @@ import pytest
 
 from quiverlab.algebra import (AlgebraElement, RelationSet, framed_affine_preprojective,
                                preprojective_relations)
-from quiverlab.errors import VerificationError
+from quiverlab.errors import BudgetExceeded, VerificationError
 from quiverlab.linalg import Mat
 from quiverlab.modules import (
     ModuleRep,
@@ -415,6 +415,16 @@ def test_induce_module_guards(framed_a1_corner):
     foreign = zero_module(q3, {"1": 1, "2": 1})
     with pytest.raises(ValueError):
         induce_module(foreign, pres, bimod)
+
+
+def test_induce_module_negative_budget_is_malformed(framed_a1_corner):
+    _, bimod, pres = framed_a1_corner
+    vh = corner_module(pres, [[1]], [[0]], [[0]], [[0]])
+    with pytest.raises(ValueError, match="budget must be nonnegative, not -1"):
+        induce_module(vh, pres, bimod, budget=-1)
+    # zero is a legal budget: too short a search, not malformed input
+    with pytest.raises(BudgetExceeded):
+        induce_module(vh, pres, bimod, budget=0)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -264,6 +264,25 @@ def test_explicit_cycle_bound_ignores_the_budget(monkeypatch):
     assert invariant_generators(small, cycle_bound=4) == unbudgeted
 
 
+def test_cycle_bound_zero_gives_no_traces():
+    small = RepCoordinates(two_loop_quiver(), DimensionVector({"0": 2}))
+    assert list(repscheme._cycles(small.quiver, frozenset({"0"}), 0)) == []
+    assert [g for g in invariant_generators(small, cycle_bound=0, path_bound=0)
+            if g.kind == "trace"] == []
+    # bound 1 still gives the loops
+    assert [g.describe() for g in invariant_generators(small, cycle_bound=1)
+            if g.kind == "trace"] == ["tr(x)", "tr(y)"]
+
+
+@pytest.mark.parametrize("bounds", [{"cycle_bound": -1}, {"cycle_bound": -3, "path_bound": 2},
+                                    {"cycle_bound": 2, "path_bound": -1}, {"path_bound": -2}])
+def test_negative_invariant_bounds_are_rejected(bounds):
+    small = RepCoordinates(two_loop_quiver(), DimensionVector({"0": 2}))
+    name = next(k for k, v in bounds.items() if v < 0)
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+        invariant_generators(small, **bounds)
+
+
 def test_product_split_check():
     from quiverlab.polynomials import PolyRing
     R = PolyRing(["x", "y", "z"])
