@@ -53,12 +53,7 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         out = dict(self.terms)
-        for p, c in other.terms.items():
-            v = out.get(p, _ZERO) + c
-            if v:
-                out[p] = v
-            else:
-                out.pop(p, None)
+        axpy(out, 1, other.terms)
         return AlgebraElement(self.quiver, out)
 
     def __neg__(self) -> "AlgebraElement":
@@ -75,15 +70,7 @@ class AlgebraElement:
         """Bilinear function-order product; non-composable path pairs vanish."""
         out: dict[Path, Fraction] = {}
         for p, cp in self.terms.items():
-            for q, cq in other.terms.items():
-                if q.target != p.source:
-                    continue
-                r = p * q
-                v = out.get(r, _ZERO) + cp * cq
-                if v:
-                    out[r] = v
-                else:
-                    out.pop(r, None)
+            axpy(out, cp, {p * q: cq for q, cq in other.terms.items() if q.target == p.source})
         return AlgebraElement(self.quiver, out)
 
     # -- homogeneity -------------------------------------------------------
@@ -341,19 +328,14 @@ class GradedBasis:
             if e > d:
                 continue
             source = rel.source
-            terms = [(c, p.key[1:]) for p, c in rel.terms.items()]
+            terms = [(c, p.key[1:-1], p.key[-1:]) for p, c in rel.terms.items()]
             for s_key, s in self._std[d - e].items():   # s acts first
                 if s.target != source:
                     continue
                 row: dict[tuple, Fraction] = {}
-                for c, arrows in terms:
-                    for m, cm in self.extend({s_key: _ONE}, arrows[:-1]).items():
-                        key = m + (arrows[-1],)
-                        v = row.get(key, _ZERO) + c * cm
-                        if v:
-                            row[key] = v
-                        else:
-                            row.pop(key, None)
+                for c, arrows, last in terms:
+                    axpy(row, c, {m + last: cm
+                                  for m, cm in self.extend({s_key: _ONE}, arrows).items()})
                 if row:
                     yield row
 

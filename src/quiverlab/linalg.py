@@ -11,9 +11,18 @@ _ZERO = Fraction(0)
 
 
 def axpy(dst: dict, c, src: dict) -> None:
-    """``dst += c * src`` in place on sparse vectors; cancelled entries are dropped."""
+    """``dst += c * src`` in place on sparse vectors; cancelled entries are dropped.
+
+    A ``c`` of 1 or -1 adds or subtracts with no product; a new entry is a
+    ``Fraction`` even when ``src`` holds ints.
+    """
+    if not c:
+        return
+    sub = c == -1
+    if not sub and c != 1:
+        src = {k: c * v for k, v in src.items()}
     for k, v in src.items():
-        v = dst.get(k, _ZERO) + c * v
+        v = dst.get(k, _ZERO) - v if sub else dst.get(k, _ZERO) + v
         if v:
             dst[k] = v
         else:
@@ -59,10 +68,18 @@ class SpanBuilder:
         return row
 
     def _store(self, row: dict) -> None:
-        """Record an eliminated nonzero row as the pivot of its largest key."""
+        """Record an eliminated nonzero row as the pivot of its largest key.
+
+        The row is taken over; a lead coefficient of 1 or -1 costs no division.
+        """
         lead = max(row)
-        ninv = -1 / row.pop(lead)
-        self.pivots[lead] = {k: c * ninv for k, c in row.items()}
+        c = row.pop(lead)
+        if c == 1:
+            row = {k: -v for k, v in row.items()}
+        elif c != -1:
+            ninv = -1 / c
+            row = {k: v * ninv for k, v in row.items()}
+        self.pivots[lead] = row
 
     def add(self, row: dict) -> bool:
         """Insert a vector; True when it enlarged the span."""

@@ -14,7 +14,7 @@ from .algebra import AlgebraElement
 from .corner import (BimoduleGenerators, CornerPresentation,
                      sufficient_dimension_bound)
 from .errors import BudgetExceeded, VerificationError
-from .linalg import Mat, SpanBuilder, block_diag, block_upper, kernel_combos
+from .linalg import Mat, SpanBuilder, axpy, block_diag, block_upper, kernel_combos
 from .quivers import DimensionVector, Quiver
 from .repscheme import (InvariantGenerator, RepCoordinates, element_matrix,
                         invariant_generators, invariant_values, path_matrix,
@@ -136,14 +136,7 @@ def restrict_corner(m: ModuleRep, pres: CornerPresentation) -> ModuleRep:
 def _matvec(mat: Mat, vec: dict) -> dict:
     out: dict[int, Fraction] = {}
     for j, c in vec.items():
-        for i in range(mat.rows):
-            x = mat.entry(i, j)
-            if x:
-                v = out.get(i, _ZERO) + c * x
-                if v:
-                    out[i] = v
-                else:
-                    out.pop(i, None)
+        axpy(out, c, {i: row[j] for i, row in enumerate(mat.data) if row[j]})
     return out
 
 

@@ -221,22 +221,15 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def _merge(self, other: "Polynomial", op) -> "Polynomial":
-        """``self op other`` for op = operator.add or operator.sub, in one pass."""
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = op(out.get(e, _ZERO), c)
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+        axpy(out, 1, other.terms)
         return Polynomial._raw(self.ring, out)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._merge(other, operator.add)
-
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._merge(other, operator.sub)
+        out = dict(self.terms)
+        axpy(out, -1, other.terms)
+        return Polynomial._raw(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(self.ring, {e: -c for e, c in self.terms.items()})
@@ -257,18 +250,21 @@ class Polynomial:
         """Σ x·y over the paired polynomials, in the ring of ``self``.
 
         Every term product goes into one dict, so no intermediate polynomial
-        is built; ``Mat`` products and traces over polynomials sum here.
+        is built; ``Mat`` products and traces over polynomials sum here.  A
+        left coefficient of 1 takes the right one as it is, with no product.
         """
         out: dict[tuple, Fraction] = {}
         add = operator.add
         for x, y in zip(xs, ys):
             for e1, c1 in x.terms.items():
+                unit = c1 == 1
                 for e2, c2 in y.terms.items():
                     e = tuple(map(add, e1, e2))
+                    c = c2 if unit else c1 * c2
                     v = out.get(e)
                     if v is None:
-                        out[e] = c1 * c2
-                    elif v := v + c1 * c2:
+                        out[e] = c
+                    elif v := v + c:
                         out[e] = v
                     else:
                         del out[e]
@@ -350,10 +346,7 @@ class Polynomial:
                     term = p if term is None else term * p
                     if not term:
                         break
-            if term is None:
-                axpy(out, c, one)
-            else:
-                axpy(out, c, term.terms)
+            axpy(out, c, one if term is None else term.terms)
         return Polynomial._raw(ring, out)
 
     def text(self) -> str:
@@ -657,12 +650,12 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
         if max_ops is not None and ops > max_ops:
             raise BudgetExceeded(f"witness search exceeded {max_ops} reductions")
 
-    def probe(f: Polynomial) -> NilpotentWitness | None:
+    def probe(f: Polynomial, standard: bool = False) -> NilpotentWitness | None:
+        # a standard monomial is its own normal form, but is charged the same
         charge()
-        nf = gb.normal_form(f)
-        if not nf:
+        power = f if standard else gb.normal_form(f)
+        if not power:
             return None
-        power = nf
         for k in range(2, max_pow + 1):
             charge()
             power = gb.normal_form(power * f)
@@ -676,7 +669,7 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
 
     monos = standard_monomials(gb, max_deg)
     for m in monos:
-        hit = probe(m)
+        hit = probe(m, standard=True)
         if hit is not None:
             return hit
 

@@ -180,11 +180,25 @@ class Path:
             self.quiver.arrow_index(a) for a in self.arrows
         )
 
+    @classmethod
+    def _raw(cls, quiver: Quiver, base: str, arrows: tuple[str, ...], target: str) -> "Path":
+        """Trusted constructor: ``arrows`` must already compose from ``base`` to ``target``.
+
+        No arrow is looked up again; the public ``Path(...)`` still validates.
+        """
+        p = object.__new__(cls)
+        # set as __init__ sets them, keeping the compact layout p.__dict__ loses
+        for name, value in (("quiver", quiver), ("base", base), ("arrows", arrows),
+                            ("target", target)):
+            object.__setattr__(p, name, value)
+        return p
+
     def extend(self, arrow: Arrow) -> "Path":
-        """Apply one more arrow after this path."""
-        if arrow.source != self.target:
+        """Apply one more arrow after this path; only that arrow is checked."""
+        a = self.quiver.arrow(arrow.name)
+        if arrow.source != self.target or a.source != self.target:
             raise ValueError("extension arrow does not start at the path target")
-        return Path(self.quiver, self.base, self.arrows + (arrow.name,))
+        return Path._raw(self.quiver, self.base, self.arrows + (a.name,), a.target)
 
     def __mul__(self, other: "Path") -> "Path":
         """Function-order composition: in p * q the path q acts first."""

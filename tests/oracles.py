@@ -466,6 +466,19 @@ class BruteForceQuotient:
         return self.ideal[d].contains(element)
 
 
+# -- sparse updates: axpy as it stood before unit coefficients skipped products
+
+
+def reference_axpy(dst: dict, c, src: dict) -> None:
+    """``dst += c * src`` in place on sparse vectors; cancelled entries are dropped."""
+    for k, v in src.items():
+        v = dst.get(k, _ZERO) + c * v
+        if v:
+            dst[k] = v
+        else:
+            dst.pop(k, None)
+
+
 # -- matrix products: the two loops as they stood before the merge -----------
 
 

@@ -303,6 +303,24 @@ def test_negative_budget_is_malformed_input(capsys, tmp_path, argv):
     assert err.startswith("error:") and "must be nonnegative" in err
 
 
+@pytest.mark.parametrize("generator,max_deg,max_pow,needed,witness", [
+    ("x^2*y", 2, 3, 11, {"element": "x*y", "power": 2}),   # hit in phase 1
+    ("x^2 - y^2", 2, 3, 618, None),                         # every phase runs out
+])
+def test_nilwitness_budget_cut_off(capsys, tmp_path, generator, max_deg, max_pow,
+                                   needed, witness):
+    # phase 1 takes standard monomials as their own normal forms but charges
+    # each one, so the search needs exactly as many reductions as when it
+    # reduced them
+    ideal_file = tmp_path / "ideal.json"
+    ideal_file.write_text(json.dumps({"variables": ["x", "y"], "generators": [generator]}))
+    argv = ["nilwitness", "--in", str(ideal_file), "--max-deg", str(max_deg),
+            "--max-pow", str(max_pow), "--max-ops"]
+    assert main(argv + [str(needed - 1)]) == 3
+    assert f"exceeded {needed - 1} reductions" in capsys.readouterr().err
+    assert run_json(capsys, *argv, str(needed))["witness"] == witness
+
+
 def test_zero_budgets_are_legal(capsys, tmp_path):
     ideal_file = tmp_path / "sq.json"
     ideal_file.write_text(json.dumps({"variables": ["x", "y"],

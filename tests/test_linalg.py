@@ -16,9 +16,10 @@ from quiverlab.linalg import (
 )
 
 from quiverlab.polynomials import Polynomial, PolyRing
-from quiverlab.quivers import delta
+from quiverlab.quivers import DimensionVector, build_doubled_dynkin, delta
+from quiverlab.repscheme import RepCoordinates
 
-from oracles import (ReferenceSpanBuilder, reference_dense_mul,
+from oracles import (ReferenceSpanBuilder, reference_axpy, reference_dense_mul,
                      reference_kernel_combos, reference_nullspace, reference_pm_mul,
                      reference_rref)
 
@@ -172,6 +173,29 @@ def test_axpy_drops_cancelled_entries():
     assert dst == {0: F(1), 2: F(-1)}
 
 
+@pytest.mark.parametrize("c", [F(1), F(-1), F(0), F(2, 3), 1, -1], ids=repr)
+@pytest.mark.parametrize("seed", range(4))
+def test_axpy_matches_the_loop_with_products(seed, c):
+    rng = random.Random(300 + seed)
+    dropped = 0
+    for _ in range(40):
+        dst = {k: F(rng.choice([-2, -1, 1, 2]), rng.choice([1, 3]))
+               for k in rng.sample(range(8), rng.randint(0, 6))}
+        # src mixes ints and Fractions; some entries cancel dst's
+        src = {}
+        for k in rng.sample(range(8), rng.randint(0, 6)):
+            v = -dst[k] / c if c and k in dst and rng.random() < 0.5 else \
+                F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+            src[k] = int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+        want, got = dict(dst), dict(dst)
+        reference_axpy(want, c, src)
+        axpy(got, c, src)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is Fraction for v in got.values())
+        dropped += len(set(dst) - set(got))
+    assert dropped or not c
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_mat_inverse_agrees_with_rank(seed):
     rng = random.Random(200 + seed)
@@ -281,6 +305,59 @@ def test_mat_product_matches_reference_loops(ring, seed):
         assert got.ring_zero == zero
         assert [list(r) for r in got.data] == reference_pm_mul(zero, a, b, n)
         assert [list(r) for r in got.data] == reference_dense_mul(zero, a, b, n)
+
+
+def test_generic_path_matrices_multiply_without_fraction_products(monkeypatch):
+    # arrow matrices over RepCoordinates hold single variables, so every left
+    # factor's coefficients are 1; the path products' coefficients reach 2 on
+    # walks that turn back and forth through a 2-dimensional vertex
+    q = build_doubled_dynkin("D", 4)
+    coords = RepCoordinates(q, DimensionVector({"1": 2, "2": 2, "3": 1, "4": 1}))
+    mats = coords.matrices
+    zero = coords.zero
+    rng = random.Random(7)
+    cases = []
+    for _ in range(12):
+        at = rng.choice(q.vertices)
+        walk = []
+        for _ in range(rng.randint(1, 5)):
+            a = rng.choice(q.arrows_from(at))
+            walk.append(a.name)
+            at = a.target
+        # back along the starred partners: a cycle whose last arrow closes it
+        walk += [n[:-1] if n.endswith("*") else n + "*" for n in reversed(walk)]
+        cases.append(walk)
+
+    def rows(m):
+        return [list(r) for r in m.data]
+
+    want = []
+    for walk in cases:
+        steps = [rows(mats[walk[0]])]
+        for n in walk[1:-1]:
+            steps.append(reference_pm_mul(zero, rows(mats[n]), steps[-1], len(steps[-1][0])))
+        last = reference_pm_mul(zero, rows(mats[walk[-1]]), steps[-1], len(steps[-1][0]))
+        want.append((steps, sum((r[i] for i, r in enumerate(last)), zero)))
+    assert max(abs(c) for steps, _ in want for row in steps[-1] for p in row
+               for c in p.terms.values()) >= 2
+
+    products = []
+    mul = Fraction.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Fraction, "__mul__", counting)
+    for walk, (steps, trace) in zip(cases, want):
+        got = mats[walk[0]]
+        for n, step in zip(walk[1:-1], steps[1:]):
+            got = mats[n] * got
+            assert rows(got) == step
+        got_trace = mats[walk[-1]].trace_of_product(got)
+        assert got_trace == trace and got_trace.text() == trace.text()
+    monkeypatch.undo()
+    assert products == []
 
 
 def _cancelling_source(rng):

@@ -235,6 +235,27 @@ def test_witness_search_rejects_negative_budgets():
                                     trials=0) is None
 
 
+def test_witness_phase_one_takes_standard_monomials_as_normal_forms(d4_groebner,
+                                                                   monkeypatch):
+    # the seed-0 (3, 4) search made 2,697 reductions while phase 1 reduced
+    # each of the 376 standard monomials; the budget still charges them
+    calls = []
+    normal_form = GroebnerBasis.normal_form
+
+    def counting(self, f):
+        calls.append(f)
+        return normal_form(self, f)
+
+    monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
+    assert nilpotent_witness_search(d4_groebner, 3, 4, seed=0) is None
+    monkeypatch.undo()
+    assert len(standard_monomials(d4_groebner, 3)) == 376
+    assert len(calls) == 2697 - 376
+    with pytest.raises(BudgetExceeded, match="exceeded 2696 reductions"):
+        nilpotent_witness_search(d4_groebner, 3, 4, seed=0, max_ops=2696)
+    assert nilpotent_witness_search(d4_groebner, 3, 4, seed=0, max_ops=2697) is None
+
+
 def test_d4_groebner_shape(d4_groebner):
     assert len(d4_groebner) == 22
     weights = ideal_multigrading(d4_groebner)
@@ -432,21 +453,23 @@ def test_groebner_basis_equality_ignores_cached_leads(R):
     ("zero", "witness unexpectedly lies in the ideal"),
 ])
 def test_witness_search_rechecks_hits_under_optimization(stale, message):
-    # a basis that reduces each polynomial correctly once and then answers
-    # wrongly must make the search raise, also with assert statements
-    # compiled away (python -O)
+    # a basis that reduces correctly until its first ideal member and answers
+    # wrongly after it must make the search raise, also with assert
+    # statements compiled away (python -O)
     script = textwrap.dedent(f"""
         from quiverlab.polynomials import GroebnerBasis, PolyRing, buchberger
         from quiverlab.polynomials import nilpotent_witness_search
 
-        seen = set()
+        members = []
 
         class Forgetful(GroebnerBasis):
             def normal_form(self, f):
-                if f in seen:
+                if members:
                     return f if {stale!r} == "unreduced" else self.ring.zero()
-                seen.add(f)
-                return super().normal_form(f)
+                nf = super().normal_form(f)
+                if not nf:
+                    members.append(f)
+                return nf
 
         L = PolyRing(["x", "y"])
         gb = buchberger([L.parse("x^2*y")])

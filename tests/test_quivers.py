@@ -5,6 +5,7 @@ import pytest
 from quiverlab.quivers import (
     FRAMING_ARROW,
     FRAMING_VERTEX,
+    Arrow,
     DimensionVector,
     Path,
     Quiver,
@@ -106,6 +107,32 @@ def test_paths_compose_in_application_order():
     assert pr.text() == "b.a"
     with pytest.raises(ValueError):
         p * r
+
+
+def test_extend_equals_the_validated_path():
+    rng = random.Random(12)
+    q = build_doubled_affine_dynkin("D", 4)
+    for _ in range(30):
+        p = Path.idempotent(q, rng.choice(q.vertices))
+        for _ in range(6):
+            a = rng.choice(q.arrows_from(p.target))
+            got = p.extend(a)
+            want = Path(q, p.base, p.arrows + (a.name,))
+            assert got == want and hash(got) == hash(want)
+            assert (got.target, got.key, got.text()) == (want.target, want.key, want.text())
+            p = got
+
+
+def test_extend_still_rejects_a_wrong_arrow():
+    q = build_doubled_affine_dynkin("D", 4)
+    p = Path(q, "0", ("a",))        # 0 -> 2
+    with pytest.raises(ValueError, match="does not start"):
+        p.extend(q.arrow("a"))      # starts at 0
+    with pytest.raises(ValueError, match="unknown arrow"):
+        p.extend(Arrow("z", "2", "2"))
+    # the name decides, as in Path(...): a foreign "a" starting at 2 is not q's "a"
+    with pytest.raises(ValueError, match="does not start"):
+        p.extend(Arrow("a", "2", "0"))
 
 
 def test_path_composition_associative_random():
