@@ -217,16 +217,15 @@ def preprojective_relations(quiver: Quiver) -> RelationSet:
     pairs = star_pairing(quiver)
     rels = []
     for v in quiver.vertices:
-        terms: dict[Path, Fraction] = {}
+        # no path occurs twice: (a*, a) and (a, a*) differ across pairs and orders
+        terms: dict[Path, int] = {}
         for name, star in pairs.items():
             a = quiver.arrow(name)
             if a.target == v:
                 # a a*: apply a* first, then a; a cycle at v
-                p = Path(quiver, v, (star, name))
-                terms[p] = terms.get(p, _ZERO) + 1
+                terms[Path(quiver, v, (star, name))] = 1
             if a.source == v:
-                p = Path(quiver, v, (name, star))
-                terms[p] = terms.get(p, _ZERO) - 1
+                terms[Path(quiver, v, (name, star))] = -1
         el = AlgebraElement(quiver, terms)
         if el:
             rels.append(el)

@@ -43,7 +43,7 @@ def _load_ideal(path: str) -> tuple[PolyRing, list]:
     data = json.loads(_read(path))
     if not isinstance(data, dict):
         raise ValueError("an ideal document must be a JSON object")
-    names = data["variables"]
+    names = data.get("variables")
     if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
         raise ValueError("'variables' must be a list of variable names")
     ring = PolyRing(names, data.get("order", "degrevlex"))

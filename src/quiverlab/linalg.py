@@ -13,8 +13,9 @@ _ZERO = Fraction(0)
 def axpy(dst: dict, c, src: dict) -> None:
     """``dst += c * src`` in place on sparse vectors; cancelled entries are dropped.
 
-    A ``c`` of 1 or -1 adds or subtracts with no product; a new entry is a
-    ``Fraction`` even when ``src`` holds ints.
+    A ``c`` of 1 or -1 adds or subtracts with no product.  A key new to
+    ``dst`` takes the source value as it is, negated for -1 and wrapped in
+    ``Fraction`` only when it is not one, so it spends no addition.
     """
     if not c:
         return
@@ -22,11 +23,16 @@ def axpy(dst: dict, c, src: dict) -> None:
     if not sub and c != 1:
         src = {k: c * v for k, v in src.items()}
     for k, v in src.items():
-        v = dst.get(k, _ZERO) - v if sub else dst.get(k, _ZERO) + v
-        if v:
-            dst[k] = v
-        else:
-            dst.pop(k, None)
+        old = dst.get(k)
+        if old is not None:
+            if v := old - v if sub else old + v:
+                dst[k] = v
+            else:
+                del dst[k]
+        elif v:
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            dst[k] = -v if sub else v
 
 
 def _fractions(row: dict) -> dict:
@@ -176,9 +182,8 @@ class Mat:
 
     Entries are ``Fraction`` by default; ``ring_zero`` is the additive
     identity of the entries, so the same type holds ``Polynomial`` matrices;
-    for them, products and traces of products sum each entry through
-    ``Polynomial._sum_of_products``.  ``from_rows`` and ``inverse`` are for
-    ``Fraction`` entries only.
+    products and traces of products sum each entry through ``_dot``.
+    ``from_rows`` and ``inverse`` are for ``Fraction`` entries only.
     """
 
     rows: int
@@ -226,27 +231,24 @@ class Mat:
         return Mat(self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self.data),
                    self.ring_zero)
 
+    def _dot(self, xs: Iterable, ys: Iterable):
+        """Σ x·y over paired entries; the one place that tells the entry rings apart.
+
+        ``Polynomial`` entries add every term product into one dict
+        (``Polynomial._sum_of_products``); ``Fraction`` entries skip zero factors.
+        """
+        zero = self.ring_zero
+        if type(zero) is not Fraction:
+            return zero._sum_of_products(xs, ys)
+        return sum((x * y for x, y in zip(xs, ys) if x and y), zero)
+
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        zero = self.ring_zero
-        if type(zero) is not Fraction:
-            cols = tuple(zip(*other.data)) or ((),) * other.cols
-            return Mat(self.rows, other.cols,
-                       tuple(tuple(zero._sum_of_products(row, col) for col in cols)
-                             for row in self.data), zero)
-        # Order i, k, j with zero factors skipped.
-        data = []
-        for row in self.data:
-            acc = [zero] * other.cols
-            for aik, brow in zip(row, other.data):
-                if not aik:
-                    continue
-                for j, bkj in enumerate(brow):
-                    if bkj:
-                        acc[j] = acc[j] + aik * bkj
-            data.append(tuple(acc))
-        return Mat(self.rows, other.cols, tuple(data), zero)
+        cols = tuple(zip(*other.data)) or ((),) * other.cols
+        return Mat(self.rows, other.cols,
+                   tuple(tuple(self._dot(row, col) for col in cols) for row in self.data),
+                   self.ring_zero)
 
     def is_zero(self) -> bool:
         return all(not x for r in self.data for x in r)
@@ -260,18 +262,8 @@ class Mat:
         """tr(self · other) from the diagonal alone: the sum of a_ik · b_ki."""
         if self.cols != other.rows or self.rows != other.cols:
             raise ValueError("shape mismatch in trace of a product")
-        total = self.ring_zero
-        if type(total) is not Fraction:
-            return total._sum_of_products(
-                (a for row in self.data for a in row),
-                (b for col in zip(*other.data) for b in col))
-        for i, row in enumerate(self.data):
-            for aik, brow in zip(row, other.data):
-                if aik:
-                    bki = brow[i]
-                    if bki:
-                        total = total + aik * bki
-        return total
+        return self._dot((a for row in self.data for a in row),
+                         (b for col in zip(*other.data) for b in col))
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:

@@ -22,6 +22,7 @@ from .repscheme import (InvariantGenerator, RepCoordinates, element_matrix,
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_COEF_BOUND = 3  # random_extension weighs each kernel vector by an int in ±_COEF_BOUND
 
 
 class ModuleRep:
@@ -193,8 +194,7 @@ def invariant_fingerprint(m: ModuleRep,
 
 
 def random_extension(sub: ModuleRep, quot: ModuleRep,
-                     relations: Iterable[AlgebraElement], rng,
-                     coef_bound: int = 3) -> ModuleRep:
+                     relations: Iterable[AlgebraElement], rng) -> ModuleRep:
     """A seeded-random block-triangular extension of quot by sub.
 
     With both diagonal blocks satisfying the relations, the residuals are
@@ -229,23 +229,16 @@ def random_extension(sub: ModuleRep, quot: ModuleRep,
             for name, prefix in zip(reversed(p.arrows), reversed(prefixes)):
                 for r in range(suffix.cols):
                     for c, qrow in enumerate(prefix.data):
-                        col = columns[(name, r, c)]
-                        for i, srow in enumerate(suffix.data):
-                            if srow[r]:
-                                s = coeff * srow[r]
-                                for j, q in enumerate(qrow):
-                                    if q:
-                                        col[(n, i, j)] = col.get((n, i, j), _ZERO) + s * q
+                        axpy(columns[(name, r, c)], coeff,
+                             {(n, i, j): srow[r] * q
+                              for i, srow in enumerate(suffix.data) if srow[r]
+                              for j, q in enumerate(qrow) if q})
                 suffix = suffix * sub.matrices[name]
 
     values: dict[tuple[str, int, int], Fraction] = {}
     for combo in kernel_combos([columns[u] for u in unknowns]):
-        c = Fraction(rng.randint(-coef_bound, coef_bound))
-        if not c:
-            continue
-        for k, entry in combo.items():
-            u = unknowns[k]
-            values[u] = values.get(u, _ZERO) + c * entry
+        axpy(values, rng.randint(-_COEF_BOUND, _COEF_BOUND),
+             {unknowns[k]: entry for k, entry in combo.items()})
     mats = {}
     for a in quiver.arrows:
         x = Mat(sub.dims[a.target], quot.dims[a.source],
@@ -426,6 +419,9 @@ def module_from_json(quiver: Quiver, data: Mapping) -> ModuleRep:
     arrows = data.get("arrows", {})
     if not isinstance(arrows, Mapping):
         raise ValueError("'arrows' must map arrow names to matrices")
+    unknown = sorted(set(arrows) - {a.name for a in quiver.arrows})
+    if unknown:
+        raise ValueError(f"'arrows' names arrows the quiver lacks: {unknown}")
     mats = {}
     for a in quiver.arrows:
         rows, cols = dims[a.target], dims[a.source]

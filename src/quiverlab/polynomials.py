@@ -423,19 +423,12 @@ def _reduce(f: Polynomial, leads: Sequence[tuple[tuple, Polynomial]],
         for mask, (le, g) in zip(masks, leads):
             if mask & support == mask and _divides(le, exps):
                 shift = _mono_sub(exps, le)
-                factor = coef / g.terms[le]
-                for e2, c2 in g.terms.items():
-                    if e2 == le:
-                        continue
-                    e = tuple(map(add, e2, shift))
-                    v = work.get(e)
-                    if v is None:
-                        work[e] = -factor * c2
-                        push(heap, (heap_key(e), e))
-                    elif v := v - factor * c2:
-                        work[e] = v
-                    else:
-                        del work[e]
+                tail = {tuple(map(add, e2, shift)): c2
+                        for e2, c2 in g.terms.items() if e2 != le}
+                for e in tail.keys() - work.keys():
+                    push(heap, (heap_key(e), e))
+                lc = g.terms[le]
+                axpy(work, -coef if lc == 1 else -coef / lc, tail)
                 break
         else:
             out[exps] = coef

@@ -231,12 +231,15 @@ class DimensionVector(Mapping):
         data = {}
         for k, v in entries.items():
             try:
-                v = int(v)
-            except TypeError:
-                raise ValueError(f"dimension at vertex {k} is not a number: {v!r}") from None
-            if v < 0:
+                n = int(v)
+            except (TypeError, ValueError, OverflowError):
+                n = None
+            # int() would take 1.5 as 1, True as 1 and "2" as 2
+            if n is None or n != v or isinstance(v, bool):
+                raise ValueError(f"dimension at vertex {k} is not a whole number: {v!r}")
+            if n < 0:
                 raise ValueError(f"negative dimension at vertex {k}")
-            data[str(k)] = v
+            data[str(k)] = n
         self._data = data
 
     def __getitem__(self, key: str) -> int:

@@ -240,6 +240,10 @@ _MALFORMED_INPUTS = {
         "check-module", "module", {"dimension": {"1": 1}}),
     "module_dimension_has_an_unknown_vertex": (
         "check-module", "module", {"dimension": {"1": 1, "2": 1, "9": 2}}),
+    "module_arrows_name_an_unknown_arrow": (
+        "check-module", "module", {"dimension": _A2_DIMS, "arrows": {"typo": [["5"]]}}),
+    "module_dimension_not_whole": (
+        "check-module", "module", {"dimension": {"1": 1.5, "2": 1}}),
 }
 
 
@@ -274,6 +278,14 @@ def test_module_dimension_names_the_vertices(capsys, tmp_path, dims, named):
     assert main(["check-module", "--in", A2, "--module", str(mod)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def test_ideal_without_variables_names_the_field(capsys, tmp_path):
+    ideal_file = tmp_path / "ideal.json"
+    ideal_file.write_text(json.dumps({"generators": ["x"]}))
+    assert main(["groebner", "--in", str(ideal_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'variables' must be a list" in err
 
 
 def test_exit_code_budget(capsys, tmp_path):

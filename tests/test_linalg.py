@@ -175,8 +175,15 @@ def test_axpy_drops_cancelled_entries():
 
 @pytest.mark.parametrize("c", [F(1), F(-1), F(0), F(2, 3), 1, -1], ids=repr)
 @pytest.mark.parametrize("seed", range(4))
-def test_axpy_matches_the_loop_with_products(seed, c):
+def test_axpy_matches_the_loop_with_products(seed, c, monkeypatch):
     rng = random.Random(300 + seed)
+    # Fraction additions and subtractions made inside axpy
+    sums = []
+    for name in ("__add__", "__sub__"):
+        def counting(a, b, op=getattr(Fraction, name)):
+            sums.append((a, b))
+            return op(a, b)
+        monkeypatch.setattr(Fraction, name, counting)
     dropped = 0
     for _ in range(40):
         dst = {k: F(rng.choice([-2, -1, 1, 2]), rng.choice([1, 3]))
@@ -189,7 +196,10 @@ def test_axpy_matches_the_loop_with_products(seed, c):
             src[k] = int(v) if v.denominator == 1 and rng.random() < 0.5 else v
         want, got = dict(dst), dict(dst)
         reference_axpy(want, c, src)
+        sums.clear()
         axpy(got, c, src)
+        # a key new to dst spends no addition onto zero
+        assert len(sums) == (len(src.keys() & dst.keys()) if c else 0)
         assert list(got.items()) == list(want.items())
         assert all(type(v) is Fraction for v in got.values())
         dropped += len(set(dst) - set(got))

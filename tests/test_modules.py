@@ -446,3 +446,11 @@ def test_module_json_fractions_and_defaults():
     with pytest.raises(ValueError):
         module_from_json(q, {"dimension": {"1": 1, "2": 1},
                              "arrows": {"a": [["1", "2"]]}})
+
+
+def test_module_json_rejects_unknown_arrows():
+    # a misspelt arrow used to load as the zero module
+    q = build_doubled_dynkin("A", 2)
+    with pytest.raises(ValueError, match=r"lacks: \['b', 'typo'\]"):
+        module_from_json(q, {"dimension": {"1": 1, "2": 1},
+                             "arrows": {"typo": [["5"]], "a": [["1"]], "b": [["2"]]}})

@@ -391,6 +391,39 @@ def test_normal_form_matches_reference_division(R, d4_groebner):
         assert d4_groebner.normal_form(f).terms == reference_reduce(f, d4_groebner.polys)
 
 
+def test_normal_form_by_a_non_monic_basis_matches_reference_division(R, d4_groebner):
+    # a GroebnerBasis built by hand may hold any lead coefficient; each
+    # reduction step then divides by it
+    rng = random.Random(12)
+    for gb in _test_bases(R, d4_groebner):
+        scaled = GroebnerBasis(gb.ring, tuple(
+            g.scale(rng.choice([2, -3, Fraction(1, 2), Fraction(-5, 3)])) for g in gb.polys))
+        for _ in range(10):
+            f = _random_poly(gb.ring, rng, max_exp=3)
+            nf = scaled.normal_form(f)
+            assert list(nf.terms.items()) == list(reference_reduce(f, scaled.polys).items())
+
+
+def test_normal_form_by_a_unit_basis_divides_never(R, d4_groebner, monkeypatch):
+    # every coefficient of these reduced bases (all but D4's) is 1 or -1;
+    # the update multiplies only by a scale other than ±1, and never divides
+    bases = _test_bases(R, d4_groebner)[:-1]
+    assert all(abs(c) == 1 for gb in bases for g in gb for c in g.terms.values())
+    rng = random.Random(13)
+    inputs = [(gb, _random_poly(gb.ring, rng, max_exp=3)) for gb in bases for _ in range(10)]
+    calls = {"__truediv__": [], "__mul__": []}
+    for name, seen in calls.items():
+        def counting(a, b, op=getattr(Fraction, name), seen=seen):
+            seen.append(a)
+            return op(a, b)
+        monkeypatch.setattr(Fraction, name, counting)
+    for gb, f in inputs:
+        gb.normal_form(f)
+    monkeypatch.undo()
+    assert calls["__truediv__"] == []
+    assert calls["__mul__"] and all(abs(scale) != 1 for scale in calls["__mul__"])
+
+
 @pytest.mark.parametrize("order", ORDERS)
 def test_normal_form_survives_a_cancelled_and_recreated_term(order):
     # x^2 > y^2 > z^2 in both orders.  Reducing x^2 cancels the waiting z^2;

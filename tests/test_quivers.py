@@ -176,6 +176,19 @@ def test_dimension_vector_arithmetic():
         a + DimensionVector({"1": 1})
 
 
+@pytest.mark.parametrize("value", [1.5, 2.9, True, False, "2", None, float("inf")],
+                         ids=repr)
+def test_dimension_vector_rejects_values_that_are_not_whole_numbers(value):
+    with pytest.raises(ValueError, match=r"vertex 2 is not a whole number"):
+        DimensionVector({"1": 1, "2": value})
+
+
+def test_dimension_vector_takes_integral_numbers_as_ints():
+    dims = DimensionVector({"1": 2.0, "2": 3})
+    assert dict(dims) == {"1": 2, "2": 3}
+    assert all(type(v) is int for v in dims.values())
+
+
 def test_stability_and_character():
     from fractions import Fraction
     zeta = StabilityVector({"0": -2, "1": 1})
