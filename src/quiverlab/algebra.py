@@ -266,9 +266,10 @@ class GradedBasis:
     * max-key elimination then leaves the lexicographically smallest
       surviving candidates as the standard basis.
 
-    If some degree turns out empty the algebra is flagged finite-dimensional
-    (no candidates can ever reappear) and ``top_degree`` records the last
-    nonzero degree.
+    If some degree turns out empty the build stops there, since no candidates
+    can ever reappear: the algebra is flagged finite-dimensional,
+    ``top_degree`` records the last nonzero degree, and every later degree up
+    to ``cutoff`` reads as empty.
     """
 
     def __init__(self, quiver: Quiver, relations: RelationSet, cutoff: int) -> None:
@@ -316,10 +317,11 @@ class GradedBasis:
                 pivots[lead] = out
             self._pivots.append(pivots)
             self._std.append({key: p.extend(a) for key, p, a in cands if key not in pivots})
-        if not all(self._std):
+            if not self._std[d]:
+                break   # no later degree has a candidate
+        if not self._std[-1]:
             self.finite_dimensional = True
-            self.top_degree = max((d for d, std in enumerate(self._std) if std),
-                                  default=0)
+            self.top_degree = max(len(self._std) - 2, 0)
 
     def _relation_rows(self, d: int):
         for rel in self.relations:
@@ -343,15 +345,18 @@ class GradedBasis:
     @property
     def dimensions(self) -> list[int]:
         """Graded dimensions for degrees 0..cutoff."""
-        return [len(std) for std in self._std]
+        return [len(std) for std in self._std] + [0] * (self.cutoff + 1 - len(self._std))
 
     def dimension(self, d: int) -> int:
-        self._check_degree(d)
-        return len(self._std[d])
+        return len(self._table(d))
 
     def basis(self, d: int) -> list[Path]:
+        return list(self._table(d).values())
+
+    def _table(self, d: int) -> Mapping[tuple, Path]:
+        """Standard paths of degree d by key; empty past the first empty degree."""
         self._check_degree(d)
-        return list(self._std[d].values())
+        return self._std[d] if d < len(self._std) else {}
 
     def _check_degree(self, d: int) -> None:
         if d < 0 or d > self.cutoff:
@@ -372,6 +377,8 @@ class GradedBasis:
             return vec
         d = len(next(iter(vec))) - 1
         self._check_degree(d + len(arrows))
+        if d + len(arrows) >= len(self._std):
+            return {}
         for ai in arrows:
             d += 1
             std, pivots = self._std[d], self._pivots[d]
@@ -404,7 +411,7 @@ class GradedBasis:
     def nf_path(self, path: Path) -> dict[Path, Fraction]:
         """Normal form of a single path as a basis-path combination."""
         coords = self.coords(path)
-        table = self._std[path.length]
+        table = self._table(path.length)
         return {table[k]: c for k, c in coords.items()}
 
     def reduce(self, x: AlgebraElement) -> AlgebraElement:
@@ -428,7 +435,7 @@ class GradedBasis:
         vecs: dict[int, dict[tuple, Fraction]] = {}
         for p, c in x.terms.items():
             axpy(vecs.setdefault(p.length, {}), c, self.coords(p))
-        return {d: tuple(vecs[d].get(k, _ZERO) for k in self._std[d])
+        return {d: tuple(vecs[d].get(k, _ZERO) for k in self._table(d))
                 for d in sorted(vecs)}
 
     def __repr__(self) -> str:
@@ -497,35 +504,50 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
     and a path y = ay' that is not a cycle already equals [a, y'].  So the
     rows ay - ya over arrows a and basis paths y of degree d - 1 span it:
     #arrows * dim(d - 1) rows, not one per basis pair of complementary
-    degrees.  Representatives are the standard basis paths whose
-    coordinates complete that span.
+    degrees.  Each y.a is y's prefix times a, kept from degree d - 1, with
+    y's last arrow applied, so every row takes two single-arrow steps.
+    Representatives are the standard basis paths whose coordinates complete
+    that span.  Past the top degree of a finite-dimensional algebra every
+    degree is empty, so from top degree + 2 on nothing is computed.
     """
     if cutoff is None:
         cutoff = basis.top_degree if basis.finite_dimensional else basis.cutoff
         assert cutoff is not None
     if not 0 <= cutoff <= basis.cutoff:
         raise ValueError(f"cocenter cutoff {cutoff} is outside 0..{basis.cutoff}")
+    last = min(cutoff, basis.top_degree + 1) if basis.finite_dimensional else cutoff
     # each arrow's endpoints, its source's idempotent key and its index
     quiver = basis.quiver
     arrows = [(a.source, a.target, (quiver.vertex_index(a.source),),
                quiver.arrow_index(a.name)) for a in quiver.arrows]
     dims = []
     reps = []
-    for d in range(cutoff + 1):
+    # the previous degree's y.a by (y key, arrow index): y's prefix times a
+    prefix_a: dict[tuple, Mapping[tuple, Fraction]] = {}
+    for d in range(last + 1):
         span = SpanBuilder()
-        for y in basis.basis(d - 1) if d else ():
+        y_a: dict[tuple, Mapping[tuple, Fraction]] = {}
+        for y_key, y in basis._table(d - 1).items() if d else ():
+            y_source, y_target = y.source, y.target
             for source, target, base, ai in arrows:
                 # a.y: a acts after y; y.a: a acts first
-                row = dict(basis.extend({y.key: _ONE}, (ai,))) if source == y.target else {}
-                if target == y.source:
-                    axpy(row, -1, basis.extend({base: _ONE}, (ai,) + y.key[1:]))
+                row = dict(basis.extend({y_key: _ONE}, (ai,))) if source == y_target else {}
+                if target == y_source:
+                    ya = y_a[y_key, ai] = (
+                        basis.extend(prefix_a[y_key[:-1], ai], y_key[-1:]) if d > 1
+                        else basis.extend({base: _ONE}, (ai,)))
+                    axpy(row, -1, ya)
                 if row:
                     span.add(row)
-        degree_reps = tuple(p for p in basis.basis(d) if p.key not in span.pivots)
-        dims.append(basis.dimension(d) - span.rank)
+        prefix_a = y_a
+        table = basis._table(d)
+        degree_reps = tuple(p for key, p in table.items() if key not in span.pivots)
+        dims.append(len(table) - span.rank)
         reps.append(degree_reps)
         if len(degree_reps) != dims[-1]:
             raise VerificationError(
                 f"cocenter degree {d} has {len(degree_reps)} representatives "
                 f"for dimension {dims[-1]}")
+    dims += [0] * (cutoff - last)
+    reps += [()] * (cutoff - last)
     return Cocenter(tuple(dims), tuple(reps), truncated=not basis.finite_dimensional)

@@ -141,7 +141,9 @@ class PolyRing:
                     if e.denominator != 1 or e < 0:
                         raise ValueError("exponent must be a nonnegative integer")
                     exp = int(e)
-                out = out * self.variable(tv) ** exp
+                # the power's exponent tuple directly: one product per factor
+                i = self._index[tv]
+                out = out * self.monomial([exp if j == i else 0 for j in range(self.nvars)])
             else:
                 raise ValueError("expected a factor")
             nk, nv = peek()
@@ -337,15 +339,15 @@ class Polynomial:
             return known[e - 1]
 
         one = {(0,) * ring.nvars: _ONE}
+        slots = range(self.ring.nvars)
         out: dict[tuple, Fraction] = {}
         for exps, c in self.terms.items():
             term = None
-            for i, e in enumerate(exps):
-                if e:
-                    p = power(i, e)
-                    term = p if term is None else term * p
-                    if not term:
-                        break
+            for i in itertools.compress(slots, exps):   # the nonzero exponents only
+                p = power(i, exps[i])
+                term = p if term is None else term * p
+                if not term:
+                    break
             axpy(out, c, one if term is None else term.terms)
         return Polynomial._raw(ring, out)
 

@@ -7,6 +7,7 @@ import pytest
 
 from quiverlab.algebra import (
     AlgebraElement,
+    GradedBasis,
     RelationSet,
     cocenter,
     framed_affine_preprojective,
@@ -408,6 +409,34 @@ def test_build_constructs_a_path_only_per_basis_path(monkeypatch):
     assert len(built) == sum(gb.dimensions) == 188
 
 
+def test_finite_basis_stops_at_its_first_empty_degree(monkeypatch):
+    q = build_doubled_dynkin("A", 2)
+    rels = preprojective_relations(q)
+    degrees = []
+    real = GradedBasis._relation_rows
+
+    def counting(self, d):
+        degrees.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(GradedBasis, "_relation_rows", counting)
+    gb = graded_basis(q, rels, 10_000)
+    assert gb.finite_dimensional and gb.top_degree == 1
+    assert len(degrees) <= gb.top_degree + 2
+    # past the top degree everything reads as empty, up to the cutoff
+    assert gb.dimensions == [2, 2] + [0] * 9_999
+    assert gb.dimension(2) == gb.dimension(10_000) == 0
+    assert gb.basis(3) == [] and gb.basis(10_000) == []
+    assert gb.coords(Path(q, "1", ("a", "a*", "a"))) == {}
+    assert gb.normal_form(AlgebraElement.from_path(Path(q, "1", ("a", "a*")))) == {2: ()}
+    with pytest.raises(ValueError, match="exceeds the cutoff"):
+        gb.dimension(10_001)
+    cc = cocenter(gb, 10_000)
+    assert cc.degree_dims == (2,) + (0,) * 10_000
+    assert cc.representatives == (tuple(gb.basis(0)),) + ((),) * 10_000
+    assert not cc.truncated
+
+
 # -- cocenter ----------------------------------------------------------------
 
 
@@ -467,6 +496,34 @@ def test_cocenter_matches_all_pairs_on_framed_affine(kind, rank, cutoff):
 def test_cocenter_matches_all_pairs_on_random_quotients(seed):
     q, rels = random_quotient(random.Random(seed))
     assert_cocenter_matches_all_pairs(graded_basis(q, rels, 5))
+
+
+@pytest.mark.parametrize("case", ["E6", "framed A1", "random 0", "random 11"])
+def test_cocenter_takes_one_arrow_step_per_product(case, monkeypatch):
+    """Each y.a extends y's prefix's y.a, kept one degree down, by one arrow."""
+    if case == "E6":
+        q = build_doubled_dynkin("E", 6)
+        gb = graded_basis(q, preprojective_relations(q), 12)
+    elif case == "framed A1":
+        q, rels = framed_affine_preprojective("A", 1)
+        gb = graded_basis(q, rels, 8)
+    else:
+        q, rels = random_quotient(random.Random(int(case.split()[1])))
+        gb = graded_basis(q, rels, 5)
+    want = all_pairs_cocenter(gb, gb.top_degree if gb.finite_dimensional else gb.cutoff)
+    steps = []
+    real = GradedBasis.extend
+
+    def recording(self, vec, arrows):
+        steps.append(len(arrows))
+        return real(self, vec, arrows)
+
+    monkeypatch.setattr(GradedBasis, "extend", recording)
+    cc = cocenter(gb)
+    assert steps and max(steps) <= 1
+    assert cc.degree_dims == want[0]
+    assert ([[p.text() for p in r] for r in cc.representatives]
+            == [[p.text() for p in r] for r in want[1]])
 
 
 def test_cocenter_of_two_free_loops_counts_necklaces():

@@ -69,6 +69,19 @@ def test_parse_text_round_trip(R):
     assert R.parse("0").text() == "0"
 
 
+def test_parse_builds_a_power_with_one_product_per_factor(R, monkeypatch):
+    calls = []
+    real = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda a, b: calls.append(1) or real(a, b))
+    assert R.parse("x^1000") == R.monomial((1000, 0, 0)) and len(calls) <= 1
+    calls.clear()
+    assert R.parse("2*x^3*y^0*z") == R.monomial((3, 0, 1), 2) and len(calls) <= 3
+    huge = R.parse("x^100000000")
+    assert huge == R.monomial((100000000, 0, 0))
+    assert huge.text() == "x^100000000" and R.parse(huge.text()) == huge
+
+
 def test_parse_errors(R):
     for bad in ["w + 1", "x +", "x^", "(x", "x**2"]:
         with pytest.raises(ValueError):
