@@ -469,18 +469,23 @@ def restrict_to_vertices(quiver: Quiver, relations: RelationSet,
                    if a.source in keep_set and a.target in keep_set)
     partition = {v: quiver.tag(v) for v in vertices}
     sub = Quiver(vertices, arrows, partition)
+    return sub, restrict_relations(relations, sub)
+
+
+def restrict_relations(relations: RelationSet, sub: Quiver) -> RelationSet:
+    """The relations over ``sub``, a quiver with a subset of their arrows.
+
+    Terms using an arrow ``sub`` lacks are dropped, and relations left empty
+    disappear; the result carries no arrow weights.
+    """
     rels = []
     for r in relations:
-        if r.source not in keep_set or r.target not in keep_set:
-            continue
-        terms = {}
-        for p, c in r.terms.items():
-            if all(v in keep_set for v in p.vertices_visited()):
-                terms[Path(sub, p.base, p.arrows)] = c
-        el = AlgebraElement(sub, terms)
+        el = AlgebraElement(sub, {Path(sub, p.base, p.arrows): c
+                                  for p, c in r.terms.items()
+                                  if all(sub.has_arrow(a) for a in p.arrows)})
         if el:
             rels.append(el)
-    return sub, RelationSet(sub, rels)
+    return RelationSet(sub, rels)
 
 
 # -- cocenter ---------------------------------------------------------------

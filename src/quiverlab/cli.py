@@ -95,11 +95,6 @@ def _basis_for(qf: QuiverFile, cutoff: int):
     return graded_basis(qf.quiver, qf.relations, cutoff)
 
 
-def _corner_for(qf: QuiverFile, cutoff: int, safety_bound: int):
-    return corner_generators(_basis_for(qf, cutoff), verify_cutoff=cutoff,
-                             safety_bound=safety_bound)
-
-
 # -- handlers ------------------------------------------------------------------
 
 
@@ -128,7 +123,7 @@ def _cmd_cocenter(args) -> None:
 
 def _cmd_corner(args) -> None:
     qf = _load_quiver_file(args.infile)
-    corner = _corner_for(qf, args.cutoff, args.safety_bound)
+    corner = corner_generators(_basis_for(qf, args.cutoff))
     data = {"k_top_degree": corner.k_top_degree,
             "degree_bound": corner.degree_bound,
             "verified_to": corner.verified_to,
@@ -142,8 +137,8 @@ def _cmd_corner(args) -> None:
 
 def _cmd_corner_present(args) -> None:
     qf = _load_quiver_file(args.infile)
-    corner = _corner_for(qf, args.cutoff, args.safety_bound)
-    pres = corner_presentation(corner, args.cutoff)
+    corner = corner_generators(_basis_for(qf, args.cutoff))
+    pres = corner_presentation(corner)
     data = _quiver_payload(pres.quiver, pres.relations)
     for row in data["arrows"]:
         row["weight"] = pres.weights[row["name"]]
@@ -157,7 +152,7 @@ def _cmd_corner_present(args) -> None:
 
 def _cmd_bimodule_gens(args) -> None:
     qf = _load_quiver_file(args.infile)
-    corner = _corner_for(qf, args.cutoff, args.safety_bound)
+    corner = corner_generators(_basis_for(qf, args.cutoff))
     bimod = bimodule_generators(corner)
     data = {"count": bimod.count, "verified_to": bimod.verified_to,
             "generators": [_gen_row(g) for g in bimod.generators]}
@@ -229,11 +224,11 @@ def _cmd_check_module(args) -> None:
 
 def _cmd_induce(args) -> None:
     qf = _load_quiver_file(args.infile)
-    corner = _corner_for(qf, args.cutoff, args.safety_bound)
-    pres = corner_presentation(corner, args.cutoff)
+    corner = corner_generators(_basis_for(qf, args.cutoff))
+    pres = corner_presentation(corner)
     bimod = bimodule_generators(corner)
     v_h = _load_module(args.module, pres.quiver)
-    induced = induce_module(v_h, pres, bimod, budget=args.budget)
+    induced = induce_module(v_h, pres, bimod)
     data = module_to_json(induced)
     lines = [f"{v}: {n}" for v, n in sorted(data["dimension"].items())]
     _emit(args, data, "\n".join(lines))
@@ -305,12 +300,6 @@ def _add_cutoff(sub, required=True):
                      help="largest path degree to compute")
 
 
-def _add_safety(sub):
-    sub.add_argument("--safety-bound", type=int, default=64,
-                     help="give up if the interior quotient is not finite "
-                          "dimensional within this many degrees")
-
-
 def _add_invariant_bounds(sub):
     sub.add_argument("--cycle-bound", type=int, default=None,
                      help="max cycle length (default: total interior dimension squared)")
@@ -367,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("basis", "cocenter", "corner", "corner-present",
                  "bimodule-gens", "induce"):
         _add_cutoff(sp[name])
-    for name in ("corner", "corner-present", "bimodule-gens", "induce"):
-        _add_safety(sp[name])
     for name in ("invariants", "fingerprint"):
         _add_invariant_bounds(sp[name])
 
@@ -388,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("check-module", "induce", "fingerprint", "stability"):
         sp[name].add_argument("--module", required=True, metavar="FILE",
                               help="module JSON document")
-    sp["induce"].add_argument("--budget", type=int, default=40,
-                              help="largest symbol degree for the induction")
 
     sp["delta"].add_argument("--type", required=True, choices=("A", "D", "E"),
                              help="affine Dynkin family")
@@ -411,8 +396,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, VerificationError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            json.JSONDecodeError, OverflowError, MemoryError) as exc:
+        # a huge --cutoff overflows or exhausts memory while sizing its output
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -113,16 +113,16 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
                 f"dimensions in degree {d}")
 
 
-def corner_generators(basis: GradedBasis, verify_cutoff: int | None = None,
-                      safety_bound: int = 64) -> CornerGenerators:
+def corner_generators(basis: GradedBasis,
+                      verify_cutoff: int | None = None) -> CornerGenerators:
     """Minimized generating set of the corner subalgebra e_H A e_H.
 
     The interior quotient (restrict to the K vertices) must come out finite
-    dimensional within ``safety_bound`` degrees; its top nonzero degree n
-    bounds the generator search at n + 2.  Candidates are the standard basis
-    paths between H vertices, scanned in (degree, path-key) order, and a
-    candidate is retained exactly when it is not a combination of products of
-    earlier retained generators.  Spanning of the whole H block is then
+    dimensional within the basis cutoff; its top nonzero degree n bounds the
+    generator search at n + 2, which the cutoff must reach.  Candidates are
+    the standard basis paths between H vertices, scanned in (degree,
+    path-key) order, and a candidate is retained exactly when it is not a
+    combination of products of earlier retained generators.  Spanning of the whole H block is then
     verified degree by degree up to ``verify_cutoff`` (default: the basis
     cutoff); failure raises VerificationError rather than returning a wrong
     answer.  Products are spanned over standard H-to-H paths: each lower
@@ -136,15 +136,14 @@ def corner_generators(basis: GradedBasis, verify_cutoff: int | None = None,
         verify_cutoff = basis.cutoff
     if not 0 <= verify_cutoff <= basis.cutoff:
         raise ValueError(f"verify_cutoff {verify_cutoff} is outside 0..{basis.cutoff}")
-    if safety_bound < 0:
-        raise ValueError(f"safety_bound must be nonnegative, not {safety_bound}")
 
     sub, subrels = restrict_to_vertices(quiver, basis.relations, quiver.k_vertices)
-    interior = GradedBasis(sub, subrels, safety_bound)
+    interior = GradedBasis(sub, subrels, basis.cutoff)
     if not interior.finite_dimensional:
         raise VerificationError(
-            f"interior quotient is still nonzero at degree {safety_bound}; "
-            "the corner may not be finitely generated")
+            f"interior quotient is still nonzero at degree {basis.cutoff}; "
+            "a larger cutoff may be needed, or the corner may not be "
+            "finitely generated")
     k_top = interior.top_degree or 0
     bound = k_top + 2
     if basis.cutoff < bound:

@@ -257,7 +257,7 @@ def random_extension(sub: ModuleRep, quot: ModuleRep,
 
 
 def induce_module(v_h: ModuleRep, pres: CornerPresentation,
-                  gens: BimoduleGenerators, budget: int = 40) -> ModuleRep:
+                  gens: BimoduleGenerators) -> ModuleRep:
     """Left-adjoint extension of a corner module to the whole algebra.
 
     Symbols (standard path with source in H) x (basis vector of V_H at the
@@ -268,10 +268,8 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
     read off by residues.  The result is post-verified: ambient relations,
     H-dimensions, the sufficient dimension bound, and fingerprint equality of
     its corner restriction with V_H — any failure raises VerificationError,
-    and running out of degrees raises BudgetExceeded.
+    and reaching the basis cutoff first raises BudgetExceeded.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, not {budget}")
     corner = gens.corner
     basis = corner.basis
     quiver = basis.quiver
@@ -286,7 +284,6 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
 
     h_set = frozenset(quiver.h_vertices)
     window = corner.k_top_degree + 2
-    top = min(budget, basis.cutoff)
 
     span = SpanBuilder()
     symbol_target: dict[tuple, str] = {}
@@ -309,7 +306,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
     enumerate_degree(0)
     history: list[dict] = [dict(total_by_vertex)]
     stopped_at: int | None = None
-    for d in range(1, top + 1):
+    for d in range(1, basis.cutoff + 1):
         enumerate_degree(d)
         for gen in corner.generators:
             k = gen.degree
@@ -343,7 +340,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
                 break
     if stopped_at is None:
         raise BudgetExceeded(
-            f"induction dimensions did not stabilize within degree {top}")
+            f"induction dimensions did not stabilize within degree {basis.cutoff}")
 
     survivors = sorted(k for k in symbol_target if k not in span.pivots)
     by_vertex: dict[str, list[tuple]] = {v: [] for v in quiver.vertices}

@@ -141,11 +141,8 @@ def parse_quiver_file(text: str) -> QuiverFile:
             stability = StabilityVector(_parse_assignments(
                 quiver, rest, lineno, allow_negative=True, col0=rest_col))
 
-    try:
-        relation_set = RelationSet(quiver, relations, weights or None)
-    except ValueError as exc:   # pragma: no cover - terms are pre-validated
-        raise ParseError(str(exc), lines[-1][0] if lines else 1) from exc
-    return QuiverFile(quiver, relation_set, dimensions, stability, weights)
+    return QuiverFile(quiver, RelationSet(quiver, relations, weights or None),
+                      dimensions, stability, weights)
 
 
 def _parse_relation(quiver: Quiver, body: str, lineno: int,

@@ -208,12 +208,6 @@ class Path:
             raise ValueError("paths do not compose")
         return Path(self.quiver, other.base, other.arrows + self.arrows)
 
-    def vertices_visited(self) -> tuple[str, ...]:
-        out = [self.base]
-        for name in self.arrows:
-            out.append(self.quiver.arrow(name).target)
-        return tuple(out)
-
     def text(self) -> str:
         """Dot-separated arrow names, rightmost acting first."""
         if not self.arrows:
@@ -224,8 +218,15 @@ class Path:
         return f"Path({self.text()}: {self.source}->{self.target})"
 
 
-class DimensionVector(Mapping):
-    """Per-vertex natural numbers."""
+class _VertexVector(Mapping):
+    """Per-vertex whole numbers, compared and hashed by value.
+
+    ``_noun`` names an entry in error messages; ``_negative`` says whether
+    entries may be negative.
+    """
+
+    _noun = "entry"
+    _negative = True
 
     def __init__(self, entries: Mapping[str, int]) -> None:
         data = {}
@@ -236,9 +237,9 @@ class DimensionVector(Mapping):
                 n = None
             # int() would take 1.5 as 1, True as 1 and "2" as 2
             if n is None or n != v or isinstance(v, bool):
-                raise ValueError(f"dimension at vertex {k} is not a whole number: {v!r}")
-            if n < 0:
-                raise ValueError(f"negative dimension at vertex {k}")
+                raise ValueError(f"{self._noun} at vertex {k} is not a whole number: {v!r}")
+            if n < 0 and not self._negative:
+                raise ValueError(f"negative {self._noun} at vertex {k}")
             data[str(k)] = n
         self._data = data
 
@@ -250,6 +251,23 @@ class DimensionVector(Mapping):
 
     def __len__(self) -> int:
         return len(self._data)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, type(self)) and self._data == other._data
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._data.items()))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._data.items()))
+        return f"{type(self).__name__}({inner})"
+
+
+class DimensionVector(_VertexVector):
+    """Per-vertex natural numbers."""
+
+    _noun = "dimension"
+    _negative = False
 
     def total(self) -> int:
         return sum(self._data.values())
@@ -269,41 +287,11 @@ class DimensionVector(Mapping):
             raise ValueError("dimension vectors over different vertex sets")
         return all(self[k] >= other[k] for k in self)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DimensionVector) and self._data == other._data
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._data.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._data.items()))
-        return f"DimensionVector({inner})"
-
-
-class StabilityVector(Mapping):
+class StabilityVector(_VertexVector):
     """Per-vertex integers (a GL-character exponent vector)."""
 
-    def __init__(self, entries: Mapping[str, int]) -> None:
-        self._data = {str(k): int(v) for k, v in entries.items()}
-
-    def __getitem__(self, key: str) -> int:
-        return self._data[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._data)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, StabilityVector) and self._data == other._data
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._data.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._data.items()))
-        return f"StabilityVector({inner})"
+    _noun = "stability"
 
 
 def evaluate_character(zeta: StabilityVector, dets: Mapping[str, Fraction]) -> Fraction:
@@ -394,9 +382,7 @@ def build_doubled_affine_dynkin(kind: str, rank: int) -> Quiver:
     vertices = list(range(0, rank + 1))
     partition = {str(v): "K" for v in vertices}
     partition["0"] = "J"
-    return Quiver([str(v) for v in vertices],
-                  _double(vertices, edges, partition).arrows,
-                  partition)
+    return _double(vertices, edges, partition)
 
 
 def frame(quiver: Quiver, target: str) -> Quiver:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .algebra import AlgebraElement, RelationSet
+from .algebra import AlgebraElement, RelationSet, restrict_relations
 from .corner import CornerPresentation
 from .errors import BudgetExceeded
 from .linalg import Mat
@@ -397,16 +397,7 @@ def build_acircledast(quiver: Quiver,
     arrows = tuple(a for a in quiver.arrows if a.name not in killed)
     partition = {v: ("F" if v == "0" else "K") for v in vertices}
     small = Quiver(vertices, arrows, partition)
-    rels = []
-    for r in relations:
-        terms = {}
-        for p, c in r.terms.items():
-            if not killed.intersection(p.arrows):
-                terms[Path(small, p.base, p.arrows)] = c
-        el = AlgebraElement(small, terms)
-        if el:
-            rels.append(el)
-    return small, RelationSet(small, rels)
+    return small, restrict_relations(relations, small)
 
 
 def product_split_check(generators: Iterable[Polynomial],

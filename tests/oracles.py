@@ -702,7 +702,8 @@ def reference_corner_generators(basis: GradedBasis, verify_cutoff: int | None = 
     if not interior.finite_dimensional:
         raise VerificationError(
             f"interior quotient is still nonzero at degree {safety_bound}; "
-            "the corner may not be finitely generated")
+            "a larger cutoff may be needed, or the corner may not be "
+            "finitely generated")
     k_top = interior.top_degree or 0
     bound = k_top + 2
     if basis.cutoff < bound:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from quiverlab import cli
 from quiverlab.cli import main
 from quiverlab.quiverfile import parse_quiver_file
 
@@ -172,6 +173,31 @@ def test_stability_has_no_budget_option(capsys):
     assert "--budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option", [
+    ("corner", "--safety-bound"), ("corner-present", "--safety-bound"),
+    ("bimodule-gens", "--safety-bound"), ("induce", "--safety-bound"),
+    ("induce", "--budget"),
+])
+def test_cutoff_is_the_only_corner_bound(capsys, tmp_path, command, option):
+    # the interior quotient and the induction both run to --cutoff
+    argv = [command, "--in", FRAMED_A1, "--cutoff", "8", option, "8"]
+    if command == "induce":
+        argv += ["--module", _corner_module_file(tmp_path)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_induce_stops_at_the_cutoff(capsys, tmp_path):
+    vh = _corner_module_file(tmp_path)
+    assert main(["induce", "--in", FRAMED_A1, "--cutoff", "2", "--module", vh]) == 3
+    assert ("budget exhausted: induction dimensions did not stabilize within "
+            "degree 2") in capsys.readouterr().err
+    data = run_json(capsys, "induce", "--in", FRAMED_A1, "--cutoff", "3", "--module", vh)
+    assert data["dimension"] == {"∞": 1, "0": 1, "1": 2}
+
+
 def test_stability_rejects_non_modules(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dimension": {"∞": 1, "0": 1, "1": 1},
@@ -244,6 +270,9 @@ _MALFORMED_INPUTS = {
         "check-module", "module", {"dimension": _A2_DIMS, "arrows": {"typo": [["5"]]}}),
     "module_dimension_not_whole": (
         "check-module", "module", {"dimension": {"1": 1.5, "2": 1}}),
+    # zero padding to one entry per degree cannot size a list this long
+    "basis_cutoff_beyond_a_list_index": ("basis", "cutoff", "100000000000000000000"),
+    "cocenter_cutoff_beyond_a_list_index": ("cocenter", "cutoff", "100000000000000000000"),
 }
 
 
@@ -254,6 +283,8 @@ def test_malformed_input_exits_1_without_a_traceback(case, tmp_path):
     path.write_text(content if kind == "quiver" else json.dumps(content))
     if kind == "module":
         argv = [command, "--in", A2, "--module", str(path)]
+    elif kind == "cutoff":
+        argv = [command, "--in", A2, "--cutoff", content]
     else:
         argv = [command, "--in", str(path)] + (["--cutoff", "2"] if kind == "quiver" else [])
     env = dict(os.environ)
@@ -349,12 +380,8 @@ def test_zero_budgets_are_legal(capsys, tmp_path):
 @pytest.mark.parametrize("argv,named", [
     (["invariants", "--in", A2, "--cycle-bound", "-3"], "cycle_bound"),
     (["invariants", "--in", A2, "--cycle-bound", "2", "--path-bound", "-1"], "path_bound"),
-    (["corner", "--in", FRAMED_A1, "--cutoff", "6", "--safety-bound", "-1"], "safety_bound"),
-    (["induce", "--in", FRAMED_A1, "--cutoff", "8", "--budget", "-1"], "budget"),
 ])
 def test_negative_bound_is_malformed_input(capsys, tmp_path, argv, named):
-    if argv[0] == "induce":
-        argv = argv + ["--module", _corner_module_file(tmp_path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{named} must be nonnegative" in err
@@ -367,6 +394,14 @@ def test_cycle_bound_zero_gives_no_traces(capsys, tmp_path):
     assert data["generators"] == []
     data = run_json(capsys, "invariants", "--in", str(loop), "--cycle-bound", "1")
     assert [g["expr"] for g in data["generators"]] == ["tr(x)"]
+
+
+def test_an_error_without_a_message_names_its_type(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "graded_basis", exhausted)
+    assert main(["basis", "--in", A2, "--cutoff", "2"]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_closed_pipe_exits_1_without_a_message(capsys, monkeypatch, tmp_path):

@@ -68,8 +68,20 @@ def test_corner_needs_h_vertices():
 def test_corner_rejects_infinite_interior():
     q = Quiver(["h", "k"], [Arrow("l", "k", "k"), Arrow("j", "h", "k")], {"h": "J"})
     gb = graded_basis(q, RelationSet(q, []), 8)
-    with pytest.raises(VerificationError):
-        corner_generators(gb, safety_bound=8)
+    with pytest.raises(VerificationError, match="still nonzero at degree 8"):
+        corner_generators(gb)
+
+
+def test_interior_top_degree_bounds_the_cutoff(framed_d4):
+    # the framed D4 interior has top degree 4, so its corner is generated in
+    # degrees <= 6: a cutoff that misses the top or the bound is refused
+    q, rels, _ = framed_d4
+    with pytest.raises(VerificationError, match="still nonzero at degree 4; "
+                                                "a larger cutoff may be needed"):
+        corner_generators(graded_basis(q, rels, 4))
+    with pytest.raises(ValueError, match="cutoff 5 is below the generation bound 6"):
+        corner_generators(graded_basis(q, rels, 5))
+    assert corner_generators(graded_basis(q, rels, 6)).k_top_degree == 4
 
 
 def test_corner_cutoff_guards(framed_a1):
@@ -150,8 +162,8 @@ def test_generators_match_the_reference_searches_on_random_quotients(seed):
     q, rels = random_quotient(rng)
     tagged = Quiver(q.vertices, q.arrows, {v: rng.choice("FJK") for v in q.vertices})
     basis = graded_basis(tagged, rels.on_quiver(tagged), 5)
-    corner = _search(corner_generators, basis, None, 8)
-    ref = _search(reference_corner_generators, basis, None, 8)
+    corner = _search(corner_generators, basis)
+    ref = _search(reference_corner_generators, basis, None, basis.cutoff)
     assert corner == ref
     if not isinstance(corner, tuple):
         assert (_search(bimodule_generators, corner)
@@ -248,7 +260,7 @@ def test_presentation_matches_the_reference_loop_on_random_quotients(seed):
     q, rels = random_quotient(rng)
     tagged = Quiver(q.vertices, q.arrows, {v: rng.choice("FJK") for v in q.vertices})
     basis = graded_basis(tagged, rels.on_quiver(tagged), 5)
-    corner = _search(corner_generators, basis, None, 8)
+    corner = _search(corner_generators, basis)
     if isinstance(corner, tuple):   # no corner to present
         return
     pres = _search(corner_presentation, corner)

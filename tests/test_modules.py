@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from quiverlab.algebra import (AlgebraElement, RelationSet, framed_affine_preprojective,
-                               preprojective_relations)
+                               graded_basis, preprojective_relations)
+from quiverlab.corner import bimodule_generators, corner_generators, corner_presentation
 from quiverlab.errors import BudgetExceeded, VerificationError
 from quiverlab.linalg import Mat
 from quiverlab.modules import (
@@ -417,14 +418,20 @@ def test_induce_module_guards(framed_a1_corner):
         induce_module(foreign, pres, bimod)
 
 
-def test_induce_module_negative_budget_is_malformed(framed_a1_corner):
-    _, bimod, pres = framed_a1_corner
-    vh = corner_module(pres, [[1]], [[0]], [[0]], [[0]])
-    with pytest.raises(ValueError, match="budget must be nonnegative, not -1"):
-        induce_module(vh, pres, bimod, budget=-1)
-    # zero is a legal budget: too short a search, not malformed input
-    with pytest.raises(BudgetExceeded):
-        induce_module(vh, pres, bimod, budget=0)
+def test_induce_module_stops_at_the_basis_cutoff(framed_a1):
+    # a cutoff of 2 reaches the corner's generation bound but leaves the
+    # induction no room to see its dimensions stabilize
+    quiver, rels, _ = framed_a1
+
+    def induce_free(cutoff):
+        corner = corner_generators(graded_basis(quiver, rels, cutoff))
+        pres = corner_presentation(corner)
+        vh = corner_module(pres, [[1]], [[0]], [[0]], [[0]])
+        return induce_module(vh, pres, bimodule_generators(corner))
+
+    with pytest.raises(BudgetExceeded, match="did not stabilize within degree 2"):
+        induce_free(2)
+    assert induce_free(3) == load_fixture_module(quiver, "framed_a1_generated_3")
 
 
 # -- serialization ---------------------------------------------------------------

@@ -189,6 +189,23 @@ def test_dimension_vector_takes_integral_numbers_as_ints():
     assert all(type(v) is int for v in dims.values())
 
 
+@pytest.mark.parametrize("value", [0.5, 1.5, -2.9, True, "2", None, float("inf")],
+                         ids=repr)
+def test_stability_vector_rejects_values_that_are_not_whole_numbers(value):
+    # int() used to read 1.5 as 1, so a character exponent of 0.5 evaluated as 1
+    with pytest.raises(ValueError, match=r"stability at vertex b is not a whole number"):
+        StabilityVector({"a": 1, "b": value})
+
+
+def test_stability_vector_takes_negative_whole_numbers():
+    zeta = StabilityVector({"a": -2.0, "b": 3})
+    assert dict(zeta) == {"a": -2, "b": 3}
+    assert all(type(v) is int for v in zeta.values())
+    assert repr(zeta) == "StabilityVector(a=-2, b=3)"
+    assert zeta == StabilityVector({"b": 3, "a": -2})
+    assert zeta != DimensionVector({"a": 2, "b": 3})
+
+
 def test_stability_and_character():
     from fractions import Fraction
     zeta = StabilityVector({"0": -2, "1": 1})
