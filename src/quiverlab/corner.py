@@ -82,8 +82,12 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
     source.  Up to degree ``top`` every standard path from H into
     ``cand_targets`` outside that span is retained, in key order, and named
     by its arrow or by ``letter`` and a count.  The span must then be all of
-    the standard paths from H into ``span_targets``.
+    the standard paths from H into ``span_targets``.  A finite-dimensional
+    basis is walked only to its first empty degree: past it every block is
+    empty and the span check reads 0 = 0.
     """
+    if basis.finite_dimensional:
+        degrees = range(degrees.start, min(degrees.stop, basis.top_degree + 2))
     h_set = frozenset(basis.quiver.h_vertices)
     blocks = [_h_block(basis, e, h_set) for e in range(degrees.stop)]
     for d in degrees:

@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded
 from .linalg import axpy, nullspace
@@ -461,8 +461,15 @@ class GroebnerBasis:
         return len(self.polys)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
+        """Remainder of f on division by the basis.
+
+        A single term whose monomial is standard is its own remainder, and f
+        itself comes back: polynomials are never mutated, so sharing is safe.
+        """
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
+        if len(f.terms) == 1 and self.is_standard(next(iter(f.terms))):
+            return f
         return _reduce(f, self.leads, self._masks)
 
     def ideal_member(self, f: Polynomial) -> tuple[bool, Polynomial]:
@@ -472,8 +479,10 @@ class GroebnerBasis:
     def is_standard(self, exps: tuple) -> bool:
         """True when the monomial avoids every leading term."""
         support = _support(exps)
-        return not any(mask & support == mask and _divides(le, exps)
-                       for mask, (le, _) in zip(self._masks, self.leads))
+        for mask, (le, _) in zip(self._masks, self.leads):
+            if mask & support == mask and _divides(le, exps):
+                return False
+        return True
 
     def texts(self) -> list[str]:
         return [g.text() for g in self.polys]
@@ -572,19 +581,38 @@ class NilpotentWitness:
     power: int
 
 
+def _standard_layers(gb: GroebnerBasis, max_deg: int) -> Iterator[list[tuple]]:
+    """Exponents of the standard monomials, one list per degree 1..max_deg.
+
+    Standard monomials form an order ideal: every divisor of one is one too.
+    So degree d grows from degree d - 1, each monomial times a variable at
+    or after its last one, and only those candidates are tested.  Each list
+    is in lex order of the sorted variable indices, and the layers stop at
+    the first empty degree.
+    """
+    n = gb.ring.nvars
+    layer = [(0, (0,) * n)]   # (last variable used, exponents)
+    for _ in range(max_deg):
+        grown = []
+        for last, exps in layer:
+            for i in range(last, n):
+                cand = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                if gb.is_standard(cand):
+                    grown.append((i, cand))
+        if not grown:
+            return
+        layer = grown
+        yield [exps for _, exps in layer]
+
+
 def standard_monomials(gb: GroebnerBasis, max_deg: int) -> list[Polynomial]:
-    """Monomials of total degree 1..max_deg avoiding all leading terms."""
+    """Monomials of total degree 1..max_deg avoiding all leading terms.
+
+    Graded, and within a degree in lex order of the sorted variable indices.
+    """
     ring = gb.ring
-    out = []
-    for d in range(1, max_deg + 1):
-        for combo in itertools.combinations_with_replacement(range(ring.nvars), d):
-            exps = [0] * ring.nvars
-            for i in combo:
-                exps[i] += 1
-            exps = tuple(exps)
-            if gb.is_standard(exps):
-                out.append(Polynomial._raw(ring, {exps: _ONE}))
-    return out
+    return [Polynomial._raw(ring, {exps: _ONE})
+            for layer in _standard_layers(gb, max_deg) for exps in layer]
 
 
 def ideal_multigrading(gb: GroebnerBasis) -> list[tuple[int, ...]]:
@@ -621,7 +649,11 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
     monomials of equal degree and equal weight under ``ideal_multigrading``.
     Three exact, reproducible phases:
 
-    1. every standard monomial of degree <= max_deg, in graded order;
+    1. every standard monomial m of degree <= max_deg, in graded order,
+       enumerated one degree at a time so that the budget also bounds the
+       enumeration; when m^max_pow is standard, so is every lower power and
+       m is passed over with one divisibility test, else its powers are
+       reduced in turn;
     2. signed pairs m + m' and m - m' of standard monomials sharing a
        grading class, probed at the square (by linearity one reduction of
        each of m*m, m'*m', m*m' settles both signs);
@@ -639,16 +671,15 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
         raise ValueError("trials and max_ops must be nonnegative")
     ops = 0
 
-    def charge() -> None:
+    def charge(n: int = 1) -> None:
         nonlocal ops
-        ops += 1
+        ops += n
         if max_ops is not None and ops > max_ops:
             raise BudgetExceeded(f"witness search exceeded {max_ops} reductions")
 
-    def probe(f: Polynomial, standard: bool = False) -> NilpotentWitness | None:
-        # a standard monomial is its own normal form, but is charged the same
+    def probe(f: Polynomial) -> NilpotentWitness | None:
         charge()
-        power = f if standard else gb.normal_form(f)
+        power = gb.normal_form(f)
         if not power:
             return None
         for k in range(2, max_pow + 1):
@@ -662,18 +693,24 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
                 return NilpotentWitness(f, k)
         return None
 
-    monos = standard_monomials(gb, max_deg)
-    for m in monos:
-        hit = probe(m, standard=True)
-        if hit is not None:
-            return hit
+    ring = gb.ring
+    monos: list[Polynomial] = []
+    for layer in _standard_layers(gb, max_deg):
+        for exps in layer:
+            m = Polynomial._raw(ring, {exps: _ONE})
+            monos.append(m)
+            if gb.is_standard(tuple(e * max_pow for e in exps)):
+                charge(max_pow)   # what probe charges for max_pow nonzero powers
+                continue
+            hit = probe(m)
+            if hit is not None:
+                return hit
 
     weights = ideal_multigrading(gb)
     classes: dict[tuple, list[int]] = {}
     for idx, m in enumerate(monos):
         exps = next(iter(m.terms))
-        key = (sum(exps),
-               tuple(sum(w[i] * e for i, e in enumerate(exps) if e) for w in weights))
+        key = (sum(exps), tuple(sum(map(operator.mul, w, exps)) for w in weights))
         classes.setdefault(key, []).append(idx)
 
     squares: dict[int, Polynomial] = {}

@@ -92,3 +92,11 @@ def d4_rep_ideal():
 def d4_groebner(d4_rep_ideal):
     _, ideal = d4_rep_ideal
     return buchberger([g for g in ideal.generators if g.terms])
+
+
+@pytest.fixture(scope="session")
+def a3_groebner():
+    quiver = build_doubled_dynkin("A", 3)
+    ideal = rep_ideal(RepCoordinates(quiver, delta_k("A", 3)),
+                      preprojective_relations(quiver))
+    return buchberger([g for g in ideal.generators if g.terms])

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -18,10 +19,12 @@ from quiverlab.corner import (BimoduleGenerators, CornerGenerator,
 from quiverlab.errors import BudgetExceeded, VerificationError
 from quiverlab.linalg import Mat, SpanBuilder, axpy, block_upper, kernel_combos
 from quiverlab.modules import ModuleRep, check_relations, element_matrix
-from quiverlab.polynomials import GroebnerBasis, Polynomial
+from quiverlab.polynomials import (GroebnerBasis, NilpotentWitness, Polynomial,
+                                   ideal_multigrading)
 from quiverlab.quivers import Arrow, Path, Quiver
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 _FINITE_EDGES = {
     ("A", 1): [],
@@ -986,3 +989,137 @@ def reference_random_extension(sub: ModuleRep, quot: ModuleRep,
     if not ok:
         raise VerificationError("extension construction produced an invalid module")
     return result
+
+
+# -- nilpotence probing: the witness search as it stood before phase 1 -------
+#
+# Phase 1 reduced every power of every standard monomial, and the standard
+# monomials were all C(n + d - 1, d) monomials of each degree that avoid the
+# leading terms, listed before the first probe.  Kept as the reference whose
+# witnesses, powers and budget cut-offs the search must reproduce.
+
+
+def reference_standard_monomials(gb: GroebnerBasis, max_deg: int) -> list[Polynomial]:
+    """Monomials of total degree 1..max_deg avoiding all leading terms."""
+    ring = gb.ring
+    out = []
+    for d in range(1, max_deg + 1):
+        for combo in itertools.combinations_with_replacement(range(ring.nvars), d):
+            exps = [0] * ring.nvars
+            for i in combo:
+                exps[i] += 1
+            exps = tuple(exps)
+            if gb.is_standard(exps):
+                out.append(Polynomial._raw(ring, {exps: _ONE}))
+    return out
+
+
+def reference_nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
+                                       seed: int = 0, trials: int = 200,
+                                       max_ops: int | None = None) -> NilpotentWitness | None:
+    """Search for f with f not in the ideal but f^k in it for some k <= max_pow.
+
+    Nilpotents decompose into homogeneous parts for every grading of the
+    ideal, so multi-term witnesses can be assumed to combine standard
+    monomials of equal degree and equal weight under ``ideal_multigrading``.
+    Three exact, reproducible phases:
+
+    1. every standard monomial of degree <= max_deg, in graded order;
+    2. signed pairs m + m' and m - m' of standard monomials sharing a
+       grading class, probed at the square (by linearity one reduction of
+       each of m*m, m'*m', m*m' settles both signs);
+    3. seeded random small-integer combinations of 2..4 standard monomials
+       drawn from a common grading class.
+
+    Every hit is re-verified from scratch (direct expansion of the power)
+    before being returned.  Returns None when the bounded search exhausts
+    without a hit; raises BudgetExceeded when ``max_ops`` normal-form
+    computations were spent first.
+    """
+    if max_deg < 1 or max_pow < 2:
+        raise ValueError("need max_deg >= 1 and max_pow >= 2")
+    if trials < 0 or (max_ops is not None and max_ops < 0):
+        raise ValueError("trials and max_ops must be nonnegative")
+    ops = 0
+
+    def charge() -> None:
+        nonlocal ops
+        ops += 1
+        if max_ops is not None and ops > max_ops:
+            raise BudgetExceeded(f"witness search exceeded {max_ops} reductions")
+
+    def probe(f: Polynomial, standard: bool = False) -> NilpotentWitness | None:
+        # a standard monomial is its own normal form, but is charged the same
+        charge()
+        power = f if standard else gb.normal_form(f)
+        if not power:
+            return None
+        for k in range(2, max_pow + 1):
+            charge()
+            power = gb.normal_form(power * f)
+            if not power:
+                if gb.normal_form(f ** k):
+                    raise AssertionError("incremental and direct reductions disagree")
+                if not gb.normal_form(f):
+                    raise AssertionError("witness unexpectedly lies in the ideal")
+                return NilpotentWitness(f, k)
+        return None
+
+    monos = reference_standard_monomials(gb, max_deg)
+    for m in monos:
+        hit = probe(m, standard=True)
+        if hit is not None:
+            return hit
+
+    weights = ideal_multigrading(gb)
+    classes: dict[tuple, list[int]] = {}
+    for idx, m in enumerate(monos):
+        exps = next(iter(m.terms))
+        key = (sum(exps),
+               tuple(sum(w[i] * e for i, e in enumerate(exps) if e) for w in weights))
+        classes.setdefault(key, []).append(idx)
+
+    squares: dict[int, Polynomial] = {}
+
+    def nf_square(i: int) -> Polynomial:
+        if i not in squares:
+            charge()
+            squares[i] = gb.normal_form(monos[i] * monos[i])
+        return squares[i]
+
+    for key in sorted(classes):
+        members = classes[key]
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                i, j = members[a], members[b]
+                charge()
+                cross = gb.normal_form(monos[i] * monos[j]).scale(2)
+                base = nf_square(i) + nf_square(j)
+                for f in ((monos[i] + monos[j]) if not (base + cross) else None,
+                          (monos[i] - monos[j]) if not (base - cross) else None):
+                    if f is not None:
+                        hit = probe(f)
+                        if hit is None:
+                            raise AssertionError("pair probe lost a verified square")
+                        return hit
+
+    pools = [classes[key] for key in sorted(classes) if len(classes[key]) >= 2]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        if pools:
+            pool = pools[rng.randrange(len(pools))]
+        else:
+            pool = list(range(len(monos)))
+        if len(pool) < 2:
+            break
+        width = rng.randint(2, min(4, len(pool)))
+        picks = rng.sample(pool, width)
+        terms: dict[tuple, Fraction] = {}
+        for i in picks:
+            c = rng.choice((-2, -1, 1, 2))
+            exps = next(iter(monos[i].terms))
+            terms[exps] = Fraction(c)
+        hit = probe(Polynomial(gb.ring, terms))
+        if hit is not None:
+            return hit
+    return None

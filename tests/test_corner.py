@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from quiverlab.algebra import (AlgebraElement, RelationSet, framed_affine_preprojective,
-                               graded_basis, preprojective_relations)
+from quiverlab.algebra import (AlgebraElement, GradedBasis, RelationSet,
+                               framed_affine_preprojective, graded_basis,
+                               preprojective_relations)
 from quiverlab.corner import (
     VerificationError,
     _retain,
@@ -176,6 +177,31 @@ def test_search_refuses_a_short_span(framed_a1):
     with pytest.raises(VerificationError,
                        match="corner generators span only 0 of 1 dimensions in degree 1"):
         _retain(basis, [], range(1, 3), 0, h, h, "g", "corner")
+
+
+def test_finite_basis_search_stops_at_its_first_empty_degree(monkeypatch):
+    q = build_doubled_dynkin("A", 2)
+    tagged = Quiver(q.vertices, q.arrows, {"1": "J", "2": "K"})
+    basis = graded_basis(tagged, preprojective_relations(q).on_quiver(tagged), 10_000)
+    assert basis.finite_dimensional and basis.top_degree == 1
+    degrees = []
+    real = GradedBasis.basis
+
+    def counting(self, d):
+        degrees.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(GradedBasis, "basis", counting)
+    corner = corner_generators(basis)
+    bimod = bimodule_generators(corner)
+    # both searches read degrees up to the first empty one and no further
+    assert max(degrees) == basis.top_degree + 1
+    monkeypatch.undo()
+    assert corner.verified_to == bimod.verified_to == 10_000
+    short = graded_basis(tagged, preprojective_relations(q).on_quiver(tagged), 40)
+    ref = reference_corner_generators(short, None, short.cutoff)
+    assert corner.generators == ref.generators
+    assert bimod.generators == reference_bimodule_generators(ref).generators
 
 
 def test_sufficient_dimension_bound(framed_a1_corner):

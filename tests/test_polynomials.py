@@ -27,7 +27,8 @@ from quiverlab.polynomials import (
 from quiverlab.quivers import DimensionVector
 from quiverlab.repscheme import RepCoordinates, rep_ideal
 
-from oracles import (reference_buchberger, reference_nullspace, reference_reduce,
+from oracles import (reference_buchberger, reference_nilpotent_witness_search,
+                     reference_nullspace, reference_reduce, reference_standard_monomials,
                      reference_substitute)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -250,8 +251,9 @@ def test_witness_search_rejects_negative_budgets():
 
 def test_witness_phase_one_takes_standard_monomials_as_normal_forms(d4_groebner,
                                                                    monkeypatch):
-    # the seed-0 (3, 4) search made 2,697 reductions while phase 1 reduced
-    # each of the 376 standard monomials; the budget still charges them
+    # the seed-0 (3, 4) search charges 2,697 reductions.  The fourth power of
+    # each of the 376 standard monomials is standard, so phase 1 takes no
+    # normal form at all; the budget still charges it four per monomial
     calls = []
     normal_form = GroebnerBasis.normal_form
 
@@ -263,10 +265,105 @@ def test_witness_phase_one_takes_standard_monomials_as_normal_forms(d4_groebner,
     assert nilpotent_witness_search(d4_groebner, 3, 4, seed=0) is None
     monkeypatch.undo()
     assert len(standard_monomials(d4_groebner, 3)) == 376
-    assert len(calls) == 2697 - 376
+    assert len(calls) == 1193
     with pytest.raises(BudgetExceeded, match="exceeded 2696 reductions"):
         nilpotent_witness_search(d4_groebner, 3, 4, seed=0, max_ops=2696)
     assert nilpotent_witness_search(d4_groebner, 3, 4, seed=0, max_ops=2697) is None
+
+
+def test_witness_budget_bounds_the_enumeration(d4_groebner, monkeypatch):
+    # 12 variables have C(20, 8) - 1 = 125,969 monomials of degree 1..8, but
+    # a budget of ten reductions runs out among the degree-1 monomials and
+    # their squares
+    seen = []
+    is_standard = GroebnerBasis.is_standard
+
+    def recording(self, exps):
+        seen.append(sum(exps))
+        return is_standard(self, exps)
+
+    monkeypatch.setattr(GroebnerBasis, "is_standard", recording)
+    with pytest.raises(BudgetExceeded, match="exceeded 10 reductions"):
+        nilpotent_witness_search(d4_groebner, 8, 2, max_ops=10)
+    assert set(seen) == {1, 2}
+
+
+# ideals with a witness that phase 1, phase 2 or phase 3 finds
+WITNESS_IDEALS = [
+    ["x^2*y"],
+    ["x^2 + 2*x*y + y^2"],
+    ["x^2 + 2*x*y + y^2 + 2*x*z + 2*y*z + z^2"],
+]
+
+
+def _witness_basis(name, fixtures):
+    if name in fixtures:
+        return fixtures[name]
+    ring = PolyRing(["x", "y", "z"])
+    texts = (R_IDEALS if name[0] == "R" else WITNESS_IDEALS)[int(name[1:])]
+    return buchberger([ring.parse(t) for t in texts])
+
+
+def _witness_outcome(search, gb, max_deg, max_pow, seed, trials, max_ops=None):
+    """The witness text and power, None, or the BudgetExceeded message."""
+    try:
+        w = search(gb, max_deg, max_pow, seed=seed, trials=trials, max_ops=max_ops)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return None if w is None else (w.element.text(), w.power)
+
+
+class _Tally:
+    """A budget that never runs out and keeps the largest count held up to it.
+
+    The search compares ``ops > max_ops``, which Python answers here.
+    """
+
+    def __init__(self):
+        self.most = 0
+
+    def __lt__(self, count):
+        self.most = max(self.most, count)
+        return False
+
+
+WITNESS_BASES = (["D4", "A3"] + [f"R{i}" for i in range(len(R_IDEALS))]
+                 + [f"W{i}" for i in range(len(WITNESS_IDEALS))])
+# (basis, max_deg, max_pow, seed, trials); few trials keep phase 3 short
+WITNESS_GRID = (
+    [("D4", *case) for case in [(1, 2, 0, 200), (2, 2, 1, 10), (2, 3, 0, 10),
+                                (3, 2, 2, 10), (3, 4, 0, 10), (4, 3, 0, 10)]]
+    + [("A3", *case) for case in [(1, 3, 0, 50), (2, 2, 1, 10), (3, 4, 0, 10),
+                                  (4, 3, 2, 10)]]
+    + [(f"R{i}", *case) for i in range(len(R_IDEALS))
+       for case in [(1, 2, 0, 200), (2, 3, 1, 10), (3, 2, 2, 10), (4, 4, 0, 10)]]
+    + [(f"W{i}", *case) for i in range(len(WITNESS_IDEALS))
+       for case in [(1, 2, 0, 200), (2, 3, 1, 10), (1, 2, 3, 200), (2, 2, 0, 25)]]
+)
+
+
+@pytest.mark.parametrize("name,max_deg,max_pow,seed,trials", WITNESS_GRID)
+def test_witness_search_matches_the_reference(d4_groebner, a3_groebner, name, max_deg,
+                                              max_pow, seed, trials):
+    gb = _witness_basis(name, {"D4": d4_groebner, "A3": a3_groebner})
+    args = (gb, max_deg, max_pow, seed, trials)
+    tally = _Tally()
+    want = _witness_outcome(reference_nilpotent_witness_search, *args, tally)
+    assert _witness_outcome(nilpotent_witness_search, *args) == want
+    needed = tally.most
+    # every cut-off inside the first few probes, one midway, and the threshold
+    spread = set(range(3 * max_pow + 2)) | {needed // 2, max(needed - 1, 0), needed}
+    for ops in sorted(spread):
+        got = _witness_outcome(nilpotent_witness_search, *args, ops)
+        assert got == _witness_outcome(reference_nilpotent_witness_search, *args, ops)
+        assert got == (want if ops >= needed else f"witness search exceeded {ops} reductions")
+
+
+@pytest.mark.parametrize("name", WITNESS_BASES)
+def test_standard_monomials_match_the_reference(d4_groebner, a3_groebner, name):
+    gb = _witness_basis(name, {"D4": d4_groebner, "A3": a3_groebner})
+    for d in range(7):
+        assert standard_monomials(gb, d) == reference_standard_monomials(gb, d)
 
 
 def test_d4_groebner_shape(d4_groebner):
