@@ -241,7 +241,10 @@ def corner_presentation(corner: CornerGenerators,
     generator, so in weight wd the ideal is spanned by x*k and k*x over
     generators x and dependencies k of weight wd - weight(x).  Every kept
     relation is re-evaluated in the ambient algebra (it must vanish) and the
-    word-space ranks must agree with the corner's graded dimensions.
+    word-space ranks must agree with the corner's graded dimensions.  On a
+    finite-dimensional basis the weights stop at its top degree plus the
+    largest generator weight: past that, every word is x*k for a word k of
+    weight above the top degree, which is zero, so no relation is new.
     """
     basis = corner.basis
     big = basis.quiver
@@ -273,7 +276,10 @@ def corner_presentation(corner: CornerGenerators,
               for h in qh.vertices]]
     deps: list[list[dict[Path, Fraction]]] = [[]]
     relations: list[AlgebraElement] = []
-    for wd in range(1, cutoff + 1):
+    last = cutoff
+    if basis.finite_dimensional:
+        last = min(cutoff, basis.top_degree + max(weights.values(), default=0))
+    for wd in range(1, last + 1):
         layer = []
         for a in qh.arrows:
             if weights[a.name] <= wd:

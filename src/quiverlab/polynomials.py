@@ -1,21 +1,28 @@
 """Commutative polynomials over the rationals: orders, Gröbner bases, search.
 
-Everything is exact; monomials are exponent tuples against a fixed variable
-list.  Variable names may contain characters like ``*`` (they come from arrow
-names), so the parser tokenizes by longest match against the ring's variable
-set rather than by a fixed lexer.
+Everything is exact.  Inside the module a monomial is one packed ``int``: a
+``_BITS``-bit field per variable and the total degree in a field above them,
+so a product of monomials is an addition, a quotient a subtraction, and
+divisibility one guard-bit test.  Every stored monomial has total degree
+below 2^31, so a sum of two never carries between fields; whatever can raise
+a degree that far raises OverflowError.  Exponent tuples stay the public
+face: ``Polynomial(ring, terms)``, ``PolyRing.monomial``, ``Polynomial.terms``,
+``lead_exps``, ``GroebnerBasis.leads`` and ``is_standard``.  Variable names
+may contain characters like ``*`` (they come from arrow names), so the
+parser tokenizes by longest match against the ring's variable set rather
+than by a fixed lexer.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded
@@ -27,11 +34,21 @@ _NUM = re.compile(r"\d+(?:/\d+)?")
 
 ORDERS = ("degrevlex", "lex")
 
+_BITS = 32                     # width of one exponent field of a packed monomial
+_LIMIT = 1 << (_BITS - 1)      # every stored monomial's total degree is below this
+_FIELD = (1 << _BITS) - 1
+
 
 class PolyRing:
-    """A polynomial ring with a fixed variable order and monomial order."""
+    """A polynomial ring with a fixed variable order and monomial order.
 
-    __slots__ = ("variables", "order", "_index")
+    Variable i sits in field i of a packed monomial under degrevlex and in
+    field n - 1 - i under lex, so that the low fields read as one integer
+    break the order's ties; the total degree sits in field n.
+    """
+
+    __slots__ = ("variables", "order", "_index", "_lex", "_field_variables", "_shifts",
+                 "_units", "_top", "_low", "_guards")
 
     def __init__(self, variables: Iterable[str], order: str = "degrevlex") -> None:
         self.variables = tuple(variables)
@@ -44,40 +61,95 @@ class PolyRing:
             raise ValueError(f"unknown monomial order {order!r}")
         self.order = order
         self._index = {v: i for i, v in enumerate(self.variables)}
+        n = len(self.variables)
+        self._lex = order == "lex"
+        # the variable each field holds; the map is its own inverse, so it also
+        # gives each variable's field, whose bit offset _shifts lists by variable
+        self._field_variables = tuple(n - 1 - k if self._lex else k for k in range(n))
+        self._shifts = tuple(_BITS * k for k in self._field_variables)
+        self._top = _BITS * n                       # offset of the degree field
+        self._low = (1 << self._top) - 1            # the variable fields
+        self._units = tuple(1 << s | 1 << self._top for s in self._shifts)
+        # the top bit of every field, degree field included: packed a divides
+        # b exactly when ((b | guards) - a) & guards == guards, no field borrowing
+        self._guards = sum(1 << (_BITS * k + _BITS - 1) for k in range(n + 1))
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
 
-    def heap_key(self, exps: tuple[int, ...]):
-        """The monomial order, reversed: its largest element has the least key."""
-        if self.order == "degrevlex":
-            return (-sum(exps), exps[::-1])
-        return tuple(map(operator.neg, exps))
+    def heap_key(self, m: int) -> int:
+        """The monomial order, reversed: its largest packed monomial has the least key.
+
+        Under degrevlex the degree decides first, then the smaller low
+        fields; under lex the larger low fields.
+        """
+        low = m & self._low
+        return -low if self._lex else 2 * low - m
+
+    def _pack(self, exps: Sequence[int]) -> int:
+        if len(exps) != len(self._shifts) or any(e < 0 for e in exps):
+            raise ValueError("bad exponent tuple")
+        m = sum(e << s for e, s in zip(exps, self._shifts)) | sum(exps) << self._top
+        self._check_degree(m)
+        return m
+
+    def _unpack(self, m: int) -> tuple[int, ...]:
+        return tuple(m >> s & _FIELD for s in self._shifts)
+
+    def _factors(self, m: int) -> list[tuple[int, int]]:
+        """(variable index, exponent) for each variable m uses, in variable order.
+
+        Only the nonzero fields are read, the highest first, each found by
+        its top bit.
+        """
+        out = []
+        low = m & self._low
+        while low:
+            k = (low.bit_length() - 1) // _BITS
+            e = low >> _BITS * k
+            low -= e << _BITS * k
+            out.append((self._field_variables[k], e))
+        if not self._lex:
+            out.reverse()
+        return out
+
+    def _lcm(self, a: int, b: int) -> int:
+        """Least common multiple of two packed monomials, field by field."""
+        g = self._guards
+        # field k all ones where a's exponent is at least b's: its guard survives
+        mask = ((((a | g) - b) & g) >> (_BITS - 1)) * _FIELD
+        low = ((a & mask) | (b & ~mask)) & self._low
+        # the fields sum to below 2^32 - 1, so casting out 2^32 - 1 recovers it
+        return low | (low % _FIELD) << self._top
+
+    def _check_degree(self, m: int) -> None:
+        """Raise unless packed m (a result's largest key) has degree below 2^31."""
+        if m >> self._top >= _LIMIT:
+            raise OverflowError(f"monomial degree {m >> self._top} is not below "
+                                f"2^{_BITS - 1}")
 
     def zero(self) -> "Polynomial":
-        return Polynomial._raw(self, {})
+        return Polynomial._packed(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial._raw(self, {(0,) * self.nvars: _ONE})
+        return Polynomial._packed(self, {0: _ONE})
 
     def constant(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial._raw(self, {(0,) * self.nvars: c} if c else {})
+        return Polynomial._packed(self, {0: c} if c else {})
 
     def variable(self, name: str) -> "Polynomial":
         try:
             i = self._index[name]
         except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
-        exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial._raw(self, {exps: _ONE})
+        return Polynomial._packed(self, {self._units[i]: _ONE})
 
     def monomial(self, exps: Sequence[int], coefficient=1) -> "Polynomial":
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != self.nvars or any(e < 0 for e in exps):
-            raise ValueError("bad exponent tuple")
-        return Polynomial(self, {exps: Fraction(coefficient)})
+        m = self._pack(tuple(int(e) for e in exps))
+        c = Fraction(coefficient)
+        return Polynomial._packed(self, {m: c} if c else {})
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PolyRing)
@@ -188,7 +260,7 @@ def _frac_text(c: Fraction) -> str:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple, Fraction] | None = None) -> None:
         self.ring = ring
@@ -197,12 +269,12 @@ class Polynomial:
             for e, c in terms.items():
                 c = Fraction(c)
                 if c:
-                    data[e] = c
-        self.terms = data
+                    data[ring._pack(e)] = c
+        self._terms = data
 
     @classmethod
-    def _raw(cls, ring: PolyRing, terms: dict) -> "Polynomial":
-        """Trusted constructor: ``terms`` must already map to nonzero Fractions.
+    def _packed(cls, ring: PolyRing, terms: dict) -> "Polynomial":
+        """Trusted constructor: ``terms`` maps packed monomials to nonzero Fractions.
 
         The dict is taken over, not copied.  Arithmetic builds its results
         here, so a coefficient is wrapped in ``Fraction`` once, not again on
@@ -210,38 +282,51 @@ class Polynomial:
         """
         p = object.__new__(cls)
         p.ring = ring
-        p.terms = terms
+        p._terms = terms
         return p
 
+    @classmethod
+    def _raw(cls, ring: PolyRing, terms: Mapping[tuple, Fraction]) -> "Polynomial":
+        """Trusted constructor from exponent tuples mapped to nonzero Fractions."""
+        return cls._packed(ring, {ring._pack(e): c for e, c in terms.items()})
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """Coefficients by exponent tuple, in storage order; a read-only copy."""
+        unpack = self.ring._unpack
+        return MappingProxyType({unpack(m): c for m, c in self._terms.items()})
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Polynomial)
-                and self.ring == other.ring and self.terms == other.terms)
+                and self.ring == other.ring and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
+        # the monomials alone: a Fraction hashes slowly, and equal
+        # polynomials have equal monomials
+        return hash((self.ring, frozenset(self._terms)))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        axpy(out, 1, other.terms)
-        return Polynomial._raw(self.ring, out)
+        out = dict(self._terms)
+        axpy(out, 1, other._terms)
+        return Polynomial._packed(self.ring, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        axpy(out, -1, other.terms)
-        return Polynomial._raw(self.ring, out)
+        out = dict(self._terms)
+        axpy(out, -1, other._terms)
+        return Polynomial._packed(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._packed(self.ring, {e: -c for e, c in self._terms.items()})
 
     def scale(self, c) -> "Polynomial":
         if type(c) is not Fraction:
             c = Fraction(c)
         if not c:
-            return Polynomial._raw(self.ring, {})
-        return Polynomial._raw(self.ring, {e: c * v for e, v in self.terms.items()})
+            return Polynomial._packed(self.ring, {})
+        return Polynomial._packed(self.ring, {e: c * v for e, v in self._terms.items()})
     __rmul__ = scale
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -254,14 +339,15 @@ class Polynomial:
         Every term product goes into one dict, so no intermediate polynomial
         is built; ``Mat`` products and traces over polynomials sum here.  A
         left coefficient of 1 takes the right one as it is, with no product.
+        Two packed monomials multiply by one addition, and the result's
+        largest key is checked against the degree limit once.
         """
-        out: dict[tuple, Fraction] = {}
-        add = operator.add
+        out: dict[int, Fraction] = {}
         for x, y in zip(xs, ys):
-            for e1, c1 in x.terms.items():
+            for e1, c1 in x._terms.items():
                 unit = c1 == 1
-                for e2, c2 in y.terms.items():
-                    e = tuple(map(add, e1, e2))
+                for e2, c2 in y._terms.items():
+                    e = e1 + e2
                     c = c2 if unit else c1 * c2
                     v = out.get(e)
                     if v is None:
@@ -270,7 +356,9 @@ class Polynomial:
                         out[e] = v
                     else:
                         del out[e]
-        return Polynomial._raw(self.ring, out)
+        if out:
+            self.ring._check_degree(max(out))
+        return Polynomial._packed(self.ring, out)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -285,30 +373,32 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self._terms) >> self.ring._top if self._terms else -1
+
+    def _lead(self) -> int:
+        if not self._terms:
+            raise ValueError("zero polynomial has no leading term")
+        return min(self._terms, key=self.ring.heap_key)
 
     def lead_exps(self) -> tuple:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return min(self.terms, key=self.ring.heap_key)
+        return self.ring._unpack(self._lead())
 
     def lead_coeff(self) -> Fraction:
-        return self.terms[self.lead_exps()]
+        return self._terms[self._lead()]
 
     def monic(self) -> "Polynomial":
         return self.scale(1 / self.lead_coeff())
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
         """Value at a rational point given per-variable values."""
+        names = self.ring.variables
         total = _ZERO
-        for exps, c in self.terms.items():
-            v = Fraction(c)
-            for name, e in zip(self.ring.variables, exps):
-                if not e:
-                    continue
-                if name not in env:
-                    raise ValueError(f"no value for variable {name!r}")
-                v *= Fraction(env[name]) ** e
+        for m, c in self._terms.items():
+            v = c
+            for i, e in self.ring._factors(m):
+                if names[i] not in env:
+                    raise ValueError(f"no value for variable {names[i]!r}")
+                v *= Fraction(env[names[i]]) ** e
             total += v
         return total
 
@@ -338,31 +428,28 @@ class Polynomial:
                 known.append(known[-1] * known[0])
             return known[e - 1]
 
-        one = {(0,) * ring.nvars: _ONE}
-        slots = range(self.ring.nvars)
-        out: dict[tuple, Fraction] = {}
-        for exps, c in self.terms.items():
+        one = {0: _ONE}
+        factors = self.ring._factors
+        out: dict[int, Fraction] = {}
+        for m, c in self._terms.items():
             term = None
-            for i in itertools.compress(slots, exps):   # the nonzero exponents only
-                p = power(i, exps[i])
+            for i, e in factors(m):   # the nonzero exponents only
+                p = power(i, e)
                 term = p if term is None else term * p
                 if not term:
                     break
-            axpy(out, c, one if term is None else term.terms)
-        return Polynomial._raw(ring, out)
+            axpy(out, c, one if term is None else term._terms)
+        return Polynomial._packed(ring, out)
 
     def text(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda it: self.ring.heap_key(it[0]))
+        ring = self.ring
+        items = sorted(self._terms.items(), key=lambda it: ring.heap_key(it[0]))
         rendered = []
-        for exps, c in items:
-            factors = []
-            for name, e in zip(self.ring.variables, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
+        for m, c in items:
+            factors = [ring.variables[i] if e == 1 else f"{ring.variables[i]}^{e}"
+                       for i, e in ring._factors(m)]
             mag = abs(c)
             if not factors:
                 body = _frac_text(mag)
@@ -381,60 +468,43 @@ class Polynomial:
         return f"Polynomial({self.text()})"
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(map(operator.le, a, b))
-
-
-def _support(exps: tuple) -> int:
-    """Bitmask of the variables a monomial uses; a divisor's mask is a subset."""
-    return int.from_bytes(bytes(map(bool, exps)), "big")
-
-
-def _mono_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _reduce(f: Polynomial, leads: Sequence[tuple[tuple, Polynomial]],
-            masks: Sequence[int]) -> Polynomial:
+def _reduce(f: Polynomial, reducers: Sequence[tuple[int, Polynomial]]) -> Polynomial:
     """Full multivariate division remainder of f by the listed polynomials.
 
-    ``leads`` pairs each divisor with its leading exponents, ``masks`` holds
-    their ``_support``s; the first divisor in list order whose lead divides
-    a term cancels it.  A term enters the heap when it enters ``work``, and
-    an entry whose term has cancelled since is skipped.  A popped term never
-    returns, since all a reducer adds lies below the term it cancels.
+    ``reducers`` pairs each divisor's packed leading monomial with it; the
+    first divisor in list order whose lead divides a term cancels it.  A term
+    enters the heap when it enters ``work``, and an entry whose term has
+    cancelled since is skipped.  A popped term never returns, since all a
+    reducer adds lies below the term it cancels.  Under lex a shifted tail
+    may have a higher degree than the term it replaces, so it is checked.
     """
     ring = f.ring
-    heap_key = ring.heap_key
+    heap_key, guards, lex = ring.heap_key, ring._guards, ring._lex
     push, pop = heapq.heappush, heapq.heappop
-    add = operator.add
-    work = dict(f.terms)
+    work = dict(f._terms)
     heap = [(heap_key(e), e) for e in work]
     heapq.heapify(heap)
-    out: dict[tuple, Fraction] = {}
+    out: dict[int, Fraction] = {}
     while heap:
-        exps = pop(heap)[1]
-        coef = work.pop(exps, None)
+        m = pop(heap)[1]
+        coef = work.pop(m, None)
         if coef is None:
             continue
-        support = _support(exps)
-        for mask, (le, g) in zip(masks, leads):
-            if mask & support == mask and _divides(le, exps):
-                shift = _mono_sub(exps, le)
-                tail = {tuple(map(add, e2, shift)): c2
-                        for e2, c2 in g.terms.items() if e2 != le}
+        b = m | guards
+        for le, g in reducers:
+            if (b - le) & guards == guards:
+                shift = m - le
+                tail = {e2 + shift: c2 for e2, c2 in g._terms.items() if e2 != le}
+                if lex and tail:
+                    ring._check_degree(max(tail))
                 for e in tail.keys() - work.keys():
                     push(heap, (heap_key(e), e))
-                lc = g.terms[le]
+                lc = g._terms[le]
                 axpy(work, -coef if lc == 1 else -coef / lc, tail)
                 break
         else:
-            out[exps] = coef
-    return Polynomial._raw(ring, out)
+            out[m] = coef
+    return Polynomial._packed(ring, out)
 
 
 @dataclass(frozen=True)
@@ -446,13 +516,21 @@ class GroebnerBasis:
     # (leading exponents, polynomial) per member, computed once
     leads: tuple[tuple[tuple, Polynomial], ...] = field(
         init=False, repr=False, compare=False)
-    # _support of each lead, in the same order
-    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # (packed lead, polynomial) per member, in the same order
+    _reducers: tuple[tuple[int, Polynomial], ...] = field(
+        init=False, repr=False, compare=False)
+    # per variable, the packed leads that use it
+    _by_variable: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        leads = tuple((g.lead_exps(), g) for g in self.polys)
-        object.__setattr__(self, "leads", leads)
-        object.__setattr__(self, "_masks", tuple(_support(le) for le, _ in leads))
+        ring = self.ring
+        reducers = tuple((g._lead(), g) for g in self.polys)
+        object.__setattr__(self, "_reducers", reducers)
+        object.__setattr__(self, "leads",
+                           tuple((ring._unpack(le), g) for le, g in reducers))
+        object.__setattr__(self, "_by_variable", tuple(
+            tuple(le for le, _ in reducers if le >> s & _FIELD) for s in ring._shifts))
 
     def __iter__(self):
         return iter(self.polys)
@@ -468,9 +546,9 @@ class GroebnerBasis:
         """
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        if len(f.terms) == 1 and self.is_standard(next(iter(f.terms))):
+        if len(f._terms) == 1 and self._is_standard(next(iter(f._terms))):
             return f
-        return _reduce(f, self.leads, self._masks)
+        return _reduce(f, self._reducers)
 
     def ideal_member(self, f: Polynomial) -> tuple[bool, Polynomial]:
         nf = self.normal_form(f)
@@ -478,9 +556,13 @@ class GroebnerBasis:
 
     def is_standard(self, exps: tuple) -> bool:
         """True when the monomial avoids every leading term."""
-        support = _support(exps)
-        for mask, (le, _) in zip(self._masks, self.leads):
-            if mask & support == mask and _divides(le, exps):
+        return self._is_standard(self.ring._pack(exps))
+
+    def _is_standard(self, m: int) -> bool:
+        guards = self.ring._guards
+        b = m | guards
+        for le, _ in self._reducers:
+            if (b - le) & guards == guards:
                 return False
         return True
 
@@ -509,25 +591,22 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
     if any(g.ring != ring for g in gens):
         raise ValueError("generators from different rings")
 
-    basis: list[tuple[tuple, Polynomial]] = []   # (lead exps, monic member)
-    masks: list[int] = []                        # _support of each lead
-    pairs: list[tuple] = []
+    basis: list[tuple[int, Polynomial]] = []   # (packed lead, monic member)
+    pairs: list[tuple] = []                    # (lcm degree, i, j, lcm)
 
     def push(f: Polynomial) -> None:
         f = f.monic()
-        lt = f.lead_exps()
+        lt = f._lead()
         t = len(basis)
         basis.append((lt, f))
-        masks.append(_support(lt))
         for i in range(t):
             li = basis[i][0]
-            if all(min(a, b) == 0 for a, b in zip(li, lt)):
-                continue   # coprime leads never yield a new element
-            lcm = _mono_lcm(li, lt)
-            heapq.heappush(pairs, (sum(lcm), i, t))
+            lcm = ring._lcm(li, lt)
+            if lcm != li + lt:   # coprime leads never yield a new element
+                heapq.heappush(pairs, (lcm >> ring._top, i, t, lcm))
 
     for g in gens:
-        r = _reduce(g, basis, masks)
+        r = _reduce(g, basis)
         if r:
             push(r)
 
@@ -536,24 +615,24 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
         steps += 1
         if steps > max_steps:
             raise BudgetExceeded(f"Gröbner computation exceeded {max_steps} steps")
-        _, i, j = heapq.heappop(pairs)
+        _, i, j, lcm = heapq.heappop(pairs)
         (li, fi), (lj, fj) = basis[i], basis[j]
-        lcm = _mono_lcm(li, lj)
-        a = Polynomial._raw(ring, {_mono_sub(lcm, li): _ONE})
-        b = Polynomial._raw(ring, {_mono_sub(lcm, lj): _ONE})
+        a = Polynomial._packed(ring, {lcm - li: _ONE})
+        b = Polynomial._packed(ring, {lcm - lj: _ONE})
         s = a * fi - b * fj
-        r = _reduce(s, basis, masks)
+        r = _reduce(s, basis)
         if r:
             push(r)
 
     # minimalize: drop members whose lead another member's lead divides
+    guards = ring._guards
     keep: list[int] = []
     for i, (lt, _) in enumerate(basis):
         redundant = False
         for j, (lh, _) in enumerate(basis):
             if i == j:
                 continue
-            if _divides(lh, lt) and (lh != lt or j < i):
+            if ((lt | guards) - lh) & guards == guards and (lh != lt or j < i):
                 redundant = True
                 break
         if not redundant:
@@ -561,12 +640,11 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
     reduced = []
     for i in keep:
         g = basis[i][1]
-        others = [j for j in keep if j != i]
-        r = (_reduce(g, [basis[j] for j in others], [masks[j] for j in others])
-             if others else g)
+        others = [basis[j] for j in keep if j != i]
+        r = _reduce(g, others) if others else g
         if r:
             reduced.append(r.monic())
-    reduced.sort(key=lambda g: ring.heap_key(g.lead_exps()), reverse=True)
+    reduced.sort(key=lambda g: ring.heap_key(g._lead()), reverse=True)
     return GroebnerBasis(ring, tuple(reduced))
 
 
@@ -581,28 +659,39 @@ class NilpotentWitness:
     power: int
 
 
-def _standard_layers(gb: GroebnerBasis, max_deg: int) -> Iterator[list[tuple]]:
-    """Exponents of the standard monomials, one list per degree 1..max_deg.
+def _standard_layers(gb: GroebnerBasis, max_deg: int) -> Iterator[list[int]]:
+    """Packed standard monomials, one list per degree 1..max_deg.
 
     Standard monomials form an order ideal: every divisor of one is one too.
-    So degree d grows from degree d - 1, each monomial times a variable at
-    or after its last one, and only those candidates are tested.  Each list
-    is in lex order of the sorted variable indices, and the layers stop at
-    the first empty degree.
+    So degree d grows from degree d - 1, each monomial m times a variable x_i
+    at or after its last one, and only those candidates are tested.  As m is
+    standard, a lead dividing m·x_i uses x_i, so only those leads are tested.
+    Degree 1 is tested against every lead, since a constant lead (the unit
+    ideal) uses no variable.  Each list is in lex order of the sorted
+    variable indices, and the layers stop at the first empty degree.
     """
-    n = gb.ring.nvars
-    layer = [(0, (0,) * n)]   # (last variable used, exponents)
-    for _ in range(max_deg):
-        grown = []
-        for last, exps in layer:
-            for i in range(last, n):
-                cand = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                if gb.is_standard(cand):
-                    grown.append((i, cand))
-        if not grown:
+    ring = gb.ring
+    guards, units, by_variable = ring._guards, ring._units, gb._by_variable
+    n = ring.nvars
+    layer: list[tuple[int, int]] = []   # (last variable used, packed monomial)
+    for d in range(1, max_deg + 1):
+        if d == 1:
+            layer = [(i, u) for i, u in enumerate(units) if gb.is_standard(ring._unpack(u))]
+        else:
+            grown = []
+            for last, m in layer:
+                for i in range(last, n):
+                    cand = m + units[i]
+                    b = cand | guards
+                    for le in by_variable[i]:
+                        if (b - le) & guards == guards:
+                            break
+                    else:
+                        grown.append((i, cand))
+            layer = grown
+        if not layer:
             return
-        layer = grown
-        yield [exps for _, exps in layer]
+        yield [m for _, m in layer]
 
 
 def standard_monomials(gb: GroebnerBasis, max_deg: int) -> list[Polynomial]:
@@ -611,8 +700,8 @@ def standard_monomials(gb: GroebnerBasis, max_deg: int) -> list[Polynomial]:
     Graded, and within a degree in lex order of the sorted variable indices.
     """
     ring = gb.ring
-    return [Polynomial._raw(ring, {exps: _ONE})
-            for layer in _standard_layers(gb, max_deg) for exps in layer]
+    return [Polynomial._packed(ring, {m: _ONE})
+            for layer in _standard_layers(gb, max_deg) for m in layer]
 
 
 def ideal_multigrading(gb: GroebnerBasis) -> list[tuple[int, ...]]:
@@ -696,20 +785,20 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
     ring = gb.ring
     monos: list[Polynomial] = []
     for layer in _standard_layers(gb, max_deg):
-        for exps in layer:
-            m = Polynomial._raw(ring, {exps: _ONE})
-            monos.append(m)
-            if gb.is_standard(tuple(e * max_pow for e in exps)):
+        for m in layer:
+            mono = Polynomial._packed(ring, {m: _ONE})
+            monos.append(mono)
+            if gb.is_standard(tuple(e * max_pow for e in ring._unpack(m))):
                 charge(max_pow)   # what probe charges for max_pow nonzero powers
                 continue
-            hit = probe(m)
+            hit = probe(mono)
             if hit is not None:
                 return hit
 
     weights = ideal_multigrading(gb)
     classes: dict[tuple, list[int]] = {}
-    for idx, m in enumerate(monos):
-        exps = next(iter(m.terms))
+    for idx, mono in enumerate(monos):
+        exps = ring._unpack(next(iter(mono._terms)))
         key = (sum(exps), tuple(sum(map(operator.mul, w, exps)) for w in weights))
         classes.setdefault(key, []).append(idx)
 
@@ -748,12 +837,11 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
             break
         width = rng.randint(2, min(4, len(pool)))
         picks = rng.sample(pool, width)
-        terms: dict[tuple, Fraction] = {}
+        terms: dict[int, Fraction] = {}
         for i in picks:
             c = rng.choice((-2, -1, 1, 2))
-            exps = next(iter(monos[i].terms))
-            terms[exps] = Fraction(c)
-        hit = probe(Polynomial(gb.ring, terms))
+            terms[next(iter(monos[i]._terms))] = Fraction(c)
+        hit = probe(Polynomial._packed(ring, terms))
         if hit is not None:
             return hit
     return None

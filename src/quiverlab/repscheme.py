@@ -253,10 +253,9 @@ def invariant_generators(coords: RepCoordinates,
     chain: list = []
     for cycle in cycles:
         total = _cycle_trace(coords, cycle, chain)
-        fingerprint = frozenset(total.terms.items())
-        if not total or fingerprint in seen:
+        if not total or total in seen:
             continue
-        seen.add(fingerprint)
+        seen.add(total)
         out.append(InvariantGenerator("trace", cycle, None, None, total))
     f_set = frozenset(quiver.f_vertices)
     frontier = [Path.idempotent(quiver, v) for v in quiver.f_vertices]

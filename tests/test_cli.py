@@ -499,3 +499,22 @@ def test_package_imports_only_the_standard_library(tmp_path):
     report = json.loads(out.stdout)
     assert Path(report["package"]).parent == (REPO / "src" / "quiverlab").resolve()
     assert report["third_party"] == []
+
+
+@pytest.mark.parametrize("order, generators", [
+    ("degrevlex", ["x^2147483648 - y"]),           # parsing
+    ("degrevlex", ["x^2147483647*y - 1"]),         # a product while parsing
+    ("lex", ["x - y^2147483647", "x^2 - 1"]),      # a shifted tail under lex
+])
+def test_groebner_past_the_degree_limit_exits_1(tmp_path, order, generators):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"variables": ["x", "y"], "order": order,
+                                "generators": generators}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "quiverlab", "groebner", "--in", str(path)],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert out.returncode == 1 and not out.stdout
+    assert out.stderr.startswith("error:") and "2^31" in out.stderr
+    assert "Traceback" not in out.stderr

@@ -16,6 +16,7 @@ from quiverlab.corner import (
     corner_presentation,
     sufficient_dimension_bound,
 )
+from quiverlab.linalg import kernel_combos
 from quiverlab.quivers import Arrow, DimensionVector, Quiver, build_doubled_dynkin
 
 from conftest import random_quotient
@@ -295,3 +296,55 @@ def test_presentation_matches_the_reference_loop_on_random_quotients(seed):
         assert pres == ref
     else:
         assert_same_presentation(pres, ref)
+
+
+# finite-dimensional corners: doubled Dynkin quivers with preprojective
+# relations and a nonempty corner (A3-JJJ has no interior vertex at all)
+FINITE_CORNERS = {
+    "A2-JK": ("A", 2, {"1": "J", "2": "K"}),
+    "A3-FKJ": ("A", 3, {"1": "F", "2": "K", "3": "J"}),
+    "A3-JJJ": ("A", 3, {"1": "J", "2": "J", "3": "J"}),
+    "D4-JKKF": ("D", 4, {"1": "J", "2": "K", "3": "K", "4": "F"}),
+    "D4-KJKK": ("D", 4, {"1": "K", "2": "J", "3": "K", "4": "K"}),
+}
+
+
+def _finite_corner(name, cutoff):
+    kind, rank, tags = FINITE_CORNERS[name]
+    q = build_doubled_dynkin(kind, rank)
+    tagged = Quiver(q.vertices, q.arrows, tags)
+    basis = graded_basis(tagged, preprojective_relations(q).on_quiver(tagged), cutoff)
+    assert basis.finite_dimensional
+    return corner_generators(basis)
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_CORNERS))
+def test_finite_presentation_matches_the_reference_at_every_cutoff(name):
+    corner = _finite_corner(name, 9)
+    for cutoff in range(10):
+        assert_same_presentation(corner_presentation(corner, cutoff),
+                                 reference_corner_presentation(corner, cutoff))
+
+
+@pytest.mark.parametrize("name, walked", [("A2-JK", 1), ("A3-JJJ", 3), ("D4-KJKK", 6)])
+def test_finite_presentation_stops_past_the_top_degree_and_largest_weight(
+        name, walked, monkeypatch):
+    corner = _finite_corner(name, 10_000)
+    layers = []
+    real = kernel_combos
+
+    def counting(rows):
+        layers.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr("quiverlab.corner.kernel_combos", counting)
+    pres = corner_presentation(corner)
+    monkeypatch.undo()
+    # one word layer per weight, up to the top degree plus the largest weight
+    assert len(layers) == walked == (corner.basis.top_degree
+                                     + max(pres.weights.values(), default=0))
+    assert pres.cutoff == 10_000 and pres.completeness == "truncated-at-10000"
+    ref = reference_corner_presentation(corner, walked + 4)
+    assert (pres.quiver, pres.weights) == (ref.quiver, ref.weights)
+    assert ([list(r.terms.items()) for r in pres.relations]
+            == [list(r.terms.items()) for r in ref.relations])

@@ -14,6 +14,7 @@ import pytest
 from quiverlab import polynomials
 from quiverlab.algebra import framed_affine_preprojective
 from quiverlab.errors import BudgetExceeded
+from quiverlab.linalg import Mat
 from quiverlab.polynomials import (
     ORDERS,
     GroebnerBasis,
@@ -27,9 +28,9 @@ from quiverlab.polynomials import (
 from quiverlab.quivers import DimensionVector
 from quiverlab.repscheme import RepCoordinates, rep_ideal
 
-from oracles import (reference_buchberger, reference_nilpotent_witness_search,
-                     reference_nullspace, reference_reduce, reference_standard_monomials,
-                     reference_substitute)
+from oracles import (_order_key, reference_buchberger, reference_nilpotent_witness_search,
+                     reference_nullspace, reference_pm_mul, reference_reduce,
+                     reference_standard_monomials, reference_substitute)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -690,3 +691,213 @@ def test_normal_form_agrees_with_sympy_remainder(sympy, R, d4_groebner):
             _, rem = sympy.reduced(_to_sympy(sympy, f, sym_gens), divisors, *sym_gens,
                                    order="grevlex")
             assert gb.normal_form(f).terms == _from_sympy(sympy, rem, sym_gens)
+
+
+# -- the packed layer ---------------------------------------------------------
+#
+# Monomials are packed integers inside the module; plain loops over exponent
+# tuples must give the same results, the dict order of ``terms`` included,
+# on a seeded grid of ring sizes under both orders.
+
+GRID = [(n, order) for n in (0, 1, 3, 12, 46, 80) for order in ORDERS]
+TOP = 2 ** 31 - 1   # the largest total degree a monomial may have
+
+
+def _grid_ring(n, order):
+    return PolyRing([f"t{i}" for i in range(n)], order)
+
+
+def _sparse_poly(ring, rng, terms, support, max_exp=3):
+    """A nonzero polynomial whose exponents lie on the ``support`` variables."""
+    out = {}
+    for _ in range(terms):
+        exps = [0] * ring.nvars
+        for i in support:
+            exps[i] = rng.randint(0, max_exp)
+        out[tuple(exps)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+    return Polynomial(ring, out)
+
+
+def _tuple_sum(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + sign * c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _tuple_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = out.get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _tuple_substitute(f, target, images):
+    """f's image term by term: the images of its variables in variable order,
+    each power built by products from the one below, multiplied left to right.
+
+    ``reference_substitute`` multiplies one factor at a time, so only its
+    values, not its dict order, match the cached powers.
+    """
+    powers = {}
+
+    def power(i, e):
+        if i not in powers:
+            img = images.get(f.ring.variables[i])
+            if img is None:
+                img = target.variable(f.ring.variables[i])
+            powers[i] = [dict(img.terms)]
+        known = powers[i]
+        while len(known) < e:
+            known.append(_tuple_product(known[-1], known[0]))
+        return known[e - 1]
+
+    total = {}
+    for exps, c in f.terms.items():
+        term = None
+        for i, e in enumerate(exps):
+            if e:
+                p = power(i, e)
+                term = p if term is None else _tuple_product(term, p)
+                if not term:
+                    break
+        if term is None:
+            term = {(0,) * target.nvars: 1}
+        total = _tuple_sum(total, {k: c * v for k, v in term.items()})
+    return total
+
+
+def _tuple_text(ring, terms):
+    """Terms from the largest monomial down, each as sign and body."""
+    if not terms:
+        return "0"
+    parts = []
+    for exps, c in sorted(terms.items(), key=lambda it: _order_key(ring, it[0]),
+                          reverse=True):
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(ring.variables, exps) if e]
+        mag = abs(c)
+        num = str(mag.numerator) if mag.denominator == 1 else str(mag)
+        body = "*".join(factors if factors and mag == 1 else [num] + factors)
+        parts.append(("-" if c < 0 else "+") + " " + body)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _items(p):
+    return list(p.terms.items())
+
+
+@pytest.mark.parametrize("n, order", GRID)
+def test_packed_arithmetic_matches_the_tuple_oracles(n, order):
+    ring = _grid_ring(n, order)
+    target = _grid_ring(n + 1, order)   # images may use one more variable
+    for seed in range(3):
+        rng = random.Random(100 * n + seed)
+        support = rng.sample(range(n), min(n, 3))
+        f = _sparse_poly(ring, rng, 5, support)
+        g = _sparse_poly(ring, rng, 3, support)
+        ft, gt = dict(f.terms), dict(g.terms)
+        assert _items(f + g) == list(_tuple_sum(ft, gt).items())
+        assert _items(f - g) == list(_tuple_sum(ft, gt, -1).items())
+        assert _items(f + (g - f)) == list(_tuple_sum(ft, _tuple_sum(gt, ft, -1)).items())
+        assert _items(f * g) == list(_tuple_product(ft, gt).items())
+        assert _items(f ** 3) == list(_tuple_product(_tuple_product(ft, ft), ft).items())
+
+        A = [[_sparse_poly(ring, rng, 2, support, 2) for _ in range(2)] for _ in range(2)]
+        B = [[_sparse_poly(ring, rng, 2, support, 2) for _ in range(3)] for _ in range(2)]
+        got = Mat(2, 2, tuple(map(tuple, A)), ring.zero()) * Mat(2, 3, tuple(map(tuple, B)),
+                                                                 ring.zero())
+        want = reference_pm_mul(ring.zero(), A, B, 3)
+        assert all(_items(got.entry(i, j)) == _items(want[i][j])
+                   for i in range(2) for j in range(3))
+
+        images = {ring.variables[i]: _sparse_poly(target, rng, 2, [rng.randrange(n + 1)], 2)
+                  for i in support[:2]}
+        image = f.substitute(target, images)
+        assert image.terms == reference_substitute(f, target, images)
+        assert _items(image) == list(_tuple_substitute(f, target, images).items())
+
+        for p in (f, g, f * g, ring.zero()):
+            assert p.text() == _tuple_text(ring, p.terms)
+            assert ring.parse(p.text()) == p
+
+        gens = [_sparse_poly(ring, rng, 2, support, 2) for _ in range(2)]
+        gb = buchberger(gens)
+        assert [_items(p) for p in gb] == [_items(p) for p in reference_buchberger(gens)]
+        assert gb.leads == tuple((p.lead_exps(), p) for p in gb.polys)
+        h = f * g
+        assert _items(gb.normal_form(h)) == list(reference_reduce(h, gb.polys).items())
+
+
+@pytest.mark.parametrize("n, order", GRID)
+def test_heap_key_sorts_as_the_order_key(n, order):
+    ring = _grid_ring(n, order)
+    rng = random.Random(n)
+    monos = {(0,) * n}
+    for _ in range(80):
+        exps = [0] * n
+        for _ in range(rng.randint(0, 3) if n else 0):
+            exps[rng.randrange(n)] += rng.choice((1, 2, 7, 1000, 2 ** 20))
+        monos.add(tuple(exps))
+    if n:   # the largest degree, on the first and on the last variable
+        monos |= {(TOP,) + (0,) * (n - 1), (0,) * (n - 1) + (TOP,)}
+    shuffled = sorted(monos)
+    rng.shuffle(shuffled)
+    got = [ring._unpack(m) for m in sorted(map(ring._pack, shuffled), key=ring.heap_key)]
+    assert got == sorted(shuffled, key=lambda e: _order_key(ring, e), reverse=True)
+    assert Polynomial(ring, dict.fromkeys(shuffled, 1)).lead_exps() == got[0]
+
+
+def test_degree_limit_raises_overflow(R):
+    # the largest degree that fits round-trips; one more raises wherever it
+    # would be stored: parsing, monomial, the constructor, a product
+    assert R.parse(f"x^{TOP}") == R.monomial((TOP, 0, 0))
+    assert R.parse(f"x^{TOP}").text() == f"x^{TOP}"
+    assert R.monomial((TOP, 0, 0)).degree == TOP
+    for make in (lambda: R.parse("x^2147483648"),
+                 lambda: R.parse(f"x^{TOP}*z"),
+                 lambda: R.monomial((2 ** 31, 0, 0)),
+                 lambda: R.monomial((2 ** 30, 2 ** 30, 0)),
+                 lambda: Polynomial(R, {(0, 0, 2 ** 31): 1}),
+                 lambda: R.monomial((TOP, 0, 0)) * R.parse("y + 1"),
+                 lambda: R.monomial((2 ** 30, 0, 0)) ** 2):
+        with pytest.raises(OverflowError, match="not below 2\\^31"):
+            make()
+    # only the largest key is checked, and a result that cancels is zero
+    f = R.monomial((TOP, 0, 0)) + R.one()
+    assert f * R.zero() == R.zero() and (f * R.one()) == f
+    # under lex a shifted tail can have a larger degree than the term it cancels
+    L = PolyRing(["x", "y"], order="lex")
+    gb = buchberger([L.parse(f"x - y^{TOP}")])
+    assert gb.normal_form(L.parse("x")) == L.parse(f"y^{TOP}")
+    with pytest.raises(OverflowError):
+        gb.normal_form(L.parse("x^2"))
+
+
+@pytest.mark.parametrize("n, order", GRID)
+def test_standard_monomials_match_the_reference_on_the_grid(n, order):
+    # per-variable lead lists against the all-lead test, also on the unit
+    # ideal (its constant lead uses no variable) and the zero ideal
+    ring = _grid_ring(n, order)
+    rng = random.Random(n)
+    support = rng.sample(range(n), min(n, 3))
+    gens = [_sparse_poly(ring, rng, 2, support, 2) for _ in range(2)]
+    top = {0: 6, 1: 6, 3: 6, 12: 4, 46: 2, 80: 2}[n]
+    for gb in (buchberger(gens), buchberger([ring.one()]), GroebnerBasis(ring, ())):
+        for d in (0, 1, top):
+            assert standard_monomials(gb, d) == reference_standard_monomials(gb, d)
+        if n <= 12:
+            for d in range(1, min(top, 4) + 1):
+                args = (gb, d, 3, 0, 10)
+                assert (_witness_outcome(nilpotent_witness_search, *args)
+                        == _witness_outcome(reference_nilpotent_witness_search, *args))
