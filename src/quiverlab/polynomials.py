@@ -9,8 +9,8 @@ a degree that far raises OverflowError.  Exponent tuples stay the public
 face: ``Polynomial(ring, terms)``, ``PolyRing.monomial``, ``Polynomial.terms``,
 ``lead_exps``, ``GroebnerBasis.leads`` and ``is_standard``.  Variable names
 may contain characters like ``*`` (they come from arrow names), so the
-parser tokenizes by longest match against the ring's variable set rather
-than by a fixed lexer.
+parser's token pattern tries the ring's variable names, longest first,
+before numbers and operators.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .linalg import axpy, nullspace
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_NUM = re.compile(r"\d+(?:/\d+)?")
 
 ORDERS = ("degrevlex", "lex")
 
@@ -90,9 +89,9 @@ class PolyRing:
     def _pack(self, exps: Sequence[int]) -> int:
         if len(exps) != len(self._shifts) or any(e < 0 for e in exps):
             raise ValueError("bad exponent tuple")
-        m = sum(e << s for e, s in zip(exps, self._shifts)) | sum(exps) << self._top
+        m = sum(exps) << self._top   # checked first: below 2^31 no field carries
         self._check_degree(m)
-        return m
+        return m | sum(e << s for e, s in zip(exps, self._shifts))
 
     def _unpack(self, m: int) -> tuple[int, ...]:
         return tuple(m >> s & _FIELD for s in self._shifts)
@@ -164,94 +163,75 @@ class PolyRing:
     # -- parsing -----------------------------------------------------------
 
     def parse(self, text: str) -> "Polynomial":
-        """Inverse of Polynomial.text(); accepts optional whitespace."""
-        tokens = self._tokenize(text)
-        pos = 0
+        """Inverse of Polynomial.text(); accepts optional whitespace.
 
-        def peek():
-            return tokens[pos] if pos < len(tokens) else (None, None)
-
-        def take(kind):
-            nonlocal pos
-            tk, tv = peek()
-            if tk != kind:
-                raise ValueError(f"expected {kind} at token {pos} of {text!r}")
-            pos += 1
-            return tv
-
-        total = self.zero()
-        sign = Fraction(1)
-        tk, tv = peek()
-        if tk == "op" and tv in "+-":
-            sign = Fraction(-1) if tv == "-" else Fraction(1)
-            pos += 1
+        Each term is read straight into a coefficient and a packed monomial
+        and added into one dict, so parsing costs time linear in the text.
+        A factor is checked against the degree limit on its own, and the
+        term's degree after it while the coefficient is nonzero.
+        """
+        tokens = self._tokenize(text) + [(None, None)]   # the end of the text
+        units, index = self._units, self._index
+        out: dict[int, Fraction] = {}
+        pos = 1 if tokens[0] in (("op", "+"), ("op", "-")) else 0
+        coef = -_ONE if tokens[0] == ("op", "-") else _ONE
         while True:
-            total = total + self._parse_term(tokens, peek, take).scale(sign)
-            tk, tv = peek()
-            if tk is None:
-                return total
-            if tk == "op" and tv in "+-":
-                sign = Fraction(-1) if tv == "-" else Fraction(1)
+            m = 0
+            while True:   # one term: factors joined by *
+                kind, value = tokens[pos]
+                if kind == "num":
+                    coef *= value
+                elif kind == "var":
+                    e = 1
+                    if tokens[pos + 1] == ("op", "^"):
+                        pos += 2
+                        kind, e = tokens[pos]
+                        if kind != "num":
+                            raise ValueError(f"expected num at token {pos} of {text!r}")
+                        if e.denominator != 1:
+                            raise ValueError("exponent must be a nonnegative integer")
+                        e = e.numerator
+                    self._check_degree(e << self._top)
+                    if coef:
+                        m += e * units[index[value]]
+                        self._check_degree(m)
+                else:
+                    raise ValueError("expected a factor")
                 pos += 1
-            else:
-                raise ValueError(f"unexpected token {tv!r} in {text!r}")
+                if tokens[pos] != ("op", "*"):
+                    break
+                pos += 1
+            axpy(out, 1, {m: coef})
+            kind, value = tokens[pos]
+            if kind is None:
+                return Polynomial._packed(self, out)
+            if kind != "op" or value not in "+-":
+                raise ValueError(f"unexpected token {value!r} in {text!r}")
+            coef = -_ONE if value == "-" else _ONE
+            pos += 1
 
-    def _parse_term(self, tokens, peek, take) -> "Polynomial":
-        out = self.one()
-        while True:
-            tk, tv = peek()
-            if tk == "num":
-                take("num")
-                out = out.scale(tv)
-            elif tk == "var":
-                take("var")
-                exp = 1
-                nk, nv = peek()
-                if nk == "op" and nv == "^":
-                    take("op")
-                    e = take("num")
-                    if e.denominator != 1 or e < 0:
-                        raise ValueError("exponent must be a nonnegative integer")
-                    exp = int(e)
-                # the power's exponent tuple directly: one product per factor
-                i = self._index[tv]
-                out = out * self.monomial([exp if j == i else 0 for j in range(self.nvars)])
-            else:
-                raise ValueError("expected a factor")
-            nk, nv = peek()
-            if nk == "op" and nv == "*":
-                take("op")
-                continue
-            return out
+    def _tokenize(self, text: str) -> list[tuple]:
+        """("var", name), ("num", Fraction) and ("op", char) tokens.
 
-    def _tokenize(self, text: str):
-        by_len = sorted(self.variables, key=len, reverse=True)
+        Variable names are tried longest first, before numbers and operators.
+        """
+        names = "|".join(map(re.escape, sorted(self.variables, key=len, reverse=True)))
+        token = re.compile(rf"(?P<space>\s+)|(?P<var>{names or '(?!)'})"
+                           r"|(?P<num>\d+(?:/\d+)?)|(?P<op>[-+*^])")
         tokens = []
         i = 0
         while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            for v in by_len:
-                if text.startswith(v, i):
-                    tokens.append(("var", v))
-                    i += len(v)
-                    break
-            else:
-                if ch.isdigit():
-                    m = _NUM.match(text, i)
-                    assert m is not None
-                    try:
-                        tokens.append(("num", Fraction(m.group())))
-                    except ZeroDivisionError:
-                        raise ValueError(f"zero denominator in {m.group()!r}") from None
-                    i = m.end()
-                elif ch in "+-*^":
-                    tokens.append(("op", ch))
-                    i += 1
-                else:
-                    raise ValueError(f"cannot tokenize {text[i:i + 12]!r}")
+            match = token.match(text, i)
+            if match is None:
+                raise ValueError(f"cannot tokenize {text[i:i + 12]!r}")
+            kind, word, i = match.lastgroup, match.group(), match.end()
+            if kind == "num":
+                try:
+                    tokens.append((kind, Fraction(word)))
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {word!r}") from None
+            elif kind != "space":
+                tokens.append((kind, word))
         return tokens
 
 
@@ -284,11 +264,6 @@ class Polynomial:
         p.ring = ring
         p._terms = terms
         return p
-
-    @classmethod
-    def _raw(cls, ring: PolyRing, terms: Mapping[tuple, Fraction]) -> "Polynomial":
-        """Trusted constructor from exponent tuples mapped to nonzero Fractions."""
-        return cls._packed(ring, {ring._pack(e): c for e, c in terms.items()})
 
     @property
     def terms(self) -> Mapping[tuple, Fraction]:
@@ -676,7 +651,7 @@ def _standard_layers(gb: GroebnerBasis, max_deg: int) -> Iterator[list[int]]:
     layer: list[tuple[int, int]] = []   # (last variable used, packed monomial)
     for d in range(1, max_deg + 1):
         if d == 1:
-            layer = [(i, u) for i, u in enumerate(units) if gb.is_standard(ring._unpack(u))]
+            layer = [(i, u) for i, u in enumerate(units) if gb._is_standard(u)]
         else:
             grown = []
             for last, m in layer:
@@ -788,7 +763,9 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
         for m in layer:
             mono = Polynomial._packed(ring, {m: _ONE})
             monos.append(mono)
-            if gb.is_standard(tuple(e * max_pow for e in ring._unpack(m))):
+            # m^max_pow is m * max_pow, as below degree 2^31 no field carries
+            ring._check_degree((m & ~ring._low) * max_pow)
+            if gb._is_standard(m * max_pow):
                 charge(max_pow)   # what probe charges for max_pow nonzero powers
                 continue
             hit = probe(mono)

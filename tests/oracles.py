@@ -10,6 +10,7 @@ import functools
 import heapq
 import itertools
 import random
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -104,6 +105,108 @@ def _order_key(ring, exps: tuple):
     if ring.order == "degrevlex":
         return (sum(exps), tuple(-e for e in reversed(exps)))
     return exps
+
+
+# The parser before each term was read straight into a packed monomial: it
+# built every factor through a polynomial product and every sum through a
+# copy of the whole accumulated polynomial.  Kept as the reference whose
+# results, term order and error messages ``PolyRing.parse`` must reproduce.
+
+_NUM = re.compile(r"\d+(?:/\d+)?")
+
+
+def reference_parse(ring, text: str) -> Polynomial:
+    """Inverse of Polynomial.text(); accepts optional whitespace."""
+    tokens = _reference_tokenize(ring, text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else (None, None)
+
+    def take(kind):
+        nonlocal pos
+        tk, tv = peek()
+        if tk != kind:
+            raise ValueError(f"expected {kind} at token {pos} of {text!r}")
+        pos += 1
+        return tv
+
+    total = ring.zero()
+    sign = Fraction(1)
+    tk, tv = peek()
+    if tk == "op" and tv in "+-":
+        sign = Fraction(-1) if tv == "-" else Fraction(1)
+        pos += 1
+    while True:
+        total = total + _reference_parse_term(ring, tokens, peek, take).scale(sign)
+        tk, tv = peek()
+        if tk is None:
+            return total
+        if tk == "op" and tv in "+-":
+            sign = Fraction(-1) if tv == "-" else Fraction(1)
+            pos += 1
+        else:
+            raise ValueError(f"unexpected token {tv!r} in {text!r}")
+
+
+def _reference_parse_term(ring, tokens, peek, take) -> Polynomial:
+    out = ring.one()
+    while True:
+        tk, tv = peek()
+        if tk == "num":
+            take("num")
+            out = out.scale(tv)
+        elif tk == "var":
+            take("var")
+            exp = 1
+            nk, nv = peek()
+            if nk == "op" and nv == "^":
+                take("op")
+                e = take("num")
+                if e.denominator != 1 or e < 0:
+                    raise ValueError("exponent must be a nonnegative integer")
+                exp = int(e)
+            # the power's exponent tuple directly: one product per factor
+            i = ring._index[tv]
+            out = out * ring.monomial([exp if j == i else 0 for j in range(ring.nvars)])
+        else:
+            raise ValueError("expected a factor")
+        nk, nv = peek()
+        if nk == "op" and nv == "*":
+            take("op")
+            continue
+        return out
+
+
+def _reference_tokenize(ring, text: str):
+    by_len = sorted(ring.variables, key=len, reverse=True)
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        for v in by_len:
+            if text.startswith(v, i):
+                tokens.append(("var", v))
+                i += len(v)
+                break
+        else:
+            if ch.isdigit():
+                m = _NUM.match(text, i)
+                assert m is not None
+                try:
+                    tokens.append(("num", Fraction(m.group())))
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {m.group()!r}") from None
+                i = m.end()
+            elif ch in "+-*^":
+                tokens.append(("op", ch))
+                i += 1
+            else:
+                raise ValueError(f"cannot tokenize {text[i:i + 12]!r}")
+    return tokens
 
 
 def reference_reduce(f, basis) -> dict:
@@ -1010,7 +1113,7 @@ def reference_standard_monomials(gb: GroebnerBasis, max_deg: int) -> list[Polyno
                 exps[i] += 1
             exps = tuple(exps)
             if gb.is_standard(exps):
-                out.append(Polynomial._raw(ring, {exps: _ONE}))
+                out.append(ring.monomial(exps))
     return out
 
 

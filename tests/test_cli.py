@@ -518,3 +518,13 @@ def test_groebner_past_the_degree_limit_exits_1(tmp_path, order, generators):
     assert out.returncode == 1 and not out.stdout
     assert out.stderr.startswith("error:") and "2^31" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_nilwitness_power_past_the_degree_limit_exits_1(capsys, tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"variables": ["x", "y"], "generators": ["x^2*y"]}))
+    assert main(["nilwitness", "--in", str(path), "--max-deg", "2",
+                 "--max-pow", "2147483648"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: monomial degree 2147483648 is not below 2^31\n"

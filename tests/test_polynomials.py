@@ -29,8 +29,8 @@ from quiverlab.quivers import DimensionVector
 from quiverlab.repscheme import RepCoordinates, rep_ideal
 
 from oracles import (_order_key, reference_buchberger, reference_nilpotent_witness_search,
-                     reference_nullspace, reference_pm_mul, reference_reduce,
-                     reference_standard_monomials, reference_substitute)
+                     reference_nullspace, reference_parse, reference_pm_mul,
+                     reference_reduce, reference_standard_monomials, reference_substitute)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -277,13 +277,13 @@ def test_witness_budget_bounds_the_enumeration(d4_groebner, monkeypatch):
     # a budget of ten reductions runs out among the degree-1 monomials and
     # their squares
     seen = []
-    is_standard = GroebnerBasis.is_standard
+    is_standard = GroebnerBasis._is_standard
 
-    def recording(self, exps):
-        seen.append(sum(exps))
-        return is_standard(self, exps)
+    def recording(self, m):
+        seen.append(m >> self.ring._top)
+        return is_standard(self, m)
 
-    monkeypatch.setattr(GroebnerBasis, "is_standard", recording)
+    monkeypatch.setattr(GroebnerBasis, "_is_standard", recording)
     with pytest.raises(BudgetExceeded, match="exceeded 10 reductions"):
         nilpotent_witness_search(d4_groebner, 8, 2, max_ops=10)
     assert set(seen) == {1, 2}
@@ -901,3 +901,120 @@ def test_standard_monomials_match_the_reference_on_the_grid(n, order):
                 args = (gb, d, 3, 0, 10)
                 assert (_witness_outcome(nilpotent_witness_search, *args)
                         == _witness_outcome(reference_nilpotent_witness_search, *args))
+
+
+def test_overflow_names_the_true_degree():
+    # phase 1 checks the degree of m^max_pow before testing m * max_pow; an
+    # exponent of 2^32 or more in the highest variable field would carry into
+    # the degree field if it were packed before the check
+    xy, x = PolyRing(["x", "y"]), PolyRing(["x"])
+    for make, degree in ((lambda: nilpotent_witness_search(
+                              buchberger([xy.parse("x^2*y")]), 2, 2 ** 31), 2 ** 31),
+                         (lambda: x.parse("x^21474836427"), 21474836427),
+                         (lambda: x.monomial((2 ** 32,)), 2 ** 32),
+                         (lambda: nilpotent_witness_search(
+                             buchberger([x.parse("x^3")]), 1, 2 ** 32), 2 ** 32)):
+        with pytest.raises(OverflowError) as info:
+            make()
+        assert str(info.value) == f"monomial degree {degree} is not below 2^31"
+
+
+# -- parsing ------------------------------------------------------------------
+#
+# ``PolyRing.parse`` reads each term straight into a packed monomial; the
+# reference builds every factor by a product and every sum by a copy.  Both
+# must give the same polynomial, in the same dict order, or the same error.
+
+PARSE_RINGS = [
+    [],
+    ["x"],
+    ["x", "x1", "y"],
+    ["x", "x1", "x_a_1_1", "x_a*_1_1", "y", "y1", "z", "a*b", "a", "b10", "b1", "c"],
+]
+PARSE_ERRORS = ["w + 1", "x +", "x^", "(x", "x**2", "", "+", "x y", "x^1/2", "1/0*x",
+                "x^x", "x^2147483648", "x^2147483647*x", "x +   (yyyyyyyyyyyy"]
+
+
+def _parse_outcome(parse, ring, text):
+    try:
+        p = parse(ring, text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    return list(p.terms.items())
+
+
+def _random_text(ring, rng):
+    """A well-formed polynomial text: signs, whitespace, rational and zero
+    coefficients, ``^0``, repeated factors and terms that cancel."""
+    def ws():
+        return rng.choice(("", "", " ", "  ", "\t", "\n "))
+
+    def term():
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            if ring.variables and rng.random() < 0.7:
+                v = rng.choice(ring.variables)
+                e = rng.choice(("",) * 4 + ("0", "1", "2", "5", "2147483647"))
+                factors.append(f"{v}{ws()}^{ws()}{e}" if e else v)
+            else:
+                factors.append(rng.choice(("1", "2", "7", "3/4", "10/5", "0", "0/3")))
+        return (ws() + "*" + ws()).join(factors)
+
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        if terms and rng.random() < 0.25:   # an earlier term again, often cancelling
+            sign, body = rng.choice(terms)
+            terms.append(("-" if sign == "+" else "+", body))
+        else:
+            terms.append((rng.choice("+-"), term()))
+    lead = rng.choice(("", terms[0][0]))
+    text = ws() + lead + ws() + terms[0][1]
+    for sign, body in terms[1:]:
+        text += ws() + sign + ws() + body
+    return text + ws()
+
+
+@pytest.mark.parametrize("names", PARSE_RINGS, ids=len)
+@pytest.mark.parametrize("order", ORDERS)
+def test_parse_matches_the_reference_parser(names, order):
+    ring = PolyRing(names, order)
+    rng = random.Random(len(names))
+    parsed = 0
+    for _ in range(200):
+        text = _random_text(ring, rng)
+        want = _parse_outcome(reference_parse, ring, text)
+        assert _parse_outcome(PolyRing.parse, ring, text) == want, text
+        parsed += isinstance(want, list)
+        # one character inserted, deleted or cut off: mostly malformed text
+        i = rng.randrange(len(text) + 1)
+        for bad in (text[:i] + rng.choice("+-*^/ 0123(xy") + text[i:],
+                    text[:i] + text[i + 1:], text[:i]):
+            assert (_parse_outcome(PolyRing.parse, ring, bad)
+                    == _parse_outcome(reference_parse, ring, bad)), bad
+    assert parsed >= 100
+    for bad in PARSE_ERRORS:
+        want = _parse_outcome(reference_parse, ring, bad)
+        assert not isinstance(want, list)
+        assert _parse_outcome(PolyRing.parse, ring, bad) == want, bad
+
+
+def test_parse_rejects_a_digit_that_is_not_decimal(R):
+    # "²" is a digit but no decimal: it is not a number token
+    with pytest.raises(ValueError, match="cannot tokenize '²'"):
+        R.parse("x²")
+
+
+def test_parse_does_no_polynomial_arithmetic(R, monkeypatch):
+    rng = random.Random(5)
+    text = " + ".join(f"{rng.randint(1, 9)}/{rng.randint(1, 3)}*x^{rng.randint(0, 40)}"
+                      f"*y^{rng.randint(0, 40)}*z" for _ in range(2000))
+    calls = []
+    for name in ("__add__", "__mul__", "scale", "_sum_of_products"):
+        real = getattr(Polynomial, name)
+        monkeypatch.setattr(Polynomial, name,
+                            lambda *args, real=real: calls.append(1) or real(*args))
+    got = R.parse(text)
+    monkeypatch.undo()
+    assert calls == []
+    assert _items(got) == _items(reference_parse(R, text))
