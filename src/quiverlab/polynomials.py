@@ -443,6 +443,16 @@ class Polynomial:
         return f"Polynomial({self.text()})"
 
 
+def _divisor(m: int, reducers: Iterable[tuple[int, Polynomial]],
+             guards: int) -> tuple[int, Polynomial] | None:
+    """The first (packed lead, polynomial) in ``reducers`` whose lead divides m."""
+    b = m | guards
+    for pair in reducers:
+        if (b - pair[0]) & guards == guards:
+            return pair
+    return None
+
+
 def _reduce(f: Polynomial, reducers: Sequence[tuple[int, Polynomial]]) -> Polynomial:
     """Full multivariate division remainder of f by the listed polynomials.
 
@@ -465,20 +475,19 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple[int, Polynomial]]) -> Polyno
         coef = work.pop(m, None)
         if coef is None:
             continue
-        b = m | guards
-        for le, g in reducers:
-            if (b - le) & guards == guards:
-                shift = m - le
-                tail = {e2 + shift: c2 for e2, c2 in g._terms.items() if e2 != le}
-                if lex and tail:
-                    ring._check_degree(max(tail))
-                for e in tail.keys() - work.keys():
-                    push(heap, (heap_key(e), e))
-                lc = g._terms[le]
-                axpy(work, -coef if lc == 1 else -coef / lc, tail)
-                break
-        else:
+        hit = _divisor(m, reducers, guards)
+        if hit is None:
             out[m] = coef
+            continue
+        le, g = hit
+        shift = m - le
+        tail = {e2 + shift: c2 for e2, c2 in g._terms.items() if e2 != le}
+        if lex and tail:
+            ring._check_degree(max(tail))
+        for e in tail.keys() - work.keys():
+            push(heap, (heap_key(e), e))
+        lc = g._terms[le]
+        axpy(work, -coef if lc == 1 else -coef / lc, tail)
     return Polynomial._packed(ring, out)
 
 
@@ -494,8 +503,8 @@ class GroebnerBasis:
     # (packed lead, polynomial) per member, in the same order
     _reducers: tuple[tuple[int, Polynomial], ...] = field(
         init=False, repr=False, compare=False)
-    # per variable, the packed leads that use it
-    _by_variable: tuple[tuple[int, ...], ...] = field(
+    # per variable, the (packed lead, polynomial) pairs whose lead uses it
+    _by_variable: tuple[tuple[tuple[int, Polynomial], ...], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -505,7 +514,7 @@ class GroebnerBasis:
         object.__setattr__(self, "leads",
                            tuple((ring._unpack(le), g) for le, g in reducers))
         object.__setattr__(self, "_by_variable", tuple(
-            tuple(le for le, _ in reducers if le >> s & _FIELD) for s in ring._shifts))
+            tuple(r for r in reducers if r[0] >> s & _FIELD) for s in ring._shifts))
 
     def __iter__(self):
         return iter(self.polys)
@@ -534,12 +543,7 @@ class GroebnerBasis:
         return self._is_standard(self.ring._pack(exps))
 
     def _is_standard(self, m: int) -> bool:
-        guards = self.ring._guards
-        b = m | guards
-        for le, _ in self._reducers:
-            if (b - le) & guards == guards:
-                return False
-        return True
+        return _divisor(m, self._reducers, self.ring._guards) is None
 
     def texts(self) -> list[str]:
         return [g.text() for g in self.polys]
@@ -599,28 +603,17 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
         if r:
             push(r)
 
-    # minimalize: drop members whose lead another member's lead divides
-    guards = ring._guards
-    keep: list[int] = []
-    for i, (lt, _) in enumerate(basis):
-        redundant = False
-        for j, (lh, _) in enumerate(basis):
-            if i == j:
-                continue
-            if ((lt | guards) - lh) & guards == guards and (lh != lt or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-    reduced = []
-    for i in keep:
-        g = basis[i][1]
-        others = [basis[j] for j in keep if j != i]
-        r = _reduce(g, others) if others else g
-        if r:
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: ring.heap_key(g._lead()), reverse=True)
-    return GroebnerBasis(ring, tuple(reduced))
+    # minimalize: in increasing lead order, every divisor of a lead and every
+    # earlier member with an equal lead come first, so one pass keeps exactly
+    # the members whose lead no kept lead divides
+    kept: list[tuple[int, Polynomial]] = []
+    for pair in sorted(basis, key=lambda p: -ring.heap_key(p[0])):
+        if _divisor(pair[0], kept, ring._guards) is None:
+            kept.append(pair)
+    # inter-reduce: no other kept lead divides a member's monic lead, so the
+    # lead stays in place and the kept order is the basis order
+    return GroebnerBasis(ring, tuple(_reduce(g, kept[:i] + kept[i + 1:])
+                                     for i, (_, g) in enumerate(kept)))
 
 
 # -- nilpotence probing -------------------------------------------------------
@@ -638,32 +631,21 @@ def _standard_layers(gb: GroebnerBasis, max_deg: int) -> Iterator[list[int]]:
     """Packed standard monomials, one list per degree 1..max_deg.
 
     Standard monomials form an order ideal: every divisor of one is one too.
-    So degree d grows from degree d - 1, each monomial m times a variable x_i
-    at or after its last one, and only those candidates are tested.  As m is
-    standard, a lead dividing m·x_i uses x_i, so only those leads are tested.
-    Degree 1 is tested against every lead, since a constant lead (the unit
-    ideal) uses no variable.  Each list is in lex order of the sorted
+    So degree d grows from degree d - 1, starting from the monomial 1, each
+    monomial m times a variable x_i at or after its last one, and only those
+    candidates are tested.  As m is standard, a lead dividing m·x_i uses x_i,
+    so only those leads are tested.  Each list is in lex order of the sorted
     variable indices, and the layers stop at the first empty degree.
     """
     ring = gb.ring
     guards, units, by_variable = ring._guards, ring._units, gb._by_variable
     n = ring.nvars
-    layer: list[tuple[int, int]] = []   # (last variable used, packed monomial)
-    for d in range(1, max_deg + 1):
-        if d == 1:
-            layer = [(i, u) for i, u in enumerate(units) if gb._is_standard(u)]
-        else:
-            grown = []
-            for last, m in layer:
-                for i in range(last, n):
-                    cand = m + units[i]
-                    b = cand | guards
-                    for le in by_variable[i]:
-                        if (b - le) & guards == guards:
-                            break
-                    else:
-                        grown.append((i, cand))
-            layer = grown
+    # (first variable a further factor may use, packed monomial); 1 is
+    # standard unless the ideal is the unit ideal, whose lead uses no variable
+    layer = [(0, 0)] if gb._is_standard(0) else []
+    for _ in range(max_deg):
+        layer = [(i, cand) for last, m in layer for i in range(last, n)
+                 if _divisor(cand := m + units[i], by_variable[i], guards) is None]
         if not layer:
             return
         yield [m for _, m in layer]

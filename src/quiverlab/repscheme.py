@@ -19,6 +19,10 @@ from .quivers import (FRAMING_ARROW, FRAMING_VERTEX, DimensionVector,
                       Path, Quiver)
 from .polynomials import Polynomial, PolyRing
 
+# PolyRing keeps one packed unit of 32·(n + 1) bits per variable, so its
+# memory grows as n²: 4,096 coordinates take 67 MB
+_MAX_COORDINATES = 4096
+
 
 def variable_name(arrow: str, row: int, col: int) -> str:
     """Coordinate name for the (row, col) entry of an arrow's matrix, 1-based."""
@@ -92,6 +96,10 @@ class RepCoordinates:
                  order: str = "degrevlex") -> None:
         if set(dims) != set(quiver.vertices):
             raise ValueError("dimension vector must cover exactly the vertices")
+        count = sum(dims[a.target] * dims[a.source] for a in quiver.arrows)
+        if count > _MAX_COORDINATES:
+            raise ValueError(f"{count} matrix coordinates exceed the limit of "
+                             f"{_MAX_COORDINATES}")
         self.quiver = quiver
         self.dims = dims
         grids = {a.name: [[variable_name(a.name, i, j) for j in range(1, dims[a.source] + 1)]

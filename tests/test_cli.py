@@ -273,6 +273,9 @@ _MALFORMED_INPUTS = {
     # zero padding to one entry per degree cannot size a list this long
     "basis_cutoff_beyond_a_list_index": ("basis", "cutoff", "100000000000000000000"),
     "cocenter_cutoff_beyond_a_list_index": ("cocenter", "cutoff", "100000000000000000000"),
+    # 10^40 matrix coordinates: refused before any ring variable is built
+    "invariants_dimension_past_the_coordinate_limit": (
+        "invariants", "quiver", "vertex 0 K\narrow a: 0 -> 0\ndimension 0=99999999999999999999\n"),
 }
 
 
@@ -286,7 +289,8 @@ def test_malformed_input_exits_1_without_a_traceback(case, tmp_path):
     elif kind == "cutoff":
         argv = [command, "--in", A2, "--cutoff", content]
     else:
-        argv = [command, "--in", str(path)] + (["--cutoff", "2"] if kind == "quiver" else [])
+        bound = ["--cycle-bound", "2"] if command == "invariants" else ["--cutoff", "2"]
+        argv = [command, "--in", str(path)] + (bound if kind == "quiver" else [])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)

@@ -275,18 +275,19 @@ def test_witness_phase_one_takes_standard_monomials_as_normal_forms(d4_groebner,
 def test_witness_budget_bounds_the_enumeration(d4_groebner, monkeypatch):
     # 12 variables have C(20, 8) - 1 = 125,969 monomials of degree 1..8, but
     # a budget of ten reductions runs out among the degree-1 monomials and
-    # their squares
+    # their squares; every divisibility test goes through _divisor, so the
+    # degrees it sees are 0 (the unit-ideal check), 1 and 2
     seen = []
-    is_standard = GroebnerBasis._is_standard
+    divisor, top = polynomials._divisor, d4_groebner.ring._top
 
-    def recording(self, m):
-        seen.append(m >> self.ring._top)
-        return is_standard(self, m)
+    def recording(m, reducers, guards):
+        seen.append(m >> top)
+        return divisor(m, reducers, guards)
 
-    monkeypatch.setattr(GroebnerBasis, "_is_standard", recording)
+    monkeypatch.setattr(polynomials, "_divisor", recording)
     with pytest.raises(BudgetExceeded, match="exceeded 10 reductions"):
         nilpotent_witness_search(d4_groebner, 8, 2, max_ops=10)
-    assert set(seen) == {1, 2}
+    assert set(seen) == {0, 1, 2}
 
 
 # ideals with a witness that phase 1, phase 2 or phase 3 finds
@@ -552,9 +553,23 @@ def test_normal_form_survives_a_cancelled_and_recreated_term(order):
         assert nf.text() == want
 
 
+def test_division_follows_list_order(R):
+    # x^2*y: x*y - 1 first leaves x, x^2 - y first leaves y^2; neither list
+    # is a Gröbner basis, so the first dividing lead must win
+    f, g1, g2 = R.parse("x^2*y"), R.parse("x*y - 1"), R.parse("x^2 - y")
+    for gs, want in (([g1, g2], "x"), ([g2, g1], "y^2")):
+        nf = polynomials._reduce(f, [(g._lead(), g) for g in gs])
+        assert nf.terms == reference_reduce(f, gs) and nf.text() == want
+
+
 def test_buchberger_matches_the_reference_loop(R, d4_rep_ideal, d4_groebner):
     L = PolyRing(R.variables, order="lex")
-    cases = [[ring.parse(t) for t in texts] for ring in (R, L) for texts in R_IDEALS]
+    # repeated, proportional and dividing leads, then the unit ideal: the
+    # minimalization's ties
+    ties = [["x^2 - y", "x^2 - y", "3*x^2 - 3*y", "x^2*y - z", "x*y - z^2"],
+            ["x", "x - 1"]]
+    cases = [[ring.parse(t) for t in texts] for ring in (R, L)
+             for texts in R_IDEALS + ties]
     cases += [[PolyRing(WIDE, order=order).parse(t) for t in WIDE_IDEAL]
               for order in ORDERS]
     for gens in cases:

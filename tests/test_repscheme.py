@@ -53,6 +53,13 @@ def test_coordinate_ring_layout():
         RepCoordinates(q, DimensionVector({"1": 2}))
 
 
+def test_coordinate_count_is_bounded():
+    q = Quiver(["0"], [Arrow("x", "0", "0")], {"0": "K"})
+    with pytest.raises(ValueError, match="exceed the limit of 4096"):
+        RepCoordinates(q, DimensionVector({"0": 10 ** 20}))
+    assert RepCoordinates(q, DimensionVector({"0": 64})).ring.nvars == 4096
+
+
 def test_path_matrix_multiplies_along_the_path():
     q = build_doubled_dynkin("A", 2)
     coords = RepCoordinates(q, DimensionVector({"1": 2, "2": 2}))
