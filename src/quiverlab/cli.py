@@ -288,23 +288,61 @@ def _cmd_acircledast(args) -> None:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_common(sub, infile=True):
-    if infile:
-        sub.add_argument("--in", dest="infile", required=True, metavar="FILE",
-                         help="input file")
-    sub.add_argument("--format", choices=("json", "text"), default="json")
+# (flag, add_argument keywords) for the options that several subcommands share
+_IN = ("--in", dict(dest="infile", required=True, metavar="FILE", help="input file"))
+_FORMAT = ("--format", dict(choices=("json", "text"), default="json"))
+_CUTOFF = ("--cutoff", dict(type=int, required=True, help="largest path degree to compute"))
+_BOUNDS = (("--cycle-bound", dict(type=int, default=None, help="max cycle length "
+                                  "(default: total interior dimension squared)")),
+           ("--path-bound", dict(type=int, default=None, help="max framing-to-framing "
+                                 "path length (default: cycle bound + 2)")))
+_MAX_STEPS = ("--max-steps", dict(type=int, default=50_000,
+                                  help="pair-reduction budget for the Groebner run"))
+_MODULE = ("--module", dict(required=True, metavar="FILE", help="module JSON document"))
 
-
-def _add_cutoff(sub, required=True):
-    sub.add_argument("--cutoff", type=int, required=required,
-                     help="largest path degree to compute")
-
-
-def _add_invariant_bounds(sub):
-    sub.add_argument("--cycle-bound", type=int, default=None,
-                     help="max cycle length (default: total interior dimension squared)")
-    sub.add_argument("--path-bound", type=int, default=None,
-                     help="max framing-to-framing path length (default: cycle bound + 2)")
+# every subcommand once: its handler, its help text and its options in order
+_COMMANDS = {
+    "basis": (_cmd_basis, "graded dimensions of the quotient algebra",
+              (_IN, _FORMAT, _CUTOFF)),
+    "cocenter": (_cmd_cocenter, "graded dimensions of the cocenter", (_IN, _FORMAT, _CUTOFF)),
+    "corner": (_cmd_corner, "minimized corner-algebra generators", (_IN, _FORMAT, _CUTOFF)),
+    "corner-present": (_cmd_corner_present, "weighted quiver presentation of the corner",
+                       (_IN, _FORMAT, _CUTOFF)),
+    "bimodule-gens": (_cmd_bimodule_gens, "generators of the source-in-H column module",
+                      (_IN, _FORMAT, _CUTOFF)),
+    "invariants": (_cmd_invariants, "trace and framing-entry invariants",
+                   (_IN, _FORMAT, *_BOUNDS)),
+    "rep-ideal": (_cmd_rep_ideal, "defining ideal of the representation scheme",
+                  (_IN, _FORMAT)),
+    "groebner": (_cmd_groebner, "Groebner basis of an ideal JSON document",
+                 (_IN, _FORMAT, _MAX_STEPS)),
+    "nilwitness": (_cmd_nilwitness, "search for a nilpotent element of the coordinate ring", (
+        _IN, _FORMAT, _MAX_STEPS,
+        ("--max-deg", dict(type=int, required=True, help="largest candidate degree")),
+        ("--max-pow", dict(type=int, required=True, help="largest power to test")),
+        ("--seed", dict(type=int, default=0)),
+        ("--trials", dict(type=int, default=200,
+                          help="random combinations tried in the last search phase")),
+        ("--max-ops", dict(type=int, default=None,
+                           help="abort after this many reduction steps")))),
+    "check-module": (_cmd_check_module, "check a module against the file's relations",
+                     (_IN, _FORMAT, _MODULE)),
+    "induce": (_cmd_induce, "induce an ambient module from a corner module",
+               (_IN, _FORMAT, _CUTOFF, _MODULE)),
+    "fingerprint": (_cmd_fingerprint, "invariant values of a module",
+                    (_IN, _FORMAT, *_BOUNDS, _MODULE)),
+    "stability": (_cmd_stability, "is the module generated by the framing vector?",
+                  (_IN, _FORMAT, _MODULE)),
+    "delta": (_cmd_delta, "primitive imaginary root of an affine type", (
+        _FORMAT,
+        ("--type", dict(required=True, choices=("A", "D", "E"), help="affine Dynkin family")),
+        ("--rank", dict(required=True, type=int)))),
+    "astar": (_cmd_astar, "relations extended by the arrows into the special vertex",
+              (_IN, _FORMAT)),
+    "acircledast": (_cmd_acircledast,
+                    "surgered quiver: framing removed, special vertex re-framed",
+                    (_IN, _FORMAT)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,72 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact computations with quivers, relations, and their "
                     "representation schemes")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    defs = [
-        ("basis", _cmd_basis, "graded dimensions of the quotient algebra"),
-        ("cocenter", _cmd_cocenter, "graded dimensions of the cocenter"),
-        ("corner", _cmd_corner, "minimized corner-algebra generators"),
-        ("corner-present", _cmd_corner_present,
-         "weighted quiver presentation of the corner"),
-        ("bimodule-gens", _cmd_bimodule_gens,
-         "generators of the source-in-H column module"),
-        ("invariants", _cmd_invariants, "trace and framing-entry invariants"),
-        ("rep-ideal", _cmd_rep_ideal,
-         "defining ideal of the representation scheme"),
-        ("groebner", _cmd_groebner, "Groebner basis of an ideal JSON document"),
-        ("nilwitness", _cmd_nilwitness,
-         "search for a nilpotent element of the coordinate ring"),
-        ("check-module", _cmd_check_module,
-         "check a module against the file's relations"),
-        ("induce", _cmd_induce, "induce an ambient module from a corner module"),
-        ("fingerprint", _cmd_fingerprint, "invariant values of a module"),
-        ("stability", _cmd_stability,
-         "is the module generated by the framing vector?"),
-        ("delta", _cmd_delta, "primitive imaginary root of an affine type"),
-        ("astar", _cmd_astar,
-         "relations extended by the arrows into the special vertex"),
-        ("acircledast", _cmd_acircledast,
-         "surgered quiver: framing removed, special vertex re-framed"),
-    ]
-    sp = {}
-    for name, func, help_text in defs:
+    for name, (func, help_text, options) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text, description=help_text)
         sub.set_defaults(func=func)
-        sp[name] = sub
-
-    for name in ("basis", "cocenter", "corner", "corner-present",
-                 "bimodule-gens", "check-module", "induce", "fingerprint",
-                 "stability", "invariants", "rep-ideal", "groebner",
-                 "nilwitness", "astar", "acircledast"):
-        _add_common(sp[name])
-    _add_common(sp["delta"], infile=False)
-
-    for name in ("basis", "cocenter", "corner", "corner-present",
-                 "bimodule-gens", "induce"):
-        _add_cutoff(sp[name])
-    for name in ("invariants", "fingerprint"):
-        _add_invariant_bounds(sp[name])
-
-    for name in ("groebner", "nilwitness"):
-        sp[name].add_argument("--max-steps", type=int, default=50_000,
-                              help="pair-reduction budget for the Groebner run")
-    sp["nilwitness"].add_argument("--max-deg", type=int, required=True,
-                                  help="largest candidate degree")
-    sp["nilwitness"].add_argument("--max-pow", type=int, required=True,
-                                  help="largest power to test")
-    sp["nilwitness"].add_argument("--seed", type=int, default=0)
-    sp["nilwitness"].add_argument("--trials", type=int, default=200,
-                                  help="random combinations tried in the last search phase")
-    sp["nilwitness"].add_argument("--max-ops", type=int, default=None,
-                                  help="abort after this many reduction steps")
-
-    for name in ("check-module", "induce", "fingerprint", "stability"):
-        sp[name].add_argument("--module", required=True, metavar="FILE",
-                              help="module JSON document")
-
-    sp["delta"].add_argument("--type", required=True, choices=("A", "D", "E"),
-                             help="affine Dynkin family")
-    sp["delta"].add_argument("--rank", required=True, type=int)
+        for flag, keywords in options:
+            sub.add_argument(flag, **keywords)
     return parser
 
 

@@ -280,16 +280,13 @@ class Mat:
 
 
 def block_diag(a: Mat, b: Mat) -> Mat:
-    return block_upper(a, Mat.zero(a.rows, b.cols), b)
+    return block_upper(a, Mat.zero(a.rows, b.cols, a.ring_zero), b)
 
 
 def block_upper(a: Mat, x: Mat, b: Mat) -> Mat:
-    """[[a, x], [0, b]] with x of shape a.rows x b.cols."""
+    """[[a, x], [0, b]] with x of shape a.rows x b.cols, over the entry ring of a."""
     if x.rows != a.rows or x.cols != b.cols:
         raise ValueError("off-diagonal block has the wrong shape")
-    data = []
-    for i in range(a.rows):
-        data.append(tuple(a.data[i]) + tuple(x.data[i]))
-    for i in range(b.rows):
-        data.append(tuple(_ZERO for _ in range(a.cols)) + tuple(b.data[i]))
-    return Mat(a.rows + b.rows, a.cols + b.cols, tuple(data))
+    pad = (a.ring_zero,) * a.cols
+    data = tuple(ra + rx for ra, rx in zip(a.data, x.data)) + tuple(pad + rb for rb in b.data)
+    return Mat(a.rows + b.rows, a.cols + b.cols, data, a.ring_zero)

@@ -16,9 +16,9 @@ from .corner import (BimoduleGenerators, CornerPresentation,
 from .errors import BudgetExceeded, VerificationError
 from .linalg import Mat, SpanBuilder, axpy, block_diag, block_upper, kernel_combos
 from .quivers import DimensionVector, Quiver
-from .repscheme import (InvariantGenerator, RepCoordinates, element_matrix,
-                        invariant_generators, invariant_values, path_matrix,
-                        variable_name)
+from .repscheme import (InvariantGenerator, RepCoordinates, coordinate_names,
+                        element_matrix, invariant_generators, invariant_values,
+                        path_matrix)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -55,9 +55,6 @@ class ModuleRep:
                                  f"{m.rows}x{m.cols}, expected "
                                  f"{self.dims[a.target]}x{self.dims[a.source]}")
         self.matrices = mats
-
-    def matrix(self, arrow: str) -> Mat:
-        return self.matrices[arrow]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ModuleRep) and self.quiver == other.quiver
@@ -181,10 +178,7 @@ def invariant_fingerprint(m: ModuleRep,
     generators must be those of the module's dimension vector.
     """
     gens = list(gens)
-    # the coordinate names of m's dimension vector, in RepCoordinates' order
-    names = tuple(variable_name(a.name, i, j) for a in m.quiver.arrows
-                  for i in range(1, m.dims[a.target] + 1)
-                  for j in range(1, m.dims[a.source] + 1))
+    names = coordinate_names(m.quiver, m.dims)
     if any(ring.variables != names for ring in {g.polynomial.ring for g in gens}):
         raise ValueError("invariant generators belong to another dimension vector")
     return tuple(invariant_values(m, gens))

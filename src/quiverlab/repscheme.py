@@ -9,12 +9,13 @@ vertices and entries of paths between framing (F) vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Mapping
 
 from .algebra import AlgebraElement, RelationSet, restrict_relations
 from .corner import CornerPresentation
 from .errors import BudgetExceeded
-from .linalg import Mat
+from .linalg import Mat, block_diag
 from .quivers import (FRAMING_ARROW, FRAMING_VERTEX, DimensionVector,
                       Path, Quiver)
 from .polynomials import Polynomial, PolyRing
@@ -27,6 +28,13 @@ _MAX_COORDINATES = 4096
 def variable_name(arrow: str, row: int, col: int) -> str:
     """Coordinate name for the (row, col) entry of an arrow's matrix, 1-based."""
     return f"x_{arrow}_{row}_{col}"
+
+
+def coordinate_names(quiver: Quiver, dims: Mapping[str, int]) -> tuple[str, ...]:
+    """Every matrix coordinate of (quiver, dims): by arrow, then row-major."""
+    return tuple(variable_name(a.name, i, j) for a in quiver.arrows
+                 for i in range(1, dims[a.target] + 1)
+                 for j in range(1, dims[a.source] + 1))
 
 
 def path_matrix(rep, path: Path) -> Mat:
@@ -62,12 +70,16 @@ def _product(rep, base: str, arrows: tuple, chain: list) -> Mat:
     return out
 
 
-def _cycle_trace(rep, path: Path, chain: list):
-    """Trace of a cycle's matrix, from the diagonal of its last product only.
+def _value(rep, kind: str, path: Path, row, col, chain: list):
+    """An invariant's value on ``rep``: a cycle's trace or a path's (row, col) entry.
 
-    With A the last arrow's matrix and P the product before it,
-    tr(A·P) = sum of A[i][k]·P[k][i], so A·P is never formed.
+    A trace comes from the diagonal of the last product only: with A the
+    last arrow's matrix and P the product before it, tr(A·P) = sum of
+    A[i][k]·P[k][i], so A·P is never formed.  ``chain`` goes to ``_product``,
+    so the values of a batch share their prefix products.
     """
+    if kind == "entry":
+        return _product(rep, path.source, path.arrows, chain).entry(row - 1, col - 1)
     if path.source != path.target:
         raise ValueError("trace needs a cycle")
     if not path.arrows:
@@ -89,7 +101,7 @@ class RepCoordinates:
 
     The matrix of an arrow a: s -> t has shape dims[t] x dims[s]; its (i, j)
     entry is the ring variable ``x_a_i_j`` (1-based).  Variables are ordered
-    by (arrow index, row, col).
+    as ``coordinate_names`` lists them.
     """
 
     def __init__(self, quiver: Quiver, dims: DimensionVector,
@@ -102,23 +114,13 @@ class RepCoordinates:
                              f"{_MAX_COORDINATES}")
         self.quiver = quiver
         self.dims = dims
-        grids = {a.name: [[variable_name(a.name, i, j) for j in range(1, dims[a.source] + 1)]
-                          for i in range(1, dims[a.target] + 1)] for a in quiver.arrows}
-        self.ring = PolyRing([n for g in grids.values() for row in g for n in row], order)
+        self.ring = PolyRing(coordinate_names(quiver, dims), order)
         self.zero, self.one = self.ring.zero(), self.ring.one()
+        xs = iter(map(self.ring.variable, self.ring.variables))
         self.matrices = {a.name: Mat(dims[a.target], dims[a.source],
-                                     tuple(tuple(map(self.ring.variable, row))
-                                           for row in grids[a.name]), self.zero)
+                                     tuple(tuple(islice(xs, dims[a.source]))
+                                           for _ in range(dims[a.target])), self.zero)
                          for a in quiver.arrows}
-
-    def matrix(self, arrow: str) -> Mat:
-        return self.matrices[arrow]
-
-    def path_matrix(self, path: Path) -> Mat:
-        return path_matrix(self, path)
-
-    def element_matrix(self, element: AlgebraElement) -> Mat:
-        return element_matrix(self, element)
 
     def __repr__(self) -> str:
         return f"RepCoordinates({self.ring.nvars} variables)"
@@ -149,7 +151,7 @@ def rep_ideal(coords: RepCoordinates, relations: RelationSet) -> RepIdeal:
         raise ValueError("relations belong to a different quiver")
     gens: list[Polynomial] = []
     for rel in relations:
-        for row in coords.element_matrix(rel).data:
+        for row in element_matrix(coords, rel).data:
             gens.extend(row)
     return RepIdeal(coords, relations, tuple(gens))
 
@@ -175,13 +177,14 @@ class InvariantGenerator:
 
 def trace_generator(coords: RepCoordinates, path: Path) -> InvariantGenerator:
     """Trace of a cycle's matrix; a length-0 cycle gives the constant dims."""
-    return InvariantGenerator("trace", path, None, None, _cycle_trace(coords, path, []))
+    return InvariantGenerator("trace", path, None, None,
+                              _value(coords, "trace", path, None, None, []))
 
 
 def entry_generator(coords: RepCoordinates, path: Path,
                     row: int, col: int) -> InvariantGenerator:
-    mat = _product(coords, path.source, path.arrows, [])
-    return InvariantGenerator("entry", path, row, col, mat.entry(row - 1, col - 1))
+    return InvariantGenerator("entry", path, row, col,
+                              _value(coords, "entry", path, row, col, []))
 
 
 def invariant_values(rep, gens: Iterable[InvariantGenerator]) -> list:
@@ -192,9 +195,7 @@ def invariant_values(rep, gens: Iterable[InvariantGenerator]) -> list:
     from, it is the polynomial itself.  Prefix products are shared.
     """
     chain: list = []
-    return [_cycle_trace(rep, g.path, chain) if g.kind == "trace" else
-            _product(rep, g.path.source, g.path.arrows, chain).entry(g.row - 1, g.col - 1)
-            for g in gens]
+    return [_value(rep, g.kind, g.path, g.row, g.col, chain) for g in gens]
 
 
 def _cycles(quiver: Quiver, allowed: frozenset, bound: int) -> Iterable[Path]:
@@ -260,7 +261,7 @@ def invariant_generators(coords: RepCoordinates,
     seen: set = set()
     chain: list = []
     for cycle in cycles:
-        total = _cycle_trace(coords, cycle, chain)
+        total = _value(coords, "trace", cycle, None, None, chain)
         if not total or total in seen:
             continue
         seen.add(total)
@@ -270,12 +271,10 @@ def invariant_generators(coords: RepCoordinates,
     for d in range(path_bound + 1):
         for p in frontier:
             rows, cols = coords.dims[p.target], coords.dims[p.source]
-            if p.target in f_set and rows and cols:
-                mat = _product(coords, p.source, p.arrows, chain)
-                for i in range(1, rows + 1):
-                    for j in range(1, cols + 1):
-                        out.append(InvariantGenerator("entry", p, i, j,
-                                                      mat.entry(i - 1, j - 1)))
+            if p.target in f_set:
+                out.extend(InvariantGenerator("entry", p, i, j,
+                                              _value(coords, "entry", p, i, j, chain))
+                           for i in range(1, rows + 1) for j in range(1, cols + 1))
         if d < path_bound:
             frontier = [p.extend(a) for p in frontier
                         for a in quiver.arrows_from(p.target)]
@@ -293,11 +292,16 @@ def add_pullback(coords: RepCoordinates, vk_dims: Mapping[str, int],
 
     Returns coordinates for the enlarged dimension vector together with the
     ring map taking each enlarged variable to its value on block matrices
-    with the generic module top-left and the fixed one bottom-right.  When
+    with the generic module top-left and the fixed one bottom-right.
+    ``vk_dims`` may leave out vertices where the fixed module is zero.  When
     ``rels`` is given, the fixed matrices are first checked to satisfy them.
     """
     quiver = coords.quiver
-    vk = {v: int(vk_dims.get(v, 0)) for v in quiver.vertices}
+    given = DimensionVector(vk_dims)
+    unknown = set(given) - set(quiver.vertices)
+    if unknown:
+        raise ValueError(f"added module names unknown vertices {sorted(unknown)}")
+    vk = DimensionVector({v: given.get(v, 0) for v in quiver.vertices})
     for v in quiver.vertices:
         if vk[v] and quiver.tag(v) != "K":
             raise ValueError(f"added module must be supported on K vertices, "
@@ -312,29 +316,12 @@ def add_pullback(coords: RepCoordinates, vk_dims: Mapping[str, int],
         if not check_relations(ModuleRep(quiver, vk, mats), rels)[0]:
             raise ValueError("fixed matrices do not satisfy the relations")
 
-    big_dims = DimensionVector({v: coords.dims[v] + vk[v] for v in quiver.vertices})
-    big = RepCoordinates(quiver, big_dims, coords.ring.order)
-
-    images: dict[str, Polynomial] = {}
-    for a in quiver.arrows:
-        st, ss = coords.dims[a.target], coords.dims[a.source]
-        for i in range(1, big_dims[a.target] + 1):
-            for j in range(1, big_dims[a.source] + 1):
-                name = variable_name(a.name, i, j)
-                if i <= st and j <= ss:
-                    images[name] = coords.ring.variable(name)
-                elif i > st and j > ss:
-                    images[name] = coords.ring.constant(
-                        mats[a.name].entry(i - st - 1, j - ss - 1))
-                else:
-                    images[name] = coords.ring.zero()
-
-    def hom(f: Polynomial) -> Polynomial:
-        if f.ring != big.ring:
-            raise ValueError("polynomial does not live on the enlarged scheme")
-        return f.substitute(coords.ring, images)
-
-    return big, hom
+    big = RepCoordinates(quiver, coords.dims + vk, coords.ring.order)
+    ring = coords.ring
+    fixed = {name: Mat(m.rows, m.cols, tuple(tuple(map(ring.constant, row)) for row in m.data),
+                       coords.zero) for name, m in mats.items()}
+    return big, _ring_map(big.ring, ring, [block_diag(coords.matrices[a.name], fixed[a.name])
+                                           for a in quiver.arrows], "enlarged")
 
 
 def corner_comparison_map(pres: CornerPresentation, coords: RepCoordinates,
@@ -345,21 +332,29 @@ def corner_comparison_map(pres: CornerPresentation, coords: RepCoordinates,
     presentation; on coordinate rings this sends each presentation variable
     to the matching entry of the underlying path's matrix.
     """
-    small_dims = coords.dims.restrict(pres.quiver.vertices)
-    small = RepCoordinates(pres.quiver, small_dims, coords.ring.order)
-    images: dict[str, Polynomial] = {}
-    for a in pres.quiver.arrows:
-        mat = coords.path_matrix(pres.generator_paths[a.name])
-        for i in range(1, small_dims[a.target] + 1):
-            for j in range(1, small_dims[a.source] + 1):
-                images[variable_name(a.name, i, j)] = mat.entry(i - 1, j - 1)
+    small = RepCoordinates(pres.quiver, coords.dims.restrict(pres.quiver.vertices),
+                           coords.ring.order)
+    return small, _ring_map(small.ring, coords.ring,
+                            [path_matrix(coords, pres.generator_paths[a.name])
+                             for a in pres.quiver.arrows], "presentation")
+
+
+def _ring_map(source: PolyRing, target: PolyRing, images: Iterable[Mat],
+              what: str) -> Callable[[Polynomial], Polynomial]:
+    """The ring map sending each source coordinate to its image matrix entry.
+
+    The source's variables, in order, pair with the entries of the image
+    matrices, one matrix per arrow, each read row-major.
+    """
+    table = dict(zip(source.variables, (x for m in images for row in m.data for x in row),
+                     strict=True))
 
     def hom(f: Polynomial) -> Polynomial:
-        if f.ring != small.ring:
-            raise ValueError("polynomial does not live on the presentation scheme")
-        return f.substitute(coords.ring, images)
+        if f.ring != source:
+            raise ValueError(f"polynomial does not live on the {what} scheme")
+        return f.substitute(target, table)
 
-    return small, hom
+    return hom
 
 
 # -- framed-affine surgery ----------------------------------------------------

@@ -23,6 +23,7 @@ from quiverlab.modules import ModuleRep, check_relations, element_matrix
 from quiverlab.polynomials import (GroebnerBasis, NilpotentWitness, Polynomial,
                                    ideal_multigrading)
 from quiverlab.quivers import Arrow, Path, Quiver
+from quiverlab.repscheme import path_matrix, variable_name
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -760,6 +761,45 @@ def reference_substitute(f, ring, images) -> dict:
         for e, v in term.items():
             total[e] = total.get(e, 0) + v
     return {e: c for e, c in total.items() if c}
+
+
+# -- ring maps out of a scheme: the image loops as they stood before ---------
+#
+# add_pullback and corner_comparison_map each named their images coordinate
+# by coordinate; they now zip the coordinates with image matrices.  The loops
+# are kept as written, but for calling path_matrix as a function.
+
+
+def reference_pullback_images(coords, big_dims, mats) -> dict:
+    """add_pullback's image of each enlarged coordinate: generic top-left,
+    the fixed ``mats`` (one per arrow) bottom-right, zero across."""
+    quiver = coords.quiver
+    images: dict[str, Polynomial] = {}
+    for a in quiver.arrows:
+        st, ss = coords.dims[a.target], coords.dims[a.source]
+        for i in range(1, big_dims[a.target] + 1):
+            for j in range(1, big_dims[a.source] + 1):
+                name = variable_name(a.name, i, j)
+                if i <= st and j <= ss:
+                    images[name] = coords.ring.variable(name)
+                elif i > st and j > ss:
+                    images[name] = coords.ring.constant(
+                        mats[a.name].entry(i - st - 1, j - ss - 1))
+                else:
+                    images[name] = coords.ring.zero()
+    return images
+
+
+def reference_comparison_images(pres, coords, small_dims) -> dict:
+    """corner_comparison_map's image of each presentation coordinate: the
+    matching entry of its generator path's matrix."""
+    images: dict[str, Polynomial] = {}
+    for a in pres.quiver.arrows:
+        mat = path_matrix(coords, pres.generator_paths[a.name])
+        for i in range(1, small_dims[a.target] + 1):
+            for j in range(1, small_dims[a.source] + 1):
+                images[variable_name(a.name, i, j)] = mat.entry(i - 1, j - 1)
+    return images
 
 
 # -- corner generators: the two searches as they stood before sharing -------

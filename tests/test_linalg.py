@@ -118,6 +118,19 @@ def test_block_helpers():
     assert u.entry(1, 0) == 0
 
 
+def test_block_helpers_keep_the_entry_ring():
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = (ring.variable(v) for v in ring.variables)
+    a = Mat(1, 1, ((x,),), ring.zero())
+    b = Mat(1, 1, ((y,),), ring.zero())
+    d = block_diag(a, b)
+    assert d.ring_zero == ring.zero() and d.entry(1, 0) == ring.zero()
+    assert (d * d).data == ((x * x, ring.zero()), (ring.zero(), y * y))
+    u = block_upper(a, Mat(1, 1, ((z,),), ring.zero()), b)
+    assert u.ring_zero == ring.zero()
+    assert (u * u).data == ((x * x, x * z + z * y), (ring.zero(), y * y))
+
+
 def _random_rows(rng, keys, count):
     """Sparse rows with explicit zeros, empty rows, repeats and span members."""
     rows = []

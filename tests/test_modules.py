@@ -116,9 +116,9 @@ def test_direct_sum_blocks_and_fingerprint_symmetry():
     _, m2 = a2_module(2, 3)
     total = direct_sum(m1, m2)
     assert dict(total.dims) == {"1": 2, "2": 2}
-    assert total.matrix("a").entry(0, 0) == 1
-    assert total.matrix("a").entry(1, 1) == 2
-    assert total.matrix("a").entry(0, 1) == 0
+    assert total.matrices["a"].entry(0, 0) == 1
+    assert total.matrices["a"].entry(1, 1) == 2
+    assert total.matrices["a"].entry(0, 1) == 0
     gens = invariant_generators(RepCoordinates(q, total.dims), 4, 6)
     assert (invariant_fingerprint(total, gens)
             == invariant_fingerprint(direct_sum(m2, m1), gens))
@@ -202,9 +202,9 @@ def test_restrict_corner(framed_a1, framed_a1_corner):
     small = restrict_corner(m, pres)
     assert small.quiver is pres.quiver
     assert dict(small.dims) == {"∞": 1, "0": 1}
-    assert small.matrix("ι").entry(0, 0) == 1
+    assert small.matrices["ι"].entry(0, 0) == 1
     for name in ("g1", "g2", "g3"):
-        assert small.matrix(name).is_zero()
+        assert small.matrices[name].is_zero()
     assert check_relations(small, pres.relations)[0]
 
 
@@ -448,8 +448,8 @@ def test_module_json_fractions_and_defaults():
     q = build_doubled_dynkin("A", 2)
     m = module_from_json(q, {"dimension": {"1": 1, "2": 1},
                              "arrows": {"a": [["1/2"]]}})
-    assert m.matrix("a").entry(0, 0) == Fraction(1, 2)
-    assert m.matrix("a*").is_zero()
+    assert m.matrices["a"].entry(0, 0) == Fraction(1, 2)
+    assert m.matrices["a*"].is_zero()
     with pytest.raises(ValueError):
         module_from_json(q, {"dimension": {"1": 1, "2": 1},
                              "arrows": {"a": [["1", "2"]]}})

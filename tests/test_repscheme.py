@@ -24,10 +24,12 @@ from quiverlab.repscheme import (
     build_acircledast,
     add_pullback,
     build_astar,
+    coordinate_names,
     corner_comparison_map,
     entry_generator,
     invariant_generators,
     invariant_values,
+    path_matrix,
     product_split_check,
     rep_ideal,
     trace_generator,
@@ -35,7 +37,8 @@ from quiverlab.repscheme import (
 )
 
 from conftest import framing_loop_quiver, two_loop_quiver
-from oracles import reference_invariant_generators
+from oracles import (reference_comparison_images, reference_invariant_generators,
+                     reference_pullback_images)
 
 
 def test_variable_name():
@@ -46,7 +49,7 @@ def test_coordinate_ring_layout():
     q = build_doubled_dynkin("A", 2)
     coords = RepCoordinates(q, DimensionVector({"1": 2, "2": 3}))
     assert coords.ring.nvars == 12
-    mat = coords.matrix("a")
+    mat = coords.matrices["a"]
     assert mat.rows == 3 and mat.cols == 2
     assert mat.entry(2, 0).text() == "x_a_3_1"
     with pytest.raises(ValueError):
@@ -63,13 +66,13 @@ def test_coordinate_count_is_bounded():
 def test_path_matrix_multiplies_along_the_path():
     q = build_doubled_dynkin("A", 2)
     coords = RepCoordinates(q, DimensionVector({"1": 2, "2": 2}))
-    loop = coords.path_matrix(Path(q, "1", ("a", "a*")))
-    a, astar = coords.matrix("a"), coords.matrix("a*")
+    loop = path_matrix(coords, Path(q, "1", ("a", "a*")))
+    a, astar = coords.matrices["a"], coords.matrices["a*"]
     for i in range(2):
         for j in range(2):
             expect = astar.entry(i, 0) * a.entry(0, j) + astar.entry(i, 1) * a.entry(1, j)
             assert loop.entry(i, j) == expect
-    ident = coords.path_matrix(Path.idempotent(q, "1"))
+    ident = path_matrix(coords, Path.idempotent(q, "1"))
     assert ident.entry(0, 0) == coords.ring.one() and ident.entry(0, 1) == coords.ring.zero()
 
 
@@ -91,7 +94,7 @@ def test_rep_ideal_d4_trace_identity(d4_rep_ideal):
     # the per-vertex traces sum to zero: a global linear dependence
     total = coords.ring.zero()
     for rel in ideal.relations:
-        mat = coords.element_matrix(rel)
+        mat = element_matrix(coords, rel)
         for i in range(mat.rows):
             total = total + mat.entry(i, i)
     assert not total
@@ -115,7 +118,7 @@ def test_generic_relation_matrices_evaluate_to_the_module_ones(kind, rank, seed)
            for name, m in mats.items() for i in range(m.rows) for j in range(m.cols)}
     coords = RepCoordinates(q, dims)
     for rel in preprojective_relations(q):
-        generic, want = coords.element_matrix(rel), element_matrix(module, rel)
+        generic, want = element_matrix(coords, rel), element_matrix(module, rel)
         assert (generic.rows, generic.cols) == (want.rows, want.cols)
         assert all(generic.entry(i, j).evaluate(env) == want.entry(i, j)
                    for i in range(want.rows) for j in range(want.cols))
@@ -126,7 +129,7 @@ def test_matrices_through_a_zero_dimensional_vertex():
     coords = RepCoordinates(q, DimensionVector({"1": 1, "2": 0, "3": 2}))
     # one entry per relation entry, zero ones included: 1 + 0 + 4
     assert len(rep_ideal(coords, preprojective_relations(q)).generators) == 5
-    through = coords.path_matrix(Path(q, "3", ("b*", "b")))
+    through = path_matrix(coords, Path(q, "3", ("b*", "b")))
     assert (through.rows, through.cols) == (2, 2) and through.is_zero()
     for cycle in (Path(q, "3", ("b*", "b")), Path(q, "2", ("b", "b*"))):
         total = trace_generator(coords, cycle).polynomial
@@ -234,6 +237,13 @@ def test_invariant_generators_match_the_reference_loop(case):
     assert gens
     # reading the values back from the generic matrices gives the polynomials
     assert invariant_values(coords, gens) == [g.polynomial for g in gens]
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_CASES))
+def test_coordinate_names_are_the_ring_variables(case):
+    build, dims, _, _ = INVARIANT_CASES[case]
+    q = build()
+    assert coordinate_names(q, dims) == RepCoordinates(q, DimensionVector(dims)).ring.variables
 
 
 def test_framing_entries_reach_positive_lengths():
@@ -354,6 +364,53 @@ def test_add_pullback_guards():
                      rels=preprojective_relations(q2))
 
 
+@pytest.mark.parametrize("vk_dims, message", [
+    ({"1": 1.5}, "not a whole number"),
+    ({"1": True}, "not a whole number"),
+    ({"1": -1}, "negative dimension"),
+    ({"9": 1}, "unknown vertices"),
+])
+def test_add_pullback_reads_vk_dims_as_a_dimension_vector(vk_dims, message):
+    q = build_doubled_dynkin("A", 2)
+    coords = RepCoordinates(q, DimensionVector({"1": 1, "2": 1}))
+    with pytest.raises(ValueError, match=message):
+        add_pullback(coords, vk_dims, {})
+
+
+def _assert_ring_map(hom, source, target, table, polys):
+    """hom agrees with substituting ``table``, dict order included, on every
+    source variable and on each of ``polys``."""
+    assert list(table) == list(source.variables)
+    for f in [source.variable(x) for x in source.variables] + polys:
+        got, want = hom(f), f.substitute(target, table)
+        assert got == want and list(got.terms.items()) == list(want.terms.items())
+
+
+def _seeded_invariants(coords, rng, cycle_bound, path_bound):
+    """Invariant polynomials of coords, and a few seeded products of pairs."""
+    polys = [g.polynomial for g in invariant_generators(coords, cycle_bound=cycle_bound,
+                                                        path_bound=path_bound)]
+    return polys + [rng.choice(polys) * rng.choice(polys) for _ in range(4)]
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_CASES))
+def test_add_pullback_matches_the_reference_images(case):
+    build, dims, _, _ = INVARIANT_CASES[case]
+    q = build()
+    coords = RepCoordinates(q, DimensionVector(dims))
+    rng = random.Random(case)
+    # a seeded fixed module on the K vertices, zero-dimensional ones included
+    vk = {v: rng.randint(0, 2) for v in q.vertices if q.tag(v) == "K"}
+    shape = {a.name: (vk.get(a.target, 0), vk.get(a.source, 0)) for a in q.arrows}
+    mats = {name: Mat(r, c, tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(c))
+                                  for _ in range(r)))
+            for name, (r, c) in shape.items()}
+    big, hom = add_pullback(coords, vk, mats)
+    table = reference_pullback_images(coords, big.dims, mats)
+    _assert_ring_map(hom, big.ring, coords.ring, table,
+                     _seeded_invariants(big, rng, cycle_bound=3, path_bound=2))
+
+
 def test_add_pullback_wrong_ring_rejected():
     q = build_doubled_dynkin("A", 2)
     coords = RepCoordinates(q, DimensionVector({"1": 1, "2": 1}))
@@ -377,12 +434,30 @@ def test_corner_comparison_map(framed_a1, framed_a1_corner):
     # presentation relations land inside the ambient rep ideal
     gb = buchberger(rep_ideal(coords, rels).nonzero_generators())
     for r in pres.relations:
-        mat = small.element_matrix(r)
+        mat = element_matrix(small, r)
         for row in mat.data:
             for f in row:
                 assert not gb.normal_form(hom(f))
     with pytest.raises(ValueError):
         hom(coords.ring.variable("x_a_1_1"))
+
+
+@pytest.mark.parametrize("fixture, dims", [
+    ("a1", {"∞": 1, "0": 1, "1": 1}),
+    ("a1", {"∞": 1, "0": 2, "1": 1}),
+    ("a1", {"∞": 1, "0": 0, "1": 2}),
+    ("d4", {"∞": 1, "0": 1, "1": 1, "2": 2, "3": 1, "4": 1}),
+    ("d4", {"∞": 1, "0": 1, "1": 1, "2": 2, "3": 1, "4": 0}),
+])
+def test_corner_comparison_map_matches_the_reference_images(request, fixture, dims):
+    quiver = request.getfixturevalue(f"framed_{fixture}")[0]
+    pres = request.getfixturevalue(f"framed_{fixture}_corner")[2]
+    coords = RepCoordinates(quiver, DimensionVector(dims))
+    small, hom = corner_comparison_map(pres, coords)
+    table = reference_comparison_images(pres, coords, small.dims)
+    rng = random.Random(f"{fixture}{sorted(dims.items())}")
+    _assert_ring_map(hom, small.ring, coords.ring, table,
+                     _seeded_invariants(small, rng, cycle_bound=3, path_bound=2))
 
 
 # -- framing surgery ----------------------------------------------------------
