@@ -18,11 +18,9 @@ from .corner import (BimoduleGenerators, CornerGenerator, CornerGenerators,
                      sufficient_dimension_bound)
 from .errors import BudgetExceeded, VerificationError
 from .linalg import Mat, SpanBuilder, block_diag, block_upper, kernel_combos
-from .modules import (ModuleRep, check_relations, conjugate, direct_sum,
-                      element_matrix, generated_by_framing, induce_module,
+from .modules import (conjugate, generated_by_framing, induce_module,
                       invariant_fingerprint, is_nilvadent, module_from_json,
-                      module_to_json, path_matrix, random_extension,
-                      restrict_corner, zero_module)
+                      module_to_json, random_extension)
 from .polynomials import (GroebnerBasis, NilpotentWitness, PolyRing,
                           Polynomial, buchberger, nilpotent_witness_search,
                           standard_monomials)
@@ -32,11 +30,13 @@ from .quivers import (FRAMING_ARROW, FRAMING_VERTEX, Arrow, DimensionVector,
                       Path, Quiver, StabilityVector, affine_cartan_matrix,
                       build_doubled_affine_dynkin, build_doubled_dynkin,
                       delta, delta_k, evaluate_character, frame)
-from .repscheme import (InvariantGenerator, RepCoordinates, RepIdeal,
+from .repscheme import (InvariantGenerator, ModuleRep, RepCoordinates, RepIdeal,
                         add_pullback, build_acircledast, build_astar,
-                        corner_comparison_map, entry_generator,
-                        invariant_generators, product_split_check, rep_ideal,
-                        trace_generator, variable_name)
+                        check_relations, corner_comparison_map, direct_sum,
+                        element_matrix, entry_generator, invariant_generators,
+                        path_matrix, product_split_check, rep_ideal,
+                        restrict_corner, trace_generator, variable_name,
+                        zero_module)
 
 __version__ = "0.1.0"
 

@@ -1,8 +1,9 @@
 """Explicit modules: one exact-rational matrix per arrow.
 
-Covers relation checking, direct sums, corner restriction and induction,
-the framed-generation stability test, invariant fingerprints, conjugation,
-and construction of random extensions compatible with a relation set.
+``ModuleRep``, relation checking, direct sums and corner restriction come
+from ``repscheme``.  Here: corner induction, the framed-generation stability
+test, invariant fingerprints, conjugation, and random extensions compatible
+with a relation set.
 """
 
 from __future__ import annotations
@@ -14,78 +15,17 @@ from .algebra import AlgebraElement
 from .corner import (BimoduleGenerators, CornerPresentation,
                      sufficient_dimension_bound)
 from .errors import BudgetExceeded, VerificationError
-from .linalg import Mat, SpanBuilder, axpy, block_diag, block_upper, kernel_combos
+from .linalg import Mat, SpanBuilder, axpy, block_upper, kernel_combos
 from .quivers import DimensionVector, Quiver
-from .repscheme import (InvariantGenerator, RepCoordinates, coordinate_names,
-                        element_matrix, invariant_generators, invariant_values,
-                        path_matrix)
+from .repscheme import (InvariantGenerator, ModuleRep, RepCoordinates,
+                        check_relations, coordinate_names, covering_dims,
+                        direct_sum, element_matrix, invariant_generators,
+                        invariant_values, path_matrix, restrict_corner,
+                        zero_module)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _COEF_BOUND = 3  # random_extension weighs each kernel vector by an int in ±_COEF_BOUND
-
-
-class ModuleRep:
-    """A finite-dimensional module: dimensions per vertex, a matrix per arrow.
-
-    The matrix of an arrow a: s -> t has shape dims[t] x dims[s] and acts on
-    column vectors; a path acts by multiplying its arrows' matrices last
-    applied leftmost.
-    """
-
-    __slots__ = ("quiver", "dims", "matrices")
-    zero, one = _ZERO, Fraction(1)  # of the entries, for path_matrix
-
-    def __init__(self, quiver: Quiver, dims: Mapping[str, int],
-                 matrices: Mapping[str, Mat]) -> None:
-        self.quiver = quiver
-        self.dims = dims if isinstance(dims, DimensionVector) else DimensionVector(dims)
-        if set(self.dims) != set(quiver.vertices):
-            raise ValueError("dimension vector must cover exactly the vertices")
-        mats = dict(matrices)
-        unknown = set(mats) - {a.name for a in quiver.arrows}
-        if unknown:
-            raise ValueError(f"matrices for unknown arrows {sorted(unknown)}")
-        for a in quiver.arrows:
-            m = mats.get(a.name)
-            if m is None:
-                raise ValueError(f"missing matrix for arrow {a.name!r}")
-            if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
-                raise ValueError(f"matrix for {a.name!r} has shape "
-                                 f"{m.rows}x{m.cols}, expected "
-                                 f"{self.dims[a.target]}x{self.dims[a.source]}")
-        self.matrices = mats
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ModuleRep) and self.quiver == other.quiver
-                and self.dims == other.dims and self.matrices == other.matrices)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v}={self.dims[v]}" for v in self.quiver.vertices)
-        return f"ModuleRep({inner})"
-
-
-def zero_module(quiver: Quiver, dims: Mapping[str, int]) -> ModuleRep:
-    """The module of the given dimensions where every arrow acts as zero."""
-    dv = dims if isinstance(dims, DimensionVector) else DimensionVector(dims)
-    mats = {a.name: Mat.zero(dv[a.target], dv[a.source]) for a in quiver.arrows}
-    return ModuleRep(quiver, dv, mats)
-
-
-def check_relations(m: ModuleRep,
-                    relations: Iterable[AlgebraElement]) -> tuple[bool, list[Mat]]:
-    """Evaluate every relation on the module; True iff all residuals vanish."""
-    residuals = [element_matrix(m, rel) for rel in relations]
-    return all(r.is_zero() for r in residuals), residuals
-
-
-def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
-    if m1.quiver != m2.quiver:
-        raise ValueError("summands live over different quivers")
-    dims = m1.dims + m2.dims
-    mats = {a.name: block_diag(m1.matrices[a.name], m2.matrices[a.name])
-            for a in m1.quiver.arrows}
-    return ModuleRep(m1.quiver, dims, mats)
 
 
 def is_nilvadent(m: ModuleRep) -> bool:
@@ -112,20 +52,6 @@ def conjugate(m: ModuleRep, changes: Mapping[str, Mat]) -> ModuleRep:
     mats = {a.name: at(p, a.target) * m.matrices[a.name] * at(p_inv, a.source)
             for a in m.quiver.arrows}
     return ModuleRep(m.quiver, m.dims, mats)
-
-
-def restrict_corner(m: ModuleRep, pres: CornerPresentation) -> ModuleRep:
-    """The corner-presentation module on the H components of m.
-
-    Each presentation arrow acts by the matrix of its underlying path.
-    """
-    for path in pres.generator_paths.values():
-        if path.quiver != m.quiver:
-            raise ValueError("presentation comes from a different quiver")
-    dims = m.dims.restrict(pres.quiver.vertices)
-    mats = {name: path_matrix(m, path)
-            for name, path in pres.generator_paths.items()}
-    return ModuleRep(pres.quiver, dims, mats)
 
 
 # -- framed generation --------------------------------------------------------
@@ -401,12 +327,7 @@ def module_from_json(quiver: Quiver, data: Mapping) -> ModuleRep:
     if not (isinstance(data, Mapping) and isinstance(data.get("dimension"), Mapping)):
         raise ValueError("a module document must be a JSON object whose "
                          "'dimension' maps vertices to dimensions")
-    dims = DimensionVector(data["dimension"])
-    missing = [v for v in quiver.vertices if v not in dims]
-    unknown = [v for v in dims if v not in quiver.vertices]
-    if missing or unknown:
-        raise ValueError("'dimension' must name exactly the quiver's vertices "
-                         f"(missing: {missing}, unknown: {unknown})")
+    dims = covering_dims(quiver, data["dimension"])
     arrows = data.get("arrows", {})
     if not isinstance(arrows, Mapping):
         raise ValueError("'arrows' must map arrow names to matrices")

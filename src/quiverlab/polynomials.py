@@ -217,7 +217,7 @@ class PolyRing:
         """
         names = "|".join(map(re.escape, sorted(self.variables, key=len, reverse=True)))
         token = re.compile(rf"(?P<space>\s+)|(?P<var>{names or '(?!)'})"
-                           r"|(?P<num>\d+(?:/\d+)?)|(?P<op>[-+*^])")
+                           r"|(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<op>[-+*^])")
         tokens = []
         i = 0
         while i < len(text):

@@ -23,13 +23,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraElement, RelationSet
+from .linalg import axpy
 from .quivers import (Arrow, DimensionVector, Path, Quiver, StabilityVector,
                       TAGS)
 
 _BAD_NAME_CHARS = set(" \t.+-=:@^/#\"<>(),;|")
 _ARROW_RE = re.compile(r"^(?P<name>\S+)\s*:\s*(?P<src>\S+)\s*->\s*(?P<tgt>\S+)"
-                       r"(?:\s+@(?P<weight>\d+))?$")
-_COEF_RE = re.compile(r"^(\d+(?:/\d+)?)\*")
+                       r"(?:\s+@(?P<weight>[0-9]+))?$")
+_COEF_RE = re.compile(r"^([0-9]+(?:/[0-9]+)?)\*")
+# ASCII digits only: int() would also take "1_0" and other scripts' digits
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 class ParseError(ValueError):
@@ -74,8 +77,7 @@ def parse_quiver_file(text: str) -> QuiverFile:
 
     vertices: list[str] = []
     partition: dict[str, str] = {}
-    arrows: list[Arrow] = []
-    arrow_lines: list[int] = []
+    arrows: dict[str, tuple[Arrow, int]] = {}   # name -> (arrow, line)
     weights: dict[str, int] = {}
     deferred: list[tuple[int, str, str, int]] = []   # (line, keyword, rest, column)
 
@@ -107,10 +109,9 @@ def parse_quiver_file(text: str) -> QuiverFile:
             name = m.group("name")
             if not _valid_name(name):
                 raise ParseError(f"invalid arrow name {name!r}", lineno, col)
-            if any(a.name == name for a in arrows):
+            if name in arrows:
                 raise ParseError(f"duplicate arrow {name!r}", lineno, col)
-            arrows.append(Arrow(name, m.group("src"), m.group("tgt")))
-            arrow_lines.append(lineno)
+            arrows[name] = (Arrow(name, m.group("src"), m.group("tgt")), lineno)
             if m.group("weight") is not None:
                 weights[name] = int(m.group("weight"))
         elif keyword in ("relation", "dimension", "stability"):
@@ -119,12 +120,12 @@ def parse_quiver_file(text: str) -> QuiverFile:
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, col)
 
-    for a, lineno in zip(arrows, arrow_lines):
+    for a, lineno in arrows.values():
         for endpoint in (a.source, a.target):
             if endpoint not in partition:
                 raise ParseError(f"arrow {a.name!r} uses undeclared vertex "
                                  f"{endpoint!r}", lineno)
-    quiver = Quiver(vertices, arrows, partition)
+    quiver = Quiver(vertices, [a for a, _ in arrows.values()], partition)
 
     relations: list[AlgebraElement] = []
     dimensions: list[DimensionVector] = []
@@ -150,7 +151,7 @@ def _parse_relation(quiver: Quiver, body: str, lineno: int,
     tokens = body.split()
     if not tokens:
         raise ParseError("empty relation", lineno, col0)
-    total = AlgebraElement.zero(quiver)
+    terms: dict[Path, Fraction] = {}
     sign = Fraction(1)
     expect_term = True
     offset = 0
@@ -192,10 +193,11 @@ def _parse_relation(quiver: Quiver, body: str, lineno: int,
             path = Path(quiver, base, tuple(applied))
         except ValueError:
             raise ParseError(f"path {term!r} does not compose", lineno, col) from None
-        total = total + AlgebraElement.from_path(path, coef)
+        axpy(terms, 1, {path: coef})
         expect_term = False
     if expect_term:
         raise ParseError("relation ends with a dangling sign", lineno, col0)
+    total = AlgebraElement(quiver, terms)
     if not total:
         raise ParseError("relation cancels to zero", lineno, col0)
     if not total.is_homogeneous(weights or None):
@@ -221,10 +223,9 @@ def _parse_assignments(quiver: Quiver, body: str, lineno: int,
             raise ParseError(f"unknown vertex {name!r}", lineno, col)
         if name in out:
             raise ParseError(f"vertex {name!r} assigned twice", lineno, col)
-        try:
-            n = int(value)
-        except ValueError:
-            raise ParseError(f"bad integer {value!r}", lineno, col) from None
+        if not _INT_RE.fullmatch(value):
+            raise ParseError(f"bad integer {value!r}", lineno, col)
+        n = int(value)
         if n < 0 and not allow_negative:
             raise ParseError("dimensions must be nonnegative", lineno, col)
         out[name] = n

@@ -64,6 +64,10 @@ class Quiver:
         for a in self.arrows:
             self._from[a.source] += (a,)
             self._into[a.target] += (a,)
+        # immutable, so the equality key and its hash are taken once: a Path
+        # hashes its quiver on every dict operation
+        self._key = (self.vertices, self.arrows, tuple(sorted(part.items())))
+        self._hash = hash(self._key)
 
     # -- lookups ---------------------------------------------------------
 
@@ -121,14 +125,11 @@ class Quiver:
 
     # -- equality --------------------------------------------------------
 
-    def _key(self):
-        return (self.vertices, self.arrows, tuple(sorted(self.partition.items())))
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Quiver) and self._key() == other._key()
+        return isinstance(other, Quiver) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"

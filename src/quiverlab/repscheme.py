@@ -1,14 +1,16 @@
-"""Representation schemes: coordinate rings, relation ideals, invariants.
+"""Representations and representation schemes: modules, ideals, invariants.
 
-A dimension vector attaches a generic matrix of fresh variables to every
-arrow; relations become matrix equations whose entries generate the defining
-ideal.  Invariant generators are traces of cycles through the gauged (I)
-vertices and entries of paths between framing (F) vertices.
+``ModuleRep`` attaches a matrix to every arrow; the generic one,
+``RepCoordinates``, fills them with fresh variables.  Its relation residuals
+generate the defining ideal, and every map out of a scheme is a module
+operation on it.  Invariant generators are traces of cycles through the
+gauged (I) vertices and entries of paths between framing (F) vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Mapping
 
@@ -37,12 +39,8 @@ def coordinate_names(quiver: Quiver, dims: Mapping[str, int]) -> tuple[str, ...]
                  for j in range(1, dims[a.source] + 1))
 
 
-def path_matrix(rep, path: Path) -> Mat:
-    """Product of the arrow matrices along the path (idempotent: identity).
-
-    ``rep`` is a ``ModuleRep`` or ``RepCoordinates``: it has ``dims``,
-    ``matrices`` and the ``zero`` and ``one`` of their entries.
-    """
+def path_matrix(rep: ModuleRep, path: Path) -> Mat:
+    """Product of the arrow matrices along the path (idempotent: identity)."""
     return _product(rep, path.source, path.arrows, [])
 
 
@@ -88,7 +86,7 @@ def _value(rep, kind: str, path: Path, row, col, chain: list):
     return rep.matrices[path.arrows[-1]].trace_of_product(head)
 
 
-def element_matrix(rep, element: AlgebraElement) -> Mat:
+def element_matrix(rep: ModuleRep, element: AlgebraElement) -> Mat:
     """Matrix of a homogeneous-endpoint element (sum over its terms)."""
     out = Mat.zero(rep.dims[element.target], rep.dims[element.source], rep.zero)
     for p, c in element.terms.items():
@@ -96,34 +94,115 @@ def element_matrix(rep, element: AlgebraElement) -> Mat:
     return out
 
 
-class RepCoordinates:
-    """The coordinate ring of the matrix space attached to (quiver, dims).
+def covering_dims(quiver: Quiver, dims: Mapping[str, int]) -> DimensionVector:
+    """``dims`` as a DimensionVector, which must name exactly the quiver's vertices."""
+    dims = dims if isinstance(dims, DimensionVector) else DimensionVector(dims)
+    missing = [v for v in quiver.vertices if v not in dims]
+    unknown = [v for v in dims if v not in quiver.partition]
+    if missing or unknown:
+        raise ValueError("the dimension vector must name exactly the quiver's "
+                         f"vertices (missing: {missing}, unknown: {unknown})")
+    return dims
+
+
+class ModuleRep:
+    """A finite-dimensional module: dimensions per vertex, a matrix per arrow.
+
+    The matrix of an arrow a: s -> t has shape dims[t] x dims[s] and acts on
+    column vectors; a path acts by multiplying its arrows' matrices last
+    applied leftmost.
+    """
+
+    __slots__ = ("quiver", "dims", "matrices")
+    zero, one = Fraction(0), Fraction(1)  # of the entries, for path_matrix
+
+    def __init__(self, quiver: Quiver, dims: Mapping[str, int],
+                 matrices: Mapping[str, Mat]) -> None:
+        self.quiver = quiver
+        self.dims = covering_dims(quiver, dims)
+        mats = dict(matrices)
+        unknown = set(mats) - {a.name for a in quiver.arrows}
+        if unknown:
+            raise ValueError(f"matrices for unknown arrows {sorted(unknown)}")
+        for a in quiver.arrows:
+            m = mats.get(a.name)
+            if m is None:
+                raise ValueError(f"missing matrix for arrow {a.name!r}")
+            if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
+                raise ValueError(f"matrix for {a.name!r} has the wrong shape "
+                                 f"{m.rows}x{m.cols}, expected "
+                                 f"{self.dims[a.target]}x{self.dims[a.source]}")
+        self.matrices = mats
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, ModuleRep) and self.quiver == other.quiver
+                and self.dims == other.dims and self.matrices == other.matrices)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{v}={self.dims[v]}" for v in self.quiver.vertices)
+        return f"{type(self).__name__}({inner})"
+
+
+def zero_module(quiver: Quiver, dims: Mapping[str, int]) -> ModuleRep:
+    """The module of the given dimensions where every arrow acts as zero."""
+    dv = covering_dims(quiver, dims)
+    mats = {a.name: Mat.zero(dv[a.target], dv[a.source]) for a in quiver.arrows}
+    return ModuleRep(quiver, dv, mats)
+
+
+def check_relations(m: ModuleRep,
+                    relations: Iterable[AlgebraElement]) -> tuple[bool, list[Mat]]:
+    """Evaluate every relation on the module; True iff all residuals vanish."""
+    residuals = [element_matrix(m, rel) for rel in relations]
+    return all(r.is_zero() for r in residuals), residuals
+
+
+def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
+    if m1.quiver != m2.quiver:
+        raise ValueError("summands live over different quivers")
+    dims = m1.dims + m2.dims
+    mats = {a.name: block_diag(m1.matrices[a.name], m2.matrices[a.name])
+            for a in m1.quiver.arrows}
+    return ModuleRep(m1.quiver, dims, mats)
+
+
+def restrict_corner(m: ModuleRep, pres: CornerPresentation) -> ModuleRep:
+    """The corner-presentation module on the H components of m.
+
+    Each presentation arrow acts by the matrix of its underlying path.
+    """
+    for path in pres.generator_paths.values():
+        if path.quiver != m.quiver:
+            raise ValueError("presentation comes from a different quiver")
+    dims = m.dims.restrict(pres.quiver.vertices)
+    mats = {name: path_matrix(m, path)
+            for name, path in pres.generator_paths.items()}
+    return ModuleRep(pres.quiver, dims, mats)
+
+
+class RepCoordinates(ModuleRep):
+    """The generic representation of (quiver, dims), over its coordinate ring.
 
     The matrix of an arrow a: s -> t has shape dims[t] x dims[s]; its (i, j)
     entry is the ring variable ``x_a_i_j`` (1-based).  Variables are ordered
     as ``coordinate_names`` lists them.
     """
 
-    def __init__(self, quiver: Quiver, dims: DimensionVector,
+    def __init__(self, quiver: Quiver, dims: Mapping[str, int],
                  order: str = "degrevlex") -> None:
-        if set(dims) != set(quiver.vertices):
-            raise ValueError("dimension vector must cover exactly the vertices")
+        dims = covering_dims(quiver, dims)
         count = sum(dims[a.target] * dims[a.source] for a in quiver.arrows)
         if count > _MAX_COORDINATES:
             raise ValueError(f"{count} matrix coordinates exceed the limit of "
                              f"{_MAX_COORDINATES}")
-        self.quiver = quiver
-        self.dims = dims
         self.ring = PolyRing(coordinate_names(quiver, dims), order)
         self.zero, self.one = self.ring.zero(), self.ring.one()
         xs = iter(map(self.ring.variable, self.ring.variables))
-        self.matrices = {a.name: Mat(dims[a.target], dims[a.source],
-                                     tuple(tuple(islice(xs, dims[a.source]))
-                                           for _ in range(dims[a.target])), self.zero)
-                         for a in quiver.arrows}
-
-    def __repr__(self) -> str:
-        return f"RepCoordinates({self.ring.nvars} variables)"
+        super().__init__(quiver, dims, {
+            a.name: Mat(dims[a.target], dims[a.source],
+                        tuple(tuple(islice(xs, dims[a.source]))
+                              for _ in range(dims[a.target])), self.zero)
+            for a in quiver.arrows})
 
 
 @dataclass(frozen=True)
@@ -149,11 +228,9 @@ class RepIdeal:
 def rep_ideal(coords: RepCoordinates, relations: RelationSet) -> RepIdeal:
     if relations.quiver != coords.quiver:
         raise ValueError("relations belong to a different quiver")
-    gens: list[Polynomial] = []
-    for rel in relations:
-        for row in element_matrix(coords, rel).data:
-            gens.extend(row)
-    return RepIdeal(coords, relations, tuple(gens))
+    residuals = check_relations(coords, relations)[1]
+    return RepIdeal(coords, relations,
+                    tuple(x for r in residuals for row in r.data for x in row))
 
 
 # -- invariants ---------------------------------------------------------------
@@ -291,10 +368,10 @@ def add_pullback(coords: RepCoordinates, vk_dims: Mapping[str, int],
     """Pullback of functions along block-adding a fixed K-supported module.
 
     Returns coordinates for the enlarged dimension vector together with the
-    ring map taking each enlarged variable to its value on block matrices
-    with the generic module top-left and the fixed one bottom-right.
-    ``vk_dims`` may leave out vertices where the fixed module is zero.  When
-    ``rels`` is given, the fixed matrices are first checked to satisfy them.
+    ring map classifying the direct sum of the generic module and the fixed
+    one V_K, taken over the smaller scheme's ring.  ``vk_dims`` may leave out
+    vertices where V_K is zero, and ``vk_matrices`` arrows that act on it as
+    zero.  When ``rels`` is given, V_K is first checked to satisfy them.
     """
     quiver = coords.quiver
     given = DimensionVector(vk_dims)
@@ -306,22 +383,17 @@ def add_pullback(coords: RepCoordinates, vk_dims: Mapping[str, int],
         if vk[v] and quiver.tag(v) != "K":
             raise ValueError(f"added module must be supported on K vertices, "
                              f"not {v!r}")
-    mats = {a.name: vk_matrices.get(a.name, Mat.zero(vk[a.target], vk[a.source]))
-            for a in quiver.arrows}
-    for a in quiver.arrows:
-        if (mats[a.name].rows, mats[a.name].cols) != (vk[a.target], vk[a.source]):
-            raise ValueError(f"fixed matrix for {a.name!r} has the wrong shape")
-    if rels is not None:
-        from .modules import ModuleRep, check_relations
-        if not check_relations(ModuleRep(quiver, vk, mats), rels)[0]:
-            raise ValueError("fixed matrices do not satisfy the relations")
+    fixed = ModuleRep(quiver, vk, {**{a.name: Mat.zero(vk[a.target], vk[a.source])
+                                      for a in quiver.arrows}, **vk_matrices})
+    if rels is not None and not check_relations(fixed, rels)[0]:
+        raise ValueError("fixed matrices do not satisfy the relations")
 
-    big = RepCoordinates(quiver, coords.dims + vk, coords.ring.order)
     ring = coords.ring
-    fixed = {name: Mat(m.rows, m.cols, tuple(tuple(map(ring.constant, row)) for row in m.data),
-                       coords.zero) for name, m in mats.items()}
-    return big, _ring_map(big.ring, ring, [block_diag(coords.matrices[a.name], fixed[a.name])
-                                           for a in quiver.arrows], "enlarged")
+    lifted = ModuleRep(quiver, vk, {
+        name: Mat(m.rows, m.cols, tuple(tuple(map(ring.constant, row)) for row in m.data),
+                  coords.zero) for name, m in fixed.matrices.items()})
+    big = RepCoordinates(quiver, coords.dims + vk, ring.order)
+    return big, _ring_map(big, ring, direct_sum(coords, lifted), "enlarged")
 
 
 def corner_comparison_map(pres: CornerPresentation, coords: RepCoordinates,
@@ -329,28 +401,29 @@ def corner_comparison_map(pres: CornerPresentation, coords: RepCoordinates,
     """Pullback of corner-presentation coordinates along restriction.
 
     A representation of the ambient algebra restricts to one of the corner
-    presentation; on coordinate rings this sends each presentation variable
-    to the matching entry of the underlying path's matrix.
+    presentation; the map classifies the generic module's restriction, so it
+    sends each presentation variable to an entry of its path's matrix.
     """
     small = RepCoordinates(pres.quiver, coords.dims.restrict(pres.quiver.vertices),
                            coords.ring.order)
-    return small, _ring_map(small.ring, coords.ring,
-                            [path_matrix(coords, pres.generator_paths[a.name])
-                             for a in pres.quiver.arrows], "presentation")
+    return small, _ring_map(small, coords.ring, restrict_corner(coords, pres),
+                            "presentation")
 
 
-def _ring_map(source: PolyRing, target: PolyRing, images: Iterable[Mat],
+def _ring_map(source: RepCoordinates, target: PolyRing, image: ModuleRep,
               what: str) -> Callable[[Polynomial], Polynomial]:
-    """The ring map sending each source coordinate to its image matrix entry.
+    """The ring map classifying ``image``, a module with entries in ``target``.
 
     The source's variables, in order, pair with the entries of the image
-    matrices, one matrix per arrow, each read row-major.
+    matrices, read by arrow, then row-major.
     """
-    table = dict(zip(source.variables, (x for m in images for row in m.data for x in row),
+    table = dict(zip(source.ring.variables,
+                     (x for a in source.quiver.arrows
+                      for row in image.matrices[a.name].data for x in row),
                      strict=True))
 
     def hom(f: Polynomial) -> Polynomial:
-        if f.ring != source:
+        if f.ring != source.ring:
             raise ValueError(f"polynomial does not live on the {what} scheme")
         return f.substitute(target, table)
 

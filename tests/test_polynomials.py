@@ -85,7 +85,8 @@ def test_parse_builds_a_power_with_one_product_per_factor(R, monkeypatch):
 
 
 def test_parse_errors(R):
-    for bad in ["w + 1", "x +", "x^", "(x", "x**2"]:
+    # numbers are ASCII digits: U+0663 is ARABIC-INDIC DIGIT THREE
+    for bad in ["w + 1", "x +", "x^", "(x", "x**2", "\u0663*x", "x^\u0663"]:
         with pytest.raises(ValueError):
             R.parse(bad)
 

@@ -1,12 +1,15 @@
 """The line-oriented quiver file format: parsing, printing, errors."""
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
-from quiverlab.algebra import framed_affine_preprojective, preprojective_relations
+from quiverlab.algebra import (AlgebraElement, framed_affine_preprojective,
+                               preprojective_relations)
 from quiverlab.quiverfile import ParseError, QuiverFile, parse_quiver_file, print_quiver_file
-from quiverlab.quivers import build_doubled_dynkin
+from quiverlab.quivers import Path, build_doubled_dynkin
 
 from conftest import FIXTURES
 
@@ -109,11 +112,36 @@ def test_weighted_round_trip():
     ("vertex u\ndimension u=1 u=2\n", "assigned twice", 2),
     ("vertex u\nstability u=1\nstability u=2\n", "more than one stability", 3),
     ("vertex 0\nvertex 1\narrow a:-0 -> 1\n", "undeclared vertex '-0'", 3),
+    # integers are ASCII decimal digits, with a sign only where one may go
+    ("vertex 1\nvertex 2\ndimension 1=1_0 2=1\n", "bad integer '1_0'", 3),
+    ("vertex 1\nvertex 2\ndimension 1=1 2=\u0663\n", "bad integer", 3),
+    ("vertex u\nstability u=+3\n", "bad integer '\\+3'", 2),
+    ("vertex 1\nvertex 2\narrow a: 1 -> 2 @\u0663\n", "expected `arrow", 3),
+    ("vertex u\narrow f: u -> u\nrelation \u0663*f\n", "unknown arrow", 3),
 ])
 def test_parse_errors_carry_locations(text, fragment, line):
     with pytest.raises(ParseError, match=fragment) as info:
         parse_quiver_file(text)
     assert info.value.line == line
+
+
+def test_long_relation_parses_in_linear_time():
+    # 1,000 terms over 500 distinct paths: the second half merges into the first
+    n = 1000
+    arrows = "".join(f"arrow a{i}: u -> u\n" for i in range(n // 2))
+    terms = [(Fraction(i % 5 + 1, i % 3 + 1), f"a{i % 500}", f"a{7 * i % 500}")
+             for i in range(n)]
+    body = " ".join(f"{'-' if i % 2 else '+'} {c}*{x}.{y}"
+                    for i, (c, x, y) in enumerate(terms))[2:]
+    start = time.perf_counter()
+    qf = parse_quiver_file(f"vertex u\n{arrows}relation {body}\n")
+    assert time.perf_counter() - start < 2.0
+    want = AlgebraElement.zero(qf.quiver)
+    for i, (c, x, y) in enumerate(terms):
+        want = want + AlgebraElement.from_path(Path(qf.quiver, "u", (y, x)),
+                                               -c if i % 2 else c)
+    (rel,) = list(qf.relations)
+    assert rel == want and list(rel.terms) == list(want.terms)
 
 
 def test_error_column_points_at_the_token():

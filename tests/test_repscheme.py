@@ -52,8 +52,11 @@ def test_coordinate_ring_layout():
     mat = coords.matrices["a"]
     assert mat.rows == 3 and mat.cols == 2
     assert mat.entry(2, 0).text() == "x_a_3_1"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"missing: \['2'\]"):
         RepCoordinates(q, DimensionVector({"1": 2}))
+    # the generic representation is a module over its coordinate ring
+    assert isinstance(coords, ModuleRep)
+    assert (coords.zero, coords.one) == (coords.ring.zero(), coords.ring.one())
 
 
 def test_coordinate_count_is_bounded():
@@ -362,6 +365,9 @@ def test_add_pullback_guards():
     with pytest.raises(ValueError, match="do not satisfy the relations"):
         add_pullback(coords2, {"1": 1, "2": 1}, {"a": one, "a*": one},
                      rels=preprojective_relations(q2))
+    # a matrix for an arrow the quiver lacks is refused, not dropped
+    with pytest.raises(ValueError, match="'zz'"):
+        add_pullback(coords2, {"2": 1}, {"zz": Mat.from_rows([[5]])})
 
 
 @pytest.mark.parametrize("vk_dims, message", [
