@@ -34,7 +34,7 @@ from .repscheme import (InvariantGenerator, ModuleRep, RepCoordinates, RepIdeal,
                         add_pullback, build_acircledast, build_astar,
                         check_relations, corner_comparison_map, direct_sum,
                         element_matrix, entry_generator, invariant_generators,
-                        path_matrix, product_split_check, rep_ideal,
+                        lift, path_matrix, product_split_check, rep_ideal,
                         restrict_corner, trace_generator, variable_name,
                         zero_module)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -216,15 +217,15 @@ class Mat:
     def entry(self, i: int, j: int):
         return self.data[i][j]
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def __add__(self, other: "Mat", _op=operator.add) -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
         return Mat(self.rows, self.cols,
-                   tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
+                   tuple(tuple(map(_op, r1, r2)) for r1, r2 in zip(self.data, other.data)),
                    self.ring_zero)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + other.scale(Fraction(-1))
+        return self.__add__(other, operator.sub)
 
     def scale(self, c) -> "Mat":
         c = Fraction(c)

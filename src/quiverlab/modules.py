@@ -8,7 +8,9 @@ with a relation set.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Mapping
 
 from .algebra import AlgebraElement
@@ -16,11 +18,12 @@ from .corner import (BimoduleGenerators, CornerPresentation,
                      sufficient_dimension_bound)
 from .errors import BudgetExceeded, VerificationError
 from .linalg import Mat, SpanBuilder, axpy, block_upper, kernel_combos
+from .polynomials import PolyRing
 from .quivers import DimensionVector, Quiver
 from .repscheme import (InvariantGenerator, ModuleRep, RepCoordinates,
                         check_relations, coordinate_names, covering_dims,
                         direct_sum, element_matrix, invariant_generators,
-                        invariant_values, path_matrix, restrict_corner,
+                        invariant_values, lift, path_matrix, restrict_corner,
                         zero_module)
 
 _ZERO = Fraction(0)
@@ -86,7 +89,7 @@ def generated_by_framing(m: ModuleRep) -> bool:
         for v, vec in frontier:
             for a in m.quiver.arrows_from(v):
                 w = _matvec(m.matrices[a.name], vec)
-                if w and spans[a.target].add(dict(w)):
+                if w and spans[a.target].add(w):
                     fresh.append((a.target, w))
         frontier = fresh
     return all(spans[v].rank == m.dims[v] for v in m.quiver.vertices)
@@ -117,10 +120,10 @@ def random_extension(sub: ModuleRep, quot: ModuleRep,
                      relations: Iterable[AlgebraElement], rng) -> ModuleRep:
     """A seeded-random block-triangular extension of quot by sub.
 
-    With both diagonal blocks satisfying the relations, the residuals are
-    linear in the off-diagonal blocks; the off-diagonal data is drawn as a
-    random integer combination of an exact kernel basis of that linear
-    system, so the result always satisfies the relations.
+    The generic extension has a variable per off-diagonal entry; with both
+    diagonal blocks satisfying the relations its residuals are linear (no X·X
+    term), and the off-diagonal data is a random integer combination of an
+    exact kernel basis of that system, so the result satisfies the relations.
     """
     quiver = sub.quiver
     if quiver != quot.quiver:
@@ -129,44 +132,31 @@ def random_extension(sub: ModuleRep, quot: ModuleRep,
     if not check_relations(sub, rels)[0] or not check_relations(quot, rels)[0]:
         raise ValueError("both blocks must satisfy the relations")
 
-    unknowns: list[tuple[str, int, int]] = []
-    for a in quiver.arrows:
-        for i in range(sub.dims[a.target]):
-            for j in range(quot.dims[a.source]):
-                unknowns.append((a.name, i, j))
+    shapes = [(a.name, sub.dims[a.target], quot.dims[a.source]) for a in quiver.arrows]
+    ring = PolyRing(f"x{k}" for k in range(sum(r * c for _, r, c in shapes)))
+    zero, xs = ring.zero(), iter(map(ring.variable, ring.variables))
+    s, q = lift(sub, ring), lift(quot, ring)
+    generic = ModuleRep(quiver, sub.dims + quot.dims, {
+        name: block_upper(s.matrices[name],
+                          Mat(r, c, tuple(tuple(islice(xs, c)) for _ in range(r)), zero),
+                          q.matrices[name])
+        for name, r, c in shapes})
 
-    # One sparse residual column per unknown, keyed (relation, row, col).
-    # A path a_k…a_1 has off-diagonal block Σ_i S(a_k…a_{i+1})·X(a_i)·Q(a_{i−1}…a_1),
-    # so the unknown (a_i, r, c) adds column r of S(a_k…a_{i+1}) times row c
-    # of Q(a_{i−1}…a_1); the diagonal blocks' relation residuals vanish.
-    columns: dict[tuple[str, int, int], dict] = {u: {} for u in unknowns}
-    for n, rel in enumerate(rels):
-        for p, coeff in rel.terms.items():
-            prefixes = [Mat.identity(quot.dims[p.source])]
-            for name in p.arrows[:-1]:
-                prefixes.append(quot.matrices[name] * prefixes[-1])
-            suffix = Mat.identity(sub.dims[p.target])
-            for name, prefix in zip(reversed(p.arrows), reversed(prefixes)):
-                for r in range(suffix.cols):
-                    for c, qrow in enumerate(prefix.data):
-                        axpy(columns[(name, r, c)], coeff,
-                             {(n, i, j): srow[r] * q
-                              for i, srow in enumerate(suffix.data) if srow[r]
-                              for j, q in enumerate(qrow) if q})
-                suffix = suffix * sub.matrices[name]
-
-    values: dict[tuple[str, int, int], Fraction] = {}
-    for combo in kernel_combos([columns[u] for u in unknowns]):
-        axpy(values, rng.randint(-_COEF_BOUND, _COEF_BOUND),
-             {unknowns[k]: entry for k, entry in combo.items()})
-    mats = {}
-    for a in quiver.arrows:
-        x = Mat(sub.dims[a.target], quot.dims[a.source],
-                tuple(tuple(values.get((a.name, i, j), _ZERO)
-                            for j in range(quot.dims[a.source]))
-                      for i in range(sub.dims[a.target])))
-        mats[a.name] = block_upper(sub.matrices[a.name], x, quot.matrices[a.name])
-    result = ModuleRep(quiver, sub.dims + quot.dims, mats)
+    # a residual term is c·x_k: it goes to column k, keyed (relation, row, col)
+    columns: list[dict] = [{} for _ in ring.variables]
+    for n, residual in enumerate(check_relations(generic, rels)[1]):
+        for i, row in enumerate(residual.data):
+            for j, f in enumerate(row):
+                for exps, c in f.terms.items():
+                    columns[exps.index(1)][(n, i, j)] = c
+    values: dict[int, Fraction] = {}
+    for combo in kernel_combos(columns):
+        axpy(values, rng.randint(-_COEF_BOUND, _COEF_BOUND), combo)
+    point = {x: values.get(k, _ZERO) for k, x in enumerate(ring.variables)}
+    result = ModuleRep(quiver, generic.dims, {
+        name: Mat(m.rows, m.cols, tuple(tuple(f.evaluate(point) for f in row)
+                                        for row in m.data))
+        for name, m in generic.matrices.items()})
     ok, _ = check_relations(result, rels)
     if not ok:
         raise VerificationError("extension construction produced an invalid module")
@@ -316,9 +306,16 @@ def module_to_json(m: ModuleRep) -> dict:
     }
 
 
-def _json_entry(x) -> Fraction:
+_ENTRY = re.compile(r"-?[0-9]+(/[0-9]+)?")   # what module_to_json writes
+
+
+def _json_entry(x, arrow: str) -> Fraction:
+    """A matrix entry: a JSON integer or an integer or p/q string, ASCII digits only."""
+    if not (type(x) is int or isinstance(x, str) and _ENTRY.fullmatch(x)):
+        raise ValueError(f"matrix for {arrow!r} has an entry {x!r} that is "
+                         "neither an integer nor a p/q string")
     try:
-        return Fraction(str(x))
+        return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in matrix entry {x!r}") from None
 
@@ -345,5 +342,6 @@ def module_from_json(quiver: Quiver, data: Mapping) -> ModuleRep:
             raise ValueError(f"matrix for {a.name!r} must be a list of rows")
         if len(raw) != rows or any(len(r) != cols for r in raw):
             raise ValueError(f"matrix for {a.name!r} has the wrong shape")
-        mats[a.name] = Mat(rows, cols, tuple(tuple(map(_json_entry, r)) for r in raw))
+        mats[a.name] = Mat(rows, cols, tuple(tuple(_json_entry(x, a.name) for x in r)
+                                                for r in raw))
     return ModuleRep(quiver, dims, mats)

@@ -59,11 +59,13 @@ class Quiver:
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self._arrow_index = {a.name: i for i, a in enumerate(self.arrows)}
         self._arrows_by_name = {a.name: a for a in self.arrows}
-        self._from: dict[str, tuple[Arrow, ...]] = {v: () for v in self.vertices}
-        self._into: dict[str, tuple[Arrow, ...]] = {v: () for v in self.vertices}
+        out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        into: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
-            self._from[a.source] += (a,)
-            self._into[a.target] += (a,)
+            out[a.source].append(a)
+            into[a.target].append(a)
+        self._from = {v: tuple(arrows) for v, arrows in out.items()}
+        self._into = {v: tuple(arrows) for v, arrows in into.items()}
         # immutable, so the equality key and its hash are taken once: a Path
         # hashes its quiver on every dict operation
         self._key = (self.vertices, self.arrows, tuple(sorted(part.items())))

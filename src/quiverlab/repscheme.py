@@ -87,10 +87,13 @@ def _value(rep, kind: str, path: Path, row, col, chain: list):
 
 
 def element_matrix(rep: ModuleRep, element: AlgebraElement) -> Mat:
-    """Matrix of a homogeneous-endpoint element (sum over its terms)."""
+    """Matrix of a homogeneous-endpoint element, over any entry ring.
+
+    The one relation evaluator; a term of coefficient ±1 costs no scaling."""
     out = Mat.zero(rep.dims[element.target], rep.dims[element.source], rep.zero)
     for p, c in element.terms.items():
-        out = out + path_matrix(rep, p).scale(c)
+        m = path_matrix(rep, p)
+        out = out + m if c == 1 else out - m if c == -1 else out + m.scale(c)
     return out
 
 
@@ -110,11 +113,11 @@ class ModuleRep:
 
     The matrix of an arrow a: s -> t has shape dims[t] x dims[s] and acts on
     column vectors; a path acts by multiplying its arrows' matrices last
-    applied leftmost.
+    applied leftmost.  The entries' ``zero`` is the matrices' common
+    ``ring_zero`` (``Fraction(0)`` without arrows), and ``one`` its match.
     """
 
-    __slots__ = ("quiver", "dims", "matrices")
-    zero, one = Fraction(0), Fraction(1)  # of the entries, for path_matrix
+    __slots__ = ("quiver", "dims", "matrices", "zero", "one")
 
     def __init__(self, quiver: Quiver, dims: Mapping[str, int],
                  matrices: Mapping[str, Mat]) -> None:
@@ -133,6 +136,10 @@ class ModuleRep:
                                  f"{m.rows}x{m.cols}, expected "
                                  f"{self.dims[a.target]}x{self.dims[a.source]}")
         self.matrices = mats
+        self.zero = next(iter(mats.values())).ring_zero if mats else Fraction(0)
+        if any(m.ring_zero != self.zero for m in mats.values()):
+            raise ValueError("the matrices use different entry rings")
+        self.one = self.zero ** 0   # the empty product, in either ring
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ModuleRep) and self.quiver == other.quiver
@@ -155,6 +162,13 @@ def check_relations(m: ModuleRep,
     """Evaluate every relation on the module; True iff all residuals vanish."""
     residuals = [element_matrix(m, rel) for rel in relations]
     return all(r.is_zero() for r in residuals), residuals
+
+
+def lift(m: ModuleRep, ring: PolyRing) -> ModuleRep:
+    """The module ``m`` over ``ring``: each rational entry becomes a constant."""
+    return ModuleRep(m.quiver, m.dims, {
+        name: Mat(x.rows, x.cols, tuple(tuple(map(ring.constant, row)) for row in x.data),
+                  ring.zero()) for name, x in m.matrices.items()})
 
 
 def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
@@ -188,21 +202,20 @@ class RepCoordinates(ModuleRep):
     as ``coordinate_names`` lists them.
     """
 
-    def __init__(self, quiver: Quiver, dims: Mapping[str, int],
-                 order: str = "degrevlex") -> None:
+    def __init__(self, quiver: Quiver, dims: Mapping[str, int]) -> None:
         dims = covering_dims(quiver, dims)
         count = sum(dims[a.target] * dims[a.source] for a in quiver.arrows)
         if count > _MAX_COORDINATES:
             raise ValueError(f"{count} matrix coordinates exceed the limit of "
                              f"{_MAX_COORDINATES}")
-        self.ring = PolyRing(coordinate_names(quiver, dims), order)
-        self.zero, self.one = self.ring.zero(), self.ring.one()
-        xs = iter(map(self.ring.variable, self.ring.variables))
+        self.ring = ring = PolyRing(coordinate_names(quiver, dims))
+        xs = iter(map(ring.variable, ring.variables))
         super().__init__(quiver, dims, {
             a.name: Mat(dims[a.target], dims[a.source],
                         tuple(tuple(islice(xs, dims[a.source]))
-                              for _ in range(dims[a.target])), self.zero)
+                              for _ in range(dims[a.target])), ring.zero())
             for a in quiver.arrows})
+        self.zero, self.one = ring.zero(), ring.one()   # arrowless: no matrices
 
 
 @dataclass(frozen=True)
@@ -388,12 +401,9 @@ def add_pullback(coords: RepCoordinates, vk_dims: Mapping[str, int],
     if rels is not None and not check_relations(fixed, rels)[0]:
         raise ValueError("fixed matrices do not satisfy the relations")
 
-    ring = coords.ring
-    lifted = ModuleRep(quiver, vk, {
-        name: Mat(m.rows, m.cols, tuple(tuple(map(ring.constant, row)) for row in m.data),
-                  coords.zero) for name, m in fixed.matrices.items()})
-    big = RepCoordinates(quiver, coords.dims + vk, ring.order)
-    return big, _ring_map(big, ring, direct_sum(coords, lifted), "enlarged")
+    big = RepCoordinates(quiver, coords.dims + vk)
+    return big, _ring_map(big, coords.ring, direct_sum(coords, lift(fixed, coords.ring)),
+                          "enlarged")
 
 
 def corner_comparison_map(pres: CornerPresentation, coords: RepCoordinates,
@@ -404,8 +414,7 @@ def corner_comparison_map(pres: CornerPresentation, coords: RepCoordinates,
     presentation; the map classifies the generic module's restriction, so it
     sends each presentation variable to an entry of its path's matrix.
     """
-    small = RepCoordinates(pres.quiver, coords.dims.restrict(pres.quiver.vertices),
-                           coords.ring.order)
+    small = RepCoordinates(pres.quiver, coords.dims.restrict(pres.quiver.vertices))
     return small, _ring_map(small, coords.ring, restrict_corner(coords, pres),
                             "presentation")
 

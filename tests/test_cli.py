@@ -268,6 +268,8 @@ _MALFORMED_INPUTS = {
         "check-module", "module", {"dimension": {"1": 1, "2": 1, "9": 2}}),
     "module_arrows_name_an_unknown_arrow": (
         "check-module", "module", {"dimension": _A2_DIMS, "arrows": {"typo": [["5"]]}}),
+    "module_entry_with_an_underscore": (
+        "check-module", "module", {"dimension": _A2_DIMS, "arrows": {"a": [["1_0"]]}}),
     "module_dimension_not_whole": (
         "check-module", "module", {"dimension": {"1": 1.5, "2": 1}}),
     # zero padding to one entry per degree cannot size a list this long

@@ -455,6 +455,24 @@ def test_module_json_fractions_and_defaults():
                              "arrows": {"a": [["1", "2"]]}})
 
 
+def test_module_json_takes_integers_and_ascii_fraction_strings():
+    q = build_doubled_dynkin("A", 2)
+    m = module_from_json(q, {"dimension": {"1": 1, "2": 1},
+                             "arrows": {"a": [[-7]], "a*": [["-3/4"]]}})
+    assert m.matrices["a"].entry(0, 0) == -7
+    assert m.matrices["a*"].entry(0, 0) == Fraction(-3, 4)
+
+
+@pytest.mark.parametrize("entry", ["1_0", "٣", "1.5", 1.5, True, " 1", "+1",
+                                   "1/-2", "", None, [1]])
+def test_module_json_rejects_other_entries(entry):
+    # Fraction(str(x)) used to read "1_0" as 10 and "٣" as 3
+    q = build_doubled_dynkin("A", 2)
+    with pytest.raises(ValueError, match="matrix for 'a\\*' has an entry"):
+        module_from_json(q, {"dimension": {"1": 1, "2": 1},
+                             "arrows": {"a": [["0"]], "a*": [[entry]]}})
+
+
 def test_module_json_rejects_unknown_arrows():
     # a misspelt arrow used to load as the zero module
     q = build_doubled_dynkin("A", 2)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -225,3 +226,12 @@ def test_unknown_builders_rejected():
 def test_quiver_rejects_duplicate_names():
     with pytest.raises(ValueError):
         Quiver(("1", "1"), (), {"1": "K"})
+
+
+def test_many_loops_at_one_vertex_build_in_linear_time():
+    # the arrow tables were grown one tuple per arrow, quadratic in the loops
+    loops = [Arrow(f"a{k}", "0", "0") for k in range(40_000)]
+    start = time.perf_counter()
+    q = Quiver(["0"], loops)
+    assert time.perf_counter() - start < 1
+    assert q.arrows_from("0") == q.arrows_into("0") == tuple(loops)

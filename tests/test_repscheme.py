@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from quiverlab.algebra import framed_affine_preprojective, preprojective_relations
+from quiverlab.algebra import (RelationSet, framed_affine_preprojective,
+                               preprojective_relations)
 from quiverlab.errors import BudgetExceeded
 from quiverlab.linalg import Mat
 from quiverlab.modules import ModuleRep, element_matrix
@@ -24,14 +25,18 @@ from quiverlab.repscheme import (
     build_acircledast,
     add_pullback,
     build_astar,
+    check_relations,
     coordinate_names,
     corner_comparison_map,
+    direct_sum,
     entry_generator,
     invariant_generators,
     invariant_values,
+    lift,
     path_matrix,
     product_split_check,
     rep_ideal,
+    restrict_corner,
     trace_generator,
     variable_name,
 )
@@ -446,6 +451,49 @@ def test_corner_comparison_map(framed_a1, framed_a1_corner):
                 assert not gb.normal_form(hom(f))
     with pytest.raises(ValueError):
         hom(coords.ring.variable("x_a_1_1"))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_presentation_residuals_on_the_restricted_generic_module(framed_a1, framed_a1_corner, k):
+    # the restricted generic module has polynomial entries, so its relation
+    # residuals are the comparison images of the small scheme's ideal
+    quiver, rels, _ = framed_a1
+    _, _, pres = framed_a1_corner
+    coords = RepCoordinates(quiver, DimensionVector({"∞": 1, "0": 1, "1": k}))
+    small, hom = corner_comparison_map(pres, coords)
+    _, residuals = check_relations(restrict_corner(coords, pres), pres.relations)
+    entries = [f for r in residuals for row in r.data for f in row]
+    small_ideal = rep_ideal(small, RelationSet(pres.quiver, pres.relations))
+    assert entries == [hom(g) for g in small_ideal.generators]
+    gb = buchberger(rep_ideal(coords, rels).nonzero_generators())
+    assert not any(gb.normal_form(f) for f in entries)
+
+
+def test_relations_on_the_generic_module_plus_a_lifted_one():
+    q = build_doubled_dynkin("A", 2)
+    rels = preprojective_relations(q)
+    coords = RepCoordinates(q, DimensionVector({"1": 1, "2": 1}))
+    vk = ModuleRep(q, {"1": 0, "2": 1}, {"a": Mat.zero(1, 0), "a*": Mat.zero(0, 1)})
+    lifted = lift(vk, coords.ring)
+    assert lifted.zero == coords.ring.zero() and lifted.one == coords.ring.one()
+    ok, residuals = check_relations(direct_sum(coords, lifted), rels)
+    assert not ok
+    generic = check_relations(coords, rels)[1]
+    for big, small in zip(residuals, generic, strict=True):
+        n = small.rows
+        assert [row[:small.cols] for row in big.data[:n]] == list(small.data)
+        assert all(not f for row in big.data[n:] for f in row)
+        assert all(not f for row in big.data[:n] for f in row[small.cols:])
+
+
+def test_module_matrices_share_one_entry_ring():
+    q = build_doubled_dynkin("A", 2)
+    ring = RepCoordinates(q, DimensionVector({"1": 1, "2": 1})).ring
+    poly = Mat(1, 1, ((ring.variable("x_a_1_1"),),), ring.zero())
+    with pytest.raises(ValueError, match="different entry rings"):
+        ModuleRep(q, {"1": 1, "2": 1}, {"a": poly, "a*": Mat.from_rows([[1]])})
+    arrowless = ModuleRep(Quiver(["0"], []), {"0": 2}, {})
+    assert (arrowless.zero, arrowless.one) == (Fraction(0), Fraction(1))
 
 
 @pytest.mark.parametrize("fixture, dims", [
