@@ -277,6 +277,10 @@ class GradedBasis:
             raise ValueError("cutoff must be nonnegative")
         if relations.quiver != quiver:
             raise ValueError("relations belong to a different quiver")
+        for rel in relations:
+            if len({p.length for p in rel.terms}) > 1:
+                raise ValueError(f"relation {rel.text()!r} mixes path lengths: the "
+                                 "basis grades by path length, not by arrow weight")
         self.quiver = quiver
         self.relations = relations
         self.cutoff = cutoff

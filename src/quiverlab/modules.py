@@ -9,6 +9,7 @@ with a relation set.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Mapping
@@ -196,28 +197,13 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
     window = corner.k_top_degree + 2
 
     span = SpanBuilder()
-    symbol_target: dict[tuple, str] = {}
-    total_by_vertex = {v: 0 for v in quiver.vertices}
-    pivot_by_vertex = {v: 0 for v in quiver.vertices}
-
-    def enumerate_degree(d: int) -> None:
+    symbols: dict[tuple, str] = {}   # (degree, path key, j) -> the path's target
+    history: list[Counter] = []      # survivors per target vertex, by degree
+    for d in range(basis.cutoff + 1):
         for p in basis.basis(d):
-            if p.source not in h_set:
-                continue
-            for j in range(v_h.dims[p.source]):
-                symbol_target[(d, p.key, j)] = p.target
-                total_by_vertex[p.target] += 1
-
-    def add_row(row: dict) -> None:
-        if span.add(row):
-            lead = next(reversed(span.pivots))
-            pivot_by_vertex[symbol_target[lead]] += 1
-
-    enumerate_degree(0)
-    history: list[dict] = [dict(total_by_vertex)]
-    stopped_at: int | None = None
-    for d in range(1, basis.cutoff + 1):
-        enumerate_degree(d)
+            if p.source in h_set:
+                for j in range(v_h.dims[p.source]):
+                    symbols[(d, p.key, j)] = p.target
         for gen in corner.generators:
             k = gen.degree
             if k > d:
@@ -225,7 +211,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
             m_gen = v_h.matrices[gen.name]
             start = {gen.path.key: _ONE}
             for p in basis.basis(d - k):
-                if p.source != gen.target or p.source not in h_set:
+                if p.source != gen.target:
                     continue
                 nf = basis.extend(start, p.key[1:])   # p * gen: gen acts first
                 for j in range(v_h.dims[gen.source]):
@@ -236,28 +222,21 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
                             # a symbol of degree d - k, never a key of nf
                             row[(d - k, p.key, i)] = -c
                     if row:
-                        add_row(row)
-        dims_now = {v: total_by_vertex[v] - pivot_by_vertex[v]
-                    for v in quiver.vertices}
-        history.append(dims_now)
-        if d >= window:
-            stable = all(history[-1] == history[-1 - i] for i in range(1, window + 1))
-            tail_clear = not any(
-                key not in span.pivots
-                for key in symbol_target if d - window < key[0] <= d)
-            if stable and tail_clear:
-                stopped_at = d
-                break
-    if stopped_at is None:
+                        span.add(row)
+        survivors = [key for key in symbols if key not in span.pivots]
+        history.append(Counter(symbols[key] for key in survivors))
+        if (d >= window and all(h == history[-1] for h in history[-1 - window:-1])
+                and all(key[0] <= d - window for key in survivors)):
+            break
+    else:
         raise BudgetExceeded(
             f"induction dimensions did not stabilize within degree {basis.cutoff}")
 
-    survivors = sorted(k for k in symbol_target if k not in span.pivots)
+    survivors.sort()
     by_vertex: dict[str, list[tuple]] = {v: [] for v in quiver.vertices}
     for key in survivors:
-        by_vertex[symbol_target[key]].append(key)
-    index = {v: {key: i for i, key in enumerate(keys)}
-             for v, keys in by_vertex.items()}
+        by_vertex[symbols[key]].append(key)
+    index = {key: i for keys in by_vertex.values() for i, key in enumerate(keys)}
     dims_out = DimensionVector({v: len(keys) for v, keys in by_vertex.items()})
 
     matrices: dict[str, Mat] = {}
@@ -270,7 +249,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
             vec = {(d + 1, qkey, j): c
                    for qkey, c in basis.extend({pkey: _ONE}, step).items()}
             for rkey, c in span.residue(vec).items():
-                data[index[a.target][rkey]][col] = c
+                data[index[rkey]][col] = c
         matrices[a.name] = Mat(rows, cols, tuple(tuple(r) for r in data))
 
     result = ModuleRep(quiver, dims_out, matrices)

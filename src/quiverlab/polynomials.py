@@ -36,6 +36,9 @@ ORDERS = ("degrevlex", "lex")
 _BITS = 32                     # width of one exponent field of a packed monomial
 _LIMIT = 1 << (_BITS - 1)      # every stored monomial's total degree is below this
 _FIELD = (1 << _BITS) - 1
+# PolyRing keeps one packed unit of 32·(n + 1) bits per variable, so its
+# memory grows as n²: 4,096 variables take 67 MB
+MAX_VARIABLES = 4096
 
 
 class PolyRing:
@@ -51,6 +54,9 @@ class PolyRing:
 
     def __init__(self, variables: Iterable[str], order: str = "degrevlex") -> None:
         self.variables = tuple(variables)
+        if len(self.variables) > MAX_VARIABLES:
+            raise ValueError(f"{len(self.variables)} variables exceed the limit of "
+                             f"{MAX_VARIABLES}")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable name")
         for v in self.variables:

@@ -20,11 +20,7 @@ from .errors import BudgetExceeded
 from .linalg import Mat, block_diag
 from .quivers import (FRAMING_ARROW, FRAMING_VERTEX, DimensionVector,
                       Path, Quiver)
-from .polynomials import Polynomial, PolyRing
-
-# PolyRing keeps one packed unit of 32·(n + 1) bits per variable, so its
-# memory grows as n²: 4,096 coordinates take 67 MB
-_MAX_COORDINATES = 4096
+from .polynomials import MAX_VARIABLES, Polynomial, PolyRing
 
 
 def variable_name(arrow: str, row: int, col: int) -> str:
@@ -205,9 +201,9 @@ class RepCoordinates(ModuleRep):
     def __init__(self, quiver: Quiver, dims: Mapping[str, int]) -> None:
         dims = covering_dims(quiver, dims)
         count = sum(dims[a.target] * dims[a.source] for a in quiver.arrows)
-        if count > _MAX_COORDINATES:
+        if count > MAX_VARIABLES:   # refused before a name is built
             raise ValueError(f"{count} matrix coordinates exceed the limit of "
-                             f"{_MAX_COORDINATES}")
+                             f"{MAX_VARIABLES}")
         self.ring = ring = PolyRing(coordinate_names(quiver, dims))
         xs = iter(map(ring.variable, ring.variables))
         super().__init__(quiver, dims, {

@@ -16,14 +16,17 @@ from typing import Iterable, Sequence
 
 from quiverlab.algebra import AlgebraElement, GradedBasis, restrict_to_vertices
 from quiverlab.corner import (BimoduleGenerators, CornerGenerator,
-                              CornerGenerators, CornerPresentation, _h_block)
+                              CornerGenerators, CornerPresentation, _h_block,
+                              sufficient_dimension_bound)
 from quiverlab.errors import BudgetExceeded, VerificationError
 from quiverlab.linalg import Mat, SpanBuilder, axpy, block_upper, kernel_combos
-from quiverlab.modules import ModuleRep, check_relations, element_matrix
+from quiverlab.modules import (ModuleRep, check_relations, element_matrix,
+                               invariant_fingerprint, restrict_corner)
 from quiverlab.polynomials import (GroebnerBasis, NilpotentWitness, Polynomial,
                                    ideal_multigrading)
-from quiverlab.quivers import Arrow, Path, Quiver
-from quiverlab.repscheme import path_matrix, variable_name
+from quiverlab.quivers import Arrow, DimensionVector, Path, Quiver
+from quiverlab.repscheme import (RepCoordinates, invariant_generators, path_matrix,
+                                 variable_name)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -1072,6 +1075,140 @@ def reference_corner_presentation(corner: CornerGenerators,
         cutoff=cutoff,
         completeness=f"truncated-at-{cutoff}",
     )
+
+
+# -- induction: per-vertex counters and a tail rescan --------------------------
+#
+# The induction loop as it stood with per-vertex symbol totals, pivot
+# counts read off each new pivot and a rescan of the last degrees for
+# survivors.  Kept as the reference that the one survivor list must match.
+
+
+def reference_induce_module(v_h: ModuleRep, pres: CornerPresentation,
+                            gens: BimoduleGenerators) -> ModuleRep:
+    """Left-adjoint extension of a corner module to the whole algebra.
+
+    Symbols (standard path with source in H) x (basis vector of V_H at the
+    path's source) span the candidate space; for every corner generator l the
+    identification (p*l) tensor w = p tensor (l*w) is imposed degreewise.  The
+    loop stops once the per-vertex dimensions are unchanged and no symbol
+    survives for k_top_degree + 2 consecutive degrees, then arrow actions are
+    read off by residues.  The result is post-verified: ambient relations,
+    H-dimensions, the sufficient dimension bound, and fingerprint equality of
+    its corner restriction with V_H — any failure raises VerificationError,
+    and reaching the basis cutoff first raises BudgetExceeded.
+    """
+    corner = gens.corner
+    basis = corner.basis
+    quiver = basis.quiver
+    if v_h.quiver != pres.quiver:
+        raise ValueError("V_H must live over the presentation quiver")
+    for name, path in pres.generator_paths.items():
+        if not any(g.name == name and g.path == path for g in corner.generators):
+            raise ValueError("presentation and bimodule data disagree")
+    ok, _ = check_relations(v_h, pres.relations)
+    if not ok:
+        raise ValueError("V_H violates the truncated corner relations")
+
+    h_set = frozenset(quiver.h_vertices)
+    window = corner.k_top_degree + 2
+
+    span = SpanBuilder()
+    symbol_target: dict[tuple, str] = {}
+    total_by_vertex = {v: 0 for v in quiver.vertices}
+    pivot_by_vertex = {v: 0 for v in quiver.vertices}
+
+    def enumerate_degree(d: int) -> None:
+        for p in basis.basis(d):
+            if p.source not in h_set:
+                continue
+            for j in range(v_h.dims[p.source]):
+                symbol_target[(d, p.key, j)] = p.target
+                total_by_vertex[p.target] += 1
+
+    def add_row(row: dict) -> None:
+        if span.add(row):
+            lead = next(reversed(span.pivots))
+            pivot_by_vertex[symbol_target[lead]] += 1
+
+    enumerate_degree(0)
+    history: list[dict] = [dict(total_by_vertex)]
+    stopped_at: int | None = None
+    for d in range(1, basis.cutoff + 1):
+        enumerate_degree(d)
+        for gen in corner.generators:
+            k = gen.degree
+            if k > d:
+                continue
+            m_gen = v_h.matrices[gen.name]
+            start = {gen.path.key: _ONE}
+            for p in basis.basis(d - k):
+                if p.source != gen.target or p.source not in h_set:
+                    continue
+                nf = basis.extend(start, p.key[1:])   # p * gen: gen acts first
+                for j in range(v_h.dims[gen.source]):
+                    row = {(d, qkey, j): c for qkey, c in nf.items()}
+                    for i in range(v_h.dims[gen.target]):
+                        c = m_gen.entry(i, j)
+                        if c:
+                            # a symbol of degree d - k, never a key of nf
+                            row[(d - k, p.key, i)] = -c
+                    if row:
+                        add_row(row)
+        dims_now = {v: total_by_vertex[v] - pivot_by_vertex[v]
+                    for v in quiver.vertices}
+        history.append(dims_now)
+        if d >= window:
+            stable = all(history[-1] == history[-1 - i] for i in range(1, window + 1))
+            tail_clear = not any(
+                key not in span.pivots
+                for key in symbol_target if d - window < key[0] <= d)
+            if stable and tail_clear:
+                stopped_at = d
+                break
+    if stopped_at is None:
+        raise BudgetExceeded(
+            f"induction dimensions did not stabilize within degree {basis.cutoff}")
+
+    survivors = sorted(k for k in symbol_target if k not in span.pivots)
+    by_vertex: dict[str, list[tuple]] = {v: [] for v in quiver.vertices}
+    for key in survivors:
+        by_vertex[symbol_target[key]].append(key)
+    index = {v: {key: i for i, key in enumerate(keys)}
+             for v, keys in by_vertex.items()}
+    dims_out = DimensionVector({v: len(keys) for v, keys in by_vertex.items()})
+
+    matrices: dict[str, Mat] = {}
+    for a in quiver.arrows:
+        rows, cols = dims_out[a.target], dims_out[a.source]
+        data = [[_ZERO] * cols for _ in range(rows)]
+        step = (quiver.arrow_index(a.name),)
+        for col, key in enumerate(by_vertex[a.source]):
+            d, pkey, j = key
+            vec = {(d + 1, qkey, j): c
+                   for qkey, c in basis.extend({pkey: _ONE}, step).items()}
+            for rkey, c in span.residue(vec).items():
+                data[index[a.target][rkey]][col] = c
+        matrices[a.name] = Mat(rows, cols, tuple(tuple(r) for r in data))
+
+    result = ModuleRep(quiver, dims_out, matrices)
+
+    ok, _ = check_relations(result, basis.relations)
+    if not ok:
+        raise VerificationError("induced module violates the ambient relations")
+    if result.dims.restrict(quiver.h_vertices) != v_h.dims:
+        raise VerificationError("induced module has the wrong H dimensions")
+    bound = sufficient_dimension_bound(gens, v_h.dims)
+    if not bound.dominates(result.dims):
+        raise VerificationError("induced module exceeds the dimension bound")
+    coords = RepCoordinates(pres.quiver, v_h.dims)
+    invs = invariant_generators(coords)
+    got = invariant_fingerprint(restrict_corner(result, pres), invs)
+    want = invariant_fingerprint(v_h, invs)
+    if got != want:
+        raise VerificationError("corner restriction of the induced module has "
+                                "a different fingerprint than V_H")
+    return result
 
 
 # -- extensions: one whole block module per unknown ---------------------------

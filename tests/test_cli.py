@@ -76,6 +76,27 @@ def test_corner_present(capsys):
     assert "# completeness: truncated-at-6" in out
 
 
+@pytest.mark.parametrize("command", ["basis", "cocenter", "corner"])
+def test_corner_presentation_read_back(capsys, tmp_path, command):
+    # framed D~4's presentation weighs g3 @6 against g1, g2 @4, so one relation
+    # mixes word lengths; framed A~1's relations all have one length
+    relation = "g3.g3 + g2.g1.g1 - g2.g2.g1"
+    for fixture, ok in [(FRAMED_D4, False), (FRAMED_A1, True)]:
+        code, out = run(capsys, "corner-present", "--in", fixture, "--cutoff", "14",
+                        "--format", "text")
+        assert code == 0 and (f"relation {relation}\n" in out) is not ok
+        path = tmp_path / "presentation.quiver"
+        path.write_text(out, encoding="utf-8")
+        code = main([command, "--in", str(path), "--cutoff", "4"])
+        err = capsys.readouterr().err
+        if ok:
+            assert code == 0 and not err
+        else:
+            assert code == 1
+            assert err == (f"error: relation {relation!r} mixes path lengths: the "
+                           "basis grades by path length, not by arrow weight\n")
+
+
 def test_bimodule_gens(capsys):
     data = run_json(capsys, "bimodule-gens", "--in", FRAMED_A1, "--cutoff", "6")
     assert data["count"] == 4
@@ -524,6 +545,16 @@ def test_groebner_past_the_degree_limit_exits_1(tmp_path, order, generators):
     assert out.returncode == 1 and not out.stdout
     assert out.stderr.startswith("error:") and "2^31" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_groebner_past_the_variable_limit_exits_1(capsys, tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"variables": [f"v{i}" for i in range(5000)],
+                                "generators": []}))
+    assert main(["groebner", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: 5000 variables exceed the limit of 4096\n"
 
 
 def test_nilwitness_power_past_the_degree_limit_exits_1(capsys, tmp_path):

@@ -38,7 +38,7 @@ from quiverlab.quivers import (
 from quiverlab.repscheme import RepCoordinates, invariant_generators, variable_name
 
 from conftest import FIXTURES, framing_loop_quiver, two_loop_quiver
-from oracles import reference_random_extension
+from oracles import reference_induce_module, reference_random_extension
 
 
 def load_fixture_module(quiver, name):
@@ -240,6 +240,16 @@ def test_random_extension_guards():
         random_extension(good, other, rels, rng)
 
 
+def test_random_extension_past_the_variable_limit_is_refused():
+    # 70 x 70 off-diagonal unknowns: 4,900 ring variables
+    q = Quiver(["0"], [Arrow("x", "0", "0")], {"0": "K"})
+    x = Path(q, "0", ("x",))
+    rels = [AlgebraElement(q, {x * x: Fraction(1)})]
+    block = zero_module(q, {"0": 70})
+    with pytest.raises(ValueError, match="4900 variables exceed the limit of 4096"):
+        random_extension(block, block, rels, random.Random(0))
+
+
 def _int_mat(rng, rows, cols, bound=2):
     if not rows:
         return Mat.zero(0, cols)
@@ -432,6 +442,49 @@ def test_induce_module_stops_at_the_basis_cutoff(framed_a1):
     with pytest.raises(BudgetExceeded, match="did not stabilize within degree 2"):
         induce_free(2)
     assert induce_free(3) == load_fixture_module(quiver, "framed_a1_generated_3")
+
+
+def scalar_corner_modules(pres):
+    """Criterion 11's ten V_H (seeds 7000-7009) and the bench's for seeds 0-7:
+    scalar g1 = t, g2 = u, g3 = -t^2/u satisfy the framed A~1 corner relations."""
+    out = []
+    for seed in [7000 + s for s in range(10)] + list(range(8)):
+        rng = random.Random(seed)
+        t = Fraction(rng.randint(-3, 3))
+        u = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        out.append(corner_module(pres, [[rng.choice([1, 2, 3])]], [[t]], [[u]],
+                                 [[-t * t / u]]))
+    return out
+
+
+def zero_loop_modules(pres):
+    """V_H with zero g matrices at dims (∞: 1, 0: 1) and (∞: 1, 0: 2)."""
+    out = []
+    for n in (1, 2):
+        zero = [[0] * n for _ in range(n)]
+        out.append(corner_module(pres, [[1]] + [[0]] * (n - 1), zero, zero, zero, n=n))
+    return out
+
+
+def framed_corner(kind, rank, cutoff):
+    quiver, rels = framed_affine_preprojective(kind, rank)
+    corner = corner_generators(graded_basis(quiver, rels, cutoff), verify_cutoff=cutoff)
+    return bimodule_generators(corner, verify_cutoff=cutoff), corner_presentation(corner, cutoff)
+
+
+def test_induce_module_matches_the_reference_loop(framed_a1_corner, framed_d4_corner):
+    # framed A~1 at basis cutoff 8 (the bench's corner) and 12 (the shared fixture)
+    _, bimod12, pres12 = framed_a1_corner
+    _, bimod_d4, pres_d4 = framed_d4_corner
+    bimod8, pres8 = framed_corner("A", 1, 8)
+    cases = [(vh, pres, bimod) for bimod, pres in [(bimod8, pres8), (bimod12, pres12)]
+             for vh in scalar_corner_modules(pres) + zero_loop_modules(pres)]
+    for bimod, pres in [(bimod_d4, pres_d4), framed_corner("A", 2, 10)]:
+        cases += [(vh, pres, bimod) for vh in zero_loop_modules(pres)]
+    assert len(cases) == 2 * 20 + 2 * 2
+    for vh, pres, bimod in cases:
+        assert module_to_json(induce_module(vh, pres, bimod)) == \
+            module_to_json(reference_induce_module(vh, pres, bimod))
 
 
 # -- serialization ---------------------------------------------------------------

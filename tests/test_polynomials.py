@@ -63,6 +63,12 @@ def test_ring_validation():
         PolyRing(["x"], order="grlex")
 
 
+def test_ring_variable_count_is_bounded():
+    # a packed ring's memory grows as the square of its variable count
+    with pytest.raises(ValueError, match="4097 variables exceed the limit of 4096"):
+        PolyRing(f"v{i}" for i in range(4097))
+
+
 def test_parse_text_round_trip(R):
     for text in ["x^2*y - 3/2*z + 1", "x + y", "-x*y*z", "7", "0", "x^4 - x"]:
         f = R.parse(text)
