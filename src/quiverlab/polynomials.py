@@ -388,38 +388,59 @@ class Polynomial:
         """Ring map into ``ring`` sending each variable to its image.
 
         Variables without an explicit image must exist in the target ring
-        under the same name.
+        under the same name.  Factors whose images are single terms or
+        constants multiply as one packed monomial and one coefficient; only
+        longer images go through polynomial products.
         """
-        # powers[i][k] is the image of variable i raised to k + 1
-        powers: dict[int, list[Polynomial]] = {}
+        top = ring._top
+        # each variable's image, resolved the first time a term uses it, as
+        # (packed monomial, degree, coefficient or None for 1, None) for one
+        # term or a nonzero constant, (None, degree, None, powers) for a
+        # longer image, powers[k] being it raised to k + 1, and None for zero
+        forms: dict[int, tuple | None] = {}
 
-        def power(i: int, e: int) -> Polynomial:
-            known = powers.get(i)
-            if known is None:
-                name = self.ring.variables[i]
-                img = images.get(name)
-                if img is None:
-                    img = ring.variable(name)
-                elif not isinstance(img, Polynomial):
-                    img = ring.constant(img)
-                elif img.ring != ring:
-                    raise ValueError("image lies in a different ring")
-                known = powers[i] = [img]
-            while len(known) < e:
-                known.append(known[-1] * known[0])
-            return known[e - 1]
+        def resolve(i: int) -> tuple | None:
+            name = self.ring.variables[i]
+            img = images.get(name)
+            if img is None:
+                img = ring.variable(name)
+            elif not isinstance(img, Polynomial):
+                img = ring.constant(img)
+            elif img.ring != ring:
+                raise ValueError("image lies in a different ring")
+            if len(img._terms) == 1:
+                [(k, a)] = img._terms.items()
+                forms[i] = (k, k >> top, None if a == 1 else a, None)
+            else:
+                forms[i] = (None, img.degree, None, [img]) if img._terms else None
+            return forms[i]
 
-        one = {0: _ONE}
         factors = self.ring._factors
         out: dict[int, Fraction] = {}
         for m, c in self._terms.items():
-            term = None
+            mono = deg = 0   # the one-term factors' packed product; the term's degree
+            long = None      # the longer factors' product, in variable order
             for i, e in factors(m):   # the nonzero exponents only
-                p = power(i, e)
-                term = p if term is None else term * p
-                if not term:
+                f = forms[i] if i in forms else resolve(i)
+                if f is None:         # a zero image drops the term
                     break
-            axpy(out, c, one if term is None else term._terms)
+                k, d, a, powers = f
+                deg += e * d
+                if deg >= _LIMIT:     # checked first: below 2^31 no field carries
+                    ring._check_degree(deg << top)
+                if powers is None:
+                    mono += e * k
+                    if a is not None:
+                        c = c * a ** e
+                else:
+                    while len(powers) < e:
+                        powers.append(powers[-1] * powers[0])
+                    long = powers[e - 1] if long is None else long * powers[e - 1]
+            else:
+                if long is None:
+                    axpy(out, 1, {mono: c})
+                else:
+                    axpy(out, c, {mono + x: v for x, v in long._terms.items()})
         return Polynomial._packed(ring, out)
 
     def text(self) -> str:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from quiverlab import polynomials
-from quiverlab.algebra import framed_affine_preprojective
+from quiverlab.algebra import framed_affine_preprojective, preprojective_relations
 from quiverlab.errors import BudgetExceeded
 from quiverlab.linalg import Mat
 from quiverlab.polynomials import (
@@ -25,12 +25,14 @@ from quiverlab.polynomials import (
     nilpotent_witness_search,
     standard_monomials,
 )
-from quiverlab.quivers import DimensionVector
-from quiverlab.repscheme import RepCoordinates, rep_ideal
+from quiverlab.quivers import DimensionVector, build_doubled_dynkin, delta_k
+from quiverlab.repscheme import (RepCoordinates, add_pullback, invariant_generators,
+                                 rep_ideal, zero_module)
 
 from oracles import (_order_key, reference_buchberger, reference_nilpotent_witness_search,
                      reference_nullspace, reference_parse, reference_pm_mul,
-                     reference_reduce, reference_standard_monomials, reference_substitute)
+                     reference_pullback_images, reference_reduce,
+                     reference_standard_monomials, reference_substitute)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -444,20 +446,93 @@ def test_evaluate_needs_only_the_variables_it_uses(R):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_substitute_matches_the_reference_loop(R, seed):
+    # one-term and constant images multiply as one packed monomial and one
+    # coefficient, longer ones as polynomials; either way the image matches
+    # the reference in values and ``_tuple_substitute`` in dict order
     rng = random.Random(seed)
     S = PolyRing(["x", "u", "v"])
-    f = _random_poly(R, rng, terms=6, max_exp=3)
+    f = _random_poly(R, rng, terms=6, max_exp=3) + R.parse("x^3*y^2*z - 5/4*x*z^2 + 2")
     image = lambda: _random_poly(S, rng, terms=rng.randint(0, 3))
+    scaled = S.parse("-2/3*u^2")
     cases = [
         {"x": image(), "y": image(), "z": image()},
         {"y": image(), "z": S.zero()},                       # x keeps its name
         {"x": Fraction(rng.randint(-3, 3), 2), "y": 0, "z": image()},
         {"x": S.parse("u - v"), "y": S.parse("v - u"), "z": S.parse("u + v")},
+        {"x": scaled, "y": S.parse("5*u*v"), "z": S.parse("v")},
+        {"y": 3, "z": Fraction(-5, 7)},
+        {"x": scaled, "y": S.constant(Fraction(1, 2)), "z": 0},
+        {"x": S.zero(), "y": scaled, "z": S.parse("u")},
+        {"x": scaled, "y": S.parse("u - 2*v + 1"), "z": S.parse("-v^2")},
     ]
     for images in cases:
-        assert f.substitute(S, images).terms == reference_substitute(f, S, images)
+        got = f.substitute(S, images)
+        _assert_trusted(got)
+        assert got.terms == reference_substitute(f, S, images)
+        assert _items(got) == list(_tuple_substitute(f, S, images).items())
+    # an image is checked the first time a term uses it, so never behind a
+    # zero factor earlier in variable order, nor on an unused variable
     with pytest.raises(ValueError, match="different ring"):
         R.parse("x*y").substitute(S, {"x": R.variable("x"), "y": S.zero()})
+    foreign = R.variable("y")
+    assert R.parse("x*y").substitute(S, {"x": S.zero(), "y": foreign}) == S.zero()
+    assert R.parse("x - 1").substitute(S, {"y": foreign}) == S.parse("x - 1")
+    for images in ({"y": foreign}, {"y": R.parse("2*y")}, {"y": R.one()}):
+        with pytest.raises(ValueError, match="different ring"):
+            R.parse("x + y").substitute(S, images)
+
+
+def test_substitute_multiplies_only_longer_images(R, monkeypatch):
+    calls = []
+    real = Polynomial._sum_of_products
+    monkeypatch.setattr(Polynomial, "_sum_of_products",
+                        lambda self, xs, ys: calls.append(1) or real(self, xs, ys))
+    S = PolyRing(["u", "v"])
+    f = R.parse("x^3*y^2*z - 2*x*y + z^4 + 1")
+    one_term = {"x": S.parse("-2/3*u^2"), "y": 3, "z": S.parse("v")}
+    assert f.substitute(S, one_term) == S.parse("-8/3*u^6*v + 4*u^2 + v^4 + 1")
+    assert calls == []
+    # z's image has two terms: z^2, z^3 and z^4 take one product each
+    f.substitute(S, {**one_term, "z": S.parse("u + v")})
+    assert len(calls) == 3
+    calls.clear()
+    # two longer images in one term multiply once
+    R.parse("x*y*z").substitute(S, {"x": S.parse("u - 1"), "y": S.parse("v"),
+                                    "z": S.parse("u + v")})
+    assert len(calls) == 1
+
+
+def test_substitute_on_the_criterion_07_pullbacks():
+    # add_pullback's homs on doubled D4 at delta_k, for the twenty pairs of
+    # zero modules criterion 07 and the bench draw, legs relabelled as the
+    # bench does at seed 0: every image is a variable or zero
+    quiver = build_doubled_dynkin("D", 4)
+    coords = RepCoordinates(quiver, delta_k("D", 4))
+    rels = preprojective_relations(quiver)
+    relabel = random.Random(0)
+    for shape in range(20):
+        rng = random.Random(911 + shape)
+        legs = dict(zip("134", relabel.sample("134", 3)))
+        modules = []
+        for bound in (2, 1):
+            dims = {u: rng.randint(0, bound) for u in "1234"}
+            if not any(dims.values()):
+                dims[rng.choice("1234")] = 1
+            modules.append(zero_module(quiver, {legs.get(u, u): n for u, n in dims.items()}))
+        v, w = modules
+        big1, hom1 = add_pullback(coords, v.dims, v.matrices, rels)
+        big2, hom2 = add_pullback(big1, w.dims, w.matrices, rels)
+        polys = [g.polynomial for g in invariant_generators(big2, cycle_bound=4, path_bound=0)]
+        for hom, source, target, mats, fs in (
+                (hom2, big2, big1, w.matrices, polys),
+                (hom1, big1, coords, v.matrices, [hom2(g) for g in polys])):
+            table = reference_pullback_images(target, source.dims, mats)
+            assert all(p.degree <= 1 and len(p.terms) <= 1 and set(p.terms.values()) <= {1}
+                       for p in table.values())
+            for f in fs:
+                image = hom(f)
+                assert image.terms == reference_substitute(f, target.ring, table)
+                assert _items(image) == list(_tuple_substitute(f, target.ring, table).items())
 
 
 def test_power_takes_n_minus_one_products(R, monkeypatch):
@@ -778,6 +853,8 @@ def _tuple_substitute(f, target, images):
             img = images.get(f.ring.variables[i])
             if img is None:
                 img = target.variable(f.ring.variables[i])
+            elif not isinstance(img, Polynomial):
+                img = target.constant(img)
             powers[i] = [dict(img.terms)]
         known = powers[i]
         while len(known) < e:
@@ -939,6 +1016,30 @@ def test_overflow_names_the_true_degree():
         with pytest.raises(OverflowError) as info:
             make()
         assert str(info.value) == f"monomial degree {degree} is not below 2^31"
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_substitute_overflow_names_the_term_degree(order):
+    # each factor's degree joins the term's before its monomial is added or
+    # its powers are built, so no field carries; the error names the term's
+    # degree so far, in variable order, unless a zero factor came first
+    T = PolyRing(["y", "w"], order)
+    y30, w30, top = T.monomial((2 ** 30, 0)), T.monomial((0, 2 ** 30)), T.monomial((TOP, 0))
+    for names, text, images, degree in (
+            (["x"], "x^2", {"x": y30}, 2 ** 31),
+            (["x"], "x^4", {"x": top}, 4 * TOP),
+            (["x", "z"], "x*z", {"x": y30, "z": w30}, 2 ** 31),
+            (["x"], "x^3", {"x": top.scale(3)}, 3 * TOP),
+            (["x", "z"], "x^2*z", {"x": y30, "z": 0}, 2 ** 31),
+            (["x"], "x^4", {"x": top + T.one()}, 4 * TOP),
+            (["x", "z"], "x*z", {"x": y30 + T.one(), "z": w30}, 2 ** 31),
+            (["x", "z"], "x*z", {"x": y30, "z": w30 + T.one()}, 2 ** 31)):
+        with pytest.raises(OverflowError) as info:
+            PolyRing(names).parse(text).substitute(T, images)
+        assert str(info.value) == f"monomial degree {degree} is not below 2^31"
+    assert PolyRing(["z", "x"]).parse("x^2*z").substitute(T, {"x": y30, "z": 0}) == T.zero()
+    below = {"x": y30, "z": T.monomial((2 ** 30 - 1, 0))}
+    assert PolyRing(["x", "z"]).parse("-x*z").substitute(T, below) == top.scale(-1)
 
 
 # -- parsing ------------------------------------------------------------------

@@ -422,6 +422,15 @@ def test_add_pullback_matches_the_reference_images(case):
                      _seeded_invariants(big, rng, cycle_bound=3, path_bound=2))
 
 
+def test_ring_map_needs_one_image_entry_per_variable():
+    q = build_doubled_dynkin("A", 2)
+    source = RepCoordinates(q, DimensionVector({"1": 1, "2": 1}))
+    for dims in ({"1": 2, "2": 1}, {"1": 1, "2": 0}):   # four entries, then none
+        image = RepCoordinates(q, DimensionVector(dims))
+        with pytest.raises(ValueError, match="argument 2 is (longer|shorter) than argument 1"):
+            repscheme._ring_map(source, image.ring, image, "image")
+
+
 def test_add_pullback_wrong_ring_rejected():
     q = build_doubled_dynkin("A", 2)
     coords = RepCoordinates(q, DimensionVector({"1": 1, "2": 1}))
