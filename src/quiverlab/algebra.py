@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
-from .errors import VerificationError
+from .errors import Record, VerificationError
 from .linalg import SpanBuilder, axpy
 from .quivers import Path, Quiver, build_doubled_affine_dynkin, frame
 
@@ -495,13 +494,10 @@ def restrict_relations(relations: RelationSet, sub: Quiver) -> RelationSet:
 # -- cocenter ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cocenter:
+class Cocenter(Record):
     """Graded dimensions and representatives of A modulo [A, A]."""
 
-    degree_dims: tuple[int, ...]
-    representatives: tuple[tuple[Path, ...], ...]
-    truncated: bool
+    __slots__ = _fields = ("degree_dims", "representatives", "truncated")
 
 
 def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
@@ -559,4 +555,4 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
                 f"for dimension {dims[-1]}")
     dims += [0] * (cutoff - last)
     reps += [()] * (cutoff - last)
-    return Cocenter(tuple(dims), tuple(reps), truncated=not basis.finite_dimensional)
+    return Cocenter(tuple(dims), tuple(reps), not basis.finite_dimensional)

@@ -12,37 +12,26 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, GradedBasis, restrict_to_vertices
-from .errors import VerificationError
+from .errors import Record, VerificationError
 from .linalg import SpanBuilder, axpy, kernel_combos
 from .quivers import Arrow, DimensionVector, Path, Quiver
 
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class CornerGenerator:
+class CornerGenerator(Record):
     """One generator, represented by a standard path of the ambient algebra."""
 
-    name: str
-    path: Path
-    degree: int
-    source: str
-    target: str
+    __slots__ = _fields = ("name", "path", "degree", "source", "target")
 
 
-@dataclass(frozen=True)
-class CornerGenerators:
+class CornerGenerators(Record):
     """Minimized algebra generators of the corner, with verified spanning."""
 
-    basis: GradedBasis
-    h_vertices: tuple[str, ...]
-    k_top_degree: int
-    generators: tuple[CornerGenerator, ...]
-    verified_to: int
+    __slots__ = _fields = ("basis", "h_vertices", "k_top_degree", "generators", "verified_to")
 
     @property
     def degree_bound(self) -> int:
@@ -50,8 +39,7 @@ class CornerGenerators:
         return self.k_top_degree + 2
 
 
-@dataclass(frozen=True)
-class BimoduleGenerators:
+class BimoduleGenerators(Record):
     """Generators of the column space e_H-side module, with verified spanning.
 
     The paths with source in H form a right module over the corner; the
@@ -59,9 +47,7 @@ class BimoduleGenerators:
     span it degreewise up to ``verified_to``.
     """
 
-    corner: CornerGenerators
-    generators: tuple[CornerGenerator, ...]
-    verified_to: int
+    __slots__ = _fields = ("corner", "generators", "verified_to")
 
     @property
     def count(self) -> int:
@@ -209,8 +195,7 @@ def sufficient_dimension_bound(bimod: BimoduleGenerators,
 # -- presentations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CornerPresentation:
+class CornerPresentation(Record):
     """The corner as a quiver with weighted arrows and truncated relations.
 
     ``quiver`` lives on the H vertices with one arrow per positive-degree
@@ -220,12 +205,8 @@ class CornerPresentation:
     that higher-degree relations may exist.
     """
 
-    quiver: Quiver
-    weights: dict[str, int]
-    relations: tuple[AlgebraElement, ...]
-    generator_paths: dict[str, Path]
-    cutoff: int
-    completeness: str
+    __slots__ = _fields = ("quiver", "weights", "relations", "generator_paths", "cutoff",
+                           "completeness")
 
 
 def corner_presentation(corner: CornerGenerators,
@@ -321,11 +302,5 @@ def corner_presentation(corner: CornerGenerators,
             relations.append(el)
             ideal.add(combo)
 
-    return CornerPresentation(
-        quiver=qh,
-        weights=weights,
-        relations=tuple(relations),
-        generator_paths=gen_paths,
-        cutoff=cutoff,
-        completeness=f"truncated-at-{cutoff}",
-    )
+    return CornerPresentation(qh, weights, tuple(relations), gen_paths, cutoff,
+                              f"truncated-at-{cutoff}")

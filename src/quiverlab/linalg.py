@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
+
+from .errors import Record
 
 _ZERO = Fraction(0)
 
@@ -177,8 +178,7 @@ def primitive_kernel_vector(matrix: Sequence[Sequence[int]]) -> list[int]:
     return ints
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(Record):
     """Dense matrix over an exact ring, with explicit shape (zero-sized sides allowed).
 
     Entries are ``Fraction`` by default; ``ring_zero`` is the additive
@@ -187,16 +187,26 @@ class Mat:
     ``from_rows`` and ``inverse`` are for ``Fraction`` entries only.
     """
 
-    rows: int
-    cols: int
-    data: tuple[tuple, ...]
-    ring_zero: object = _ZERO
+    __slots__ = _fields = ("rows", "cols", "data", "ring_zero")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, data: tuple[tuple, ...], ring_zero=_ZERO) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
+        if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("matrix data does not match its shape")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "ring_zero", ring_zero)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rows, self.cols, self.data, self.ring_zero)
+                == (other.rows, other.cols, other.data, other.ring_zero))
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.data, self.ring_zero))
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Mat":

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Mapping
 
 from .algebra import AlgebraElement
 from .corner import (BimoduleGenerators, CornerPresentation,

@@ -20,12 +20,11 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, Record
 from .linalg import axpy, nullspace
 
 _ZERO = Fraction(0)
@@ -518,28 +517,24 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple[int, Polynomial]]) -> Polyno
     return Polynomial._packed(ring, out)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """A reduced Gröbner basis: monic, inter-reduced, sorted by leading term."""
+class GroebnerBasis(Record):
+    """A reduced Gröbner basis: monic, inter-reduced, sorted by leading term.
 
-    ring: PolyRing
-    polys: tuple[Polynomial, ...]
-    # (leading exponents, polynomial) per member, computed once
-    leads: tuple[tuple[tuple, Polynomial], ...] = field(
-        init=False, repr=False, compare=False)
-    # (packed lead, polynomial) per member, in the same order
-    _reducers: tuple[tuple[int, Polynomial], ...] = field(
-        init=False, repr=False, compare=False)
-    # per variable, the (packed lead, polynomial) pairs whose lead uses it
-    _by_variable: tuple[tuple[tuple[int, Polynomial], ...], ...] = field(
-        init=False, repr=False, compare=False)
+    Only ``ring`` and ``polys`` are compared and shown; the rest is derived.
+    """
 
-    def __post_init__(self) -> None:
-        ring = self.ring
-        reducers = tuple((g._lead(), g) for g in self.polys)
+    __slots__ = ("ring", "polys", "leads", "_reducers", "_by_variable")
+    _fields = ("ring", "polys")
+
+    def __init__(self, ring: PolyRing, polys: tuple[Polynomial, ...]) -> None:
+        super().__init__(ring, polys)
+        # (packed lead, polynomial) per member, in order
+        reducers = tuple((g._lead(), g) for g in polys)
         object.__setattr__(self, "_reducers", reducers)
+        # (leading exponents, polynomial) per member
         object.__setattr__(self, "leads",
                            tuple((ring._unpack(le), g) for le, g in reducers))
+        # per variable, the reducers whose lead uses it
         object.__setattr__(self, "_by_variable", tuple(
             tuple(r for r in reducers if r[0] >> s & _FIELD) for s in ring._shifts))
 
@@ -646,12 +641,10 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
 # -- nilpotence probing -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NilpotentWitness:
+class NilpotentWitness(Record):
     """A polynomial outside the ideal with a power inside it."""
 
-    element: Polynomial
-    power: int
+    __slots__ = _fields = ("element", "power")
 
 
 def _standard_layers(gb: GroebnerBasis, max_deg: int) -> Iterator[list[int]]:

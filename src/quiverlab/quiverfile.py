@@ -19,10 +19,10 @@ parses back to the same data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraElement, RelationSet
+from .errors import Record
 from .linalg import axpy
 from .quivers import (Arrow, DimensionVector, Path, Quiver, StabilityVector,
                       TAGS)
@@ -54,15 +54,17 @@ def _valid_name(name: str) -> bool:
     return _valid_vertex_name(name) and not name[0].isdigit()
 
 
-@dataclass
-class QuiverFile:
-    """Parsed contents of a quiver file."""
+class QuiverFile(Record):
+    """Parsed contents of a quiver file; unlike the other records, it is mutable."""
 
-    quiver: Quiver
-    relations: RelationSet
-    dimensions: list[DimensionVector] = field(default_factory=list)
-    stability: StabilityVector | None = None
-    weights: dict[str, int] = field(default_factory=dict)
+    __slots__ = _fields = ("quiver", "relations", "dimensions", "stability", "weights")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, quiver: Quiver, relations: RelationSet, dimensions: list | None = None,
+                 stability: StabilityVector | None = None, weights: dict | None = None) -> None:
+        super().__init__(quiver, relations, [] if dimensions is None else dimensions,
+                         stability, {} if weights is None else weights)
 
     def text(self) -> str:
         return print_quiver_file(self)

@@ -7,11 +7,11 @@ they are applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
 
+from .errors import Record
 from .linalg import primitive_kernel_vector
 
 TAGS = ("F", "J", "K")
@@ -20,11 +20,16 @@ FRAMING_VERTEX = "∞"   # ∞
 FRAMING_ARROW = "ι"    # ι
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+class Arrow(Record):
+    __slots__ = _fields = ("name", "source", "target")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.source, self.target) == (other.name, other.source, other.target)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.source, self.target))
 
 
 class Quiver:
@@ -137,26 +142,35 @@ class Quiver:
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """A path in a quiver; ``arrows`` lists arrow names in application order.
 
-    A length-0 path is the idempotent at its base vertex.
+    A length-0 path is the idempotent at its base vertex.  Paths keep a
+    ``__dict__`` for their cached ``target`` and ``key``.
     """
 
-    quiver: Quiver
-    base: str
-    arrows: tuple[str, ...] = ()
+    _fields = ("quiver", "base", "arrows")
 
-    def __post_init__(self) -> None:
-        at = self.base
-        if at not in self.quiver.partition:
+    def __init__(self, quiver: Quiver, base: str, arrows: tuple[str, ...] = ()) -> None:
+        at = base
+        if at not in quiver.partition:
             raise ValueError(f"unknown vertex {at!r}")
-        for name in self.arrows:
-            a = self.quiver.arrow(name)
+        for name in arrows:
+            a = quiver.arrow(name)
             if a.source != at:
                 raise ValueError(f"non-composable path at arrow {name!r}")
             at = a.target
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "arrows", arrows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.quiver, self.base, self.arrows) == (other.quiver, other.base, other.arrows)
+
+    def __hash__(self) -> int:
+        return hash((self.quiver, self.base, self.arrows))
 
     @staticmethod
     def idempotent(quiver: Quiver, vertex: str) -> "Path":

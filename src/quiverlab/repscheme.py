@@ -9,14 +9,13 @@ gauged (I) vertices and entries of paths between framing (F) vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Mapping
 
 from .algebra import AlgebraElement, RelationSet, restrict_relations
 from .corner import CornerPresentation
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, Record
 from .linalg import Mat, block_diag
 from .quivers import (FRAMING_ARROW, FRAMING_VERTEX, DimensionVector,
                       Path, Quiver)
@@ -214,17 +213,14 @@ class RepCoordinates(ModuleRep):
         self.zero, self.one = ring.zero(), ring.one()   # arrowless: no matrices
 
 
-@dataclass(frozen=True)
-class RepIdeal:
+class RepIdeal(Record):
     """Defining ideal of the locus where every relation's matrix vanishes.
 
     Generators appear relation by relation, row-major within each, and
     identically zero entries are kept so the count is sum of v_t * v_s.
     """
 
-    coords: RepCoordinates
-    relations: RelationSet
-    generators: tuple[Polynomial, ...]
+    __slots__ = _fields = ("coords", "relations", "generators")
 
     @property
     def ring(self) -> PolyRing:
@@ -245,15 +241,11 @@ def rep_ideal(coords: RepCoordinates, relations: RelationSet) -> RepIdeal:
 # -- invariants ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantGenerator:
+class InvariantGenerator(Record):
     """A polynomial invariant: a cycle trace or a framing-to-framing entry."""
 
-    kind: str                 # "trace" or "entry"
-    path: Path
-    row: int | None
-    col: int | None
-    polynomial: Polynomial
+    # kind is "trace" (row and col None) or "entry"
+    __slots__ = _fields = ("kind", "path", "row", "col", "polynomial")
 
     def describe(self) -> str:
         if self.kind == "trace":

@@ -1067,14 +1067,8 @@ def reference_corner_presentation(corner: CornerGenerators,
             relations.append((wd, el))
             ideal.add(combo)
 
-    return CornerPresentation(
-        quiver=qh,
-        weights=weights,
-        relations=tuple(el for _, el in relations),
-        generator_paths=gen_paths,
-        cutoff=cutoff,
-        completeness=f"truncated-at-{cutoff}",
-    )
+    return CornerPresentation(qh, weights, tuple(el for _, el in relations), gen_paths,
+                              cutoff, f"truncated-at-{cutoff}")
 
 
 # -- induction: per-vertex counters and a tail rescan --------------------------

@@ -391,19 +391,19 @@ def test_build_constructs_a_path_only_per_basis_path(monkeypatch):
     """Candidates that are pivot leads stay keys: one Path per basis path."""
     q, rels = framed_affine_preprojective("A", 1)
     built = []
-    post_init = Path.__post_init__
+    init = Path.__init__
     raw = Path._raw.__func__
 
-    def counting(self):
+    def counting(self, *args):
         built.append(self)
-        post_init(self)
+        init(self, *args)
 
     def counting_raw(cls, *args):
         built.append(raw(cls, *args))
         return built[-1]
 
     # validated Paths and the trusted ones Path.extend builds
-    monkeypatch.setattr(Path, "__post_init__", counting)
+    monkeypatch.setattr(Path, "__init__", counting)
     monkeypatch.setattr(Path, "_raw", classmethod(counting_raw))
     gb = graded_basis(q, rels, 10)
     assert len(built) == sum(gb.dimensions) == 188

@@ -528,6 +528,20 @@ def test_package_imports_only_the_standard_library(tmp_path):
     assert report["third_party"] == []
 
 
+def test_cli_start_up_loads_no_dataclasses_inspect_or_typing(tmp_path):
+    # dataclasses pulls in inspect and execs every record's methods; -S keeps
+    # site from loading typing first, as a clean install would not
+    code = ("import sys, quiverlab.cli; print(quiverlab.cli.__file__); "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert out.returncode == 0, out.stderr
+    path, loaded = out.stdout.splitlines()
+    assert Path(path).resolve() == (REPO / "src" / "quiverlab" / "cli.py").resolve()
+    assert loaded == "[]"
+
+
 @pytest.mark.parametrize("order, generators", [
     ("degrevlex", ["x^2147483648 - y"]),           # parsing
     ("degrevlex", ["x^2147483647*y - 1"]),         # a product while parsing

@@ -1,8 +1,18 @@
+import copy
+import pickle
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
+from quiverlab.algebra import Cocenter, RelationSet
+from quiverlab.corner import (BimoduleGenerators, CornerGenerator, CornerGenerators,
+                              CornerPresentation)
+from quiverlab.errors import Record
+from quiverlab.linalg import Mat
+from quiverlab.polynomials import GroebnerBasis, NilpotentWitness, PolyRing
+from quiverlab.quiverfile import QuiverFile
 from quiverlab.quivers import (
     FRAMING_ARROW,
     FRAMING_VERTEX,
@@ -19,6 +29,7 @@ from quiverlab.quivers import (
     evaluate_character,
     frame,
 )
+from quiverlab.repscheme import InvariantGenerator, RepIdeal
 
 ADE_FINITE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
               ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
@@ -235,3 +246,123 @@ def test_many_loops_at_one_vertex_build_in_linear_time():
     q = Quiver(["0"], loops)
     assert time.perf_counter() - start < 1
     assert q.arrows_from("0") == q.arrows_into("0") == tuple(loops)
+
+
+# -- value records ------------------------------------------------------------
+
+def _record_values() -> dict:
+    """Field values for each record class, in ``_fields`` order, all hashable."""
+    q = build_doubled_dynkin("A", 2)
+    p = Path(q, "1", ("a",))
+    ring = PolyRing(["x", "y"])
+    x, y = ring.variable("x"), ring.variable("y")
+    gen = CornerGenerator("g", p, 1, "1", "2")
+    # strings stand in for a graded basis, coordinates and relations
+    corner = CornerGenerators("basis", ("1",), 0, (gen,), 2)
+    return {
+        Arrow: ("a", "1", "2"),
+        Path: (q, "1", ("a",)),
+        Mat: (2, 1, ((Fraction(1),), (Fraction(2),)), Fraction(0)),
+        Cocenter: ((1, 0), ((p,), ()), False),
+        CornerGenerator: ("g", p, 1, "1", "2"),
+        CornerGenerators: ("basis", ("1",), 0, (gen,), 2),
+        BimoduleGenerators: (corner, (gen,), 2),
+        # a presentation holds dicts; tuples keep this one hashable
+        CornerPresentation: (q, (("a", 1),), (), (("a", p),), 4, "truncated-at-4"),
+        RepIdeal: ("coords", "relations", (x, y)),
+        InvariantGenerator: ("trace", p, None, None, x),
+        GroebnerBasis: (ring, (x, y)),
+        NilpotentWitness: (x, 2),
+        QuiverFile: (q, RelationSet(q, []), [], None, {}),
+    }
+
+
+RECORDS = [Arrow, Path, Mat, Cocenter, CornerGenerator, CornerGenerators, BimoduleGenerators,
+           CornerPresentation, RepIdeal, InvariantGenerator, GroebnerBasis, NilpotentWitness,
+           QuiverFile]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_are_values(cls):
+    values = _record_values()[cls]
+    a, b = cls(*values), cls(*values)
+    assert a == b and not a != b
+    if cls is not QuiverFile:
+        assert hash(a) == hash(b)
+    # changing any one compared field breaks equality
+    for name in cls._fields:
+        kept = getattr(b, name)
+        object.__setattr__(b, name, object())
+        assert a != b and b != a
+        object.__setattr__(b, name, kept)
+    assert a == b
+    # a record of another class with the same field values is never equal
+    other = type("Other" + cls.__name__, (cls,), {})(*values)
+    assert a != other and other != a
+    if cls is not QuiverFile:
+        for name in cls._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, values))
+    assert repr(a) == (f"{cls.__name__}({shown})" if cls is not Path
+                       else "Path(a: 1->2)")
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_records_of_two_classes_with_the_same_values_differ():
+    values = _record_values()
+    plain = [cls for cls in RECORDS if cls.__init__ is Record.__init__]
+    pairs = [(first, second) for first in plain for second in plain
+             if first is not second and len(first._fields) == len(second._fields)]
+    assert len(pairs) == 18
+    for first, second in pairs:
+        assert first(*values[first]) != second(*values[first])
+
+
+def test_groebner_basis_compares_only_ring_and_polys():
+    ring = PolyRing(["x", "y"])
+    x, y = ring.variable("x"), ring.variable("y")
+    a, b = GroebnerBasis(ring, (x, y)), GroebnerBasis(ring, (x, y))
+    assert a.leads == (((1, 0), x), ((0, 1), y))
+    for name in ("leads", "_reducers", "_by_variable"):
+        object.__setattr__(b, name, ())
+        assert a == b and hash(a) == hash(b)
+    assert "leads" not in repr(a) and "_reducers" not in repr(a)
+    with pytest.raises(AttributeError):
+        a.leads = ()
+
+
+def test_quiver_file_is_mutable_unhashable_and_owns_its_defaults():
+    q = build_doubled_dynkin("A", 2)
+    rels = RelationSet(q, [])
+    first, second = QuiverFile(q, rels), QuiverFile(q, rels)
+    with pytest.raises(TypeError):
+        hash(first)
+    first.dimensions.append(DimensionVector({"1": 1, "2": 0}))
+    first.weights["a"] = 2
+    assert second.dimensions == [] and second.weights == {}
+    assert first != second
+    first.stability = StabilityVector({"1": 1, "2": -1})
+    del first.stability
+    with pytest.raises(AttributeError):
+        first.stability
+
+
+def test_path_and_mat_still_validate():
+    q = build_doubled_dynkin("A", 2)
+    with pytest.raises(ValueError, match="unknown vertex"):
+        Path(q, "9")
+    with pytest.raises(ValueError, match="non-composable"):
+        Path(q, "1", ("a", "a"))
+    with pytest.raises(ValueError, match="unknown arrow"):
+        Path(q, "1", ("b",))
+    with pytest.raises(ValueError, match="does not match its shape"):
+        Mat(2, 1, ((Fraction(1),),))
+    with pytest.raises(ValueError, match="does not match its shape"):
+        Mat(1, 2, ((Fraction(1),),))
+    with pytest.raises(ValueError, match="negative"):
+        Mat(-1, 0, ())
+    with pytest.raises(TypeError):
+        Arrow("a", "1")
