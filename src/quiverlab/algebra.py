@@ -6,11 +6,11 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import Record, VerificationError
-from .linalg import SpanBuilder, axpy
+from .linalg import SpanBuilder, _fraction, axpy
 from .quivers import Path, Quiver, build_doubled_affine_dynkin, frame
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class AlgebraElement:
@@ -402,14 +402,11 @@ class GradedBasis:
         return vec
 
     def coords(self, path: Path) -> Mapping[tuple, Fraction]:
-        """Coordinates of a path over the standard keys of its degree.
-
-        The result may be shared with the basis's pivots: read it, or copy it
-        before changing it.
-        """
+        """Fraction coordinates of a path over the standard keys of its degree."""
         if path.quiver is not self.quiver and path.quiver != self.quiver:
             raise ValueError("path over a different quiver")
-        return self.extend({path.key[:1]: _ONE}, path.key[1:])
+        return {k: _fraction(c) for k, c in
+                self.extend({path.key[:1]: _ONE}, path.key[1:]).items()}
 
     def nf_path(self, path: Path) -> dict[Path, Fraction]:
         """Normal form of a single path as a basis-path combination."""

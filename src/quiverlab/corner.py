@@ -19,7 +19,7 @@ from .errors import Record, VerificationError
 from .linalg import SpanBuilder, axpy, kernel_combos
 from .quivers import Arrow, DimensionVector, Path, Quiver
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class CornerGenerator(Record):
@@ -84,7 +84,8 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
             arrows = gen.path.key[1:]
             for q in blocks[d - gen.degree]:
                 if q.target == gen.source:
-                    builder.add(basis.extend({q.key: _ONE}, arrows))
+                    # extend may hand back a pivot tail, which add would change
+                    builder.add(dict(basis.extend({q.key: _ONE}, arrows)))
         from_h = [p for p in basis.basis(d) if p.source in h_set]
         if d <= top:
             for cand in from_h:

@@ -1,4 +1,11 @@
-"""Exact linear algebra: sparse spans and kernels over the rationals, dense matrices."""
+"""Exact linear algebra: sparse spans and kernels over the rationals, dense matrices.
+
+Scalar policy: inside the library a coefficient is an ``int`` until a
+division does not come out whole, and only then a ``Fraction``.  ``_div`` is
+the one true division on coefficients, so no ``int / int`` ever makes a
+``float``.  Every public accessor that hands out a coefficient converts it
+to ``Fraction`` on the way out (``_fraction``).
+"""
 
 from __future__ import annotations
 
@@ -12,12 +19,23 @@ from .errors import Record
 _ZERO = Fraction(0)
 
 
+def _div(a, b):
+    """``a / b``: an ``int`` when whole, else a ``Fraction``; 0 raises ZeroDivisionError."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+def _fraction(c) -> Fraction:
+    """A coefficient as the public face shows it."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
 def axpy(dst: dict, c, src: dict) -> None:
     """``dst += c * src`` in place on sparse vectors; cancelled entries are dropped.
 
     A ``c`` of 1 or -1 adds or subtracts with no product.  A key new to
-    ``dst`` takes the source value as it is, negated for -1 and wrapped in
-    ``Fraction`` only when it is not one, so it spends no addition.
+    ``dst`` takes the source value as it is, negated for -1, so it spends
+    no addition.
     """
     if not c:
         return
@@ -32,24 +50,17 @@ def axpy(dst: dict, c, src: dict) -> None:
             else:
                 del dst[k]
         elif v:
-            if type(v) is not Fraction:
-                v = Fraction(v)
             dst[k] = -v if sub else v
-
-
-def _fractions(row: dict) -> dict:
-    """Copy of a sparse vector without its zeros; only non-Fractions are wrapped."""
-    return {k: c if type(c) is Fraction else Fraction(c) for k, c in row.items() if c}
 
 
 class SpanBuilder:
     """Incrementally built row space of sparse vectors.
 
-    Vectors are dicts mapping mutually comparable keys to nonzero Fraction
-    coefficients.  Each pivot is stored in rewrite form: ``pivots[lead]`` is
-    a tail whose keys are all smaller than ``lead`` and which equals ``lead``
-    modulo the span.  ``pivots`` keeps insertion order, so its keys are the
-    leads in the order they were found.
+    Vectors are dicts mapping mutually comparable keys to nonzero ``int`` or
+    ``Fraction`` coefficients.  Each pivot is stored in rewrite form:
+    ``pivots[lead]`` is a tail whose keys are all smaller than ``lead`` and
+    which equals ``lead`` modulo the span.  ``pivots`` keeps insertion
+    order, so its keys are the leads in the order they were found.
     """
 
     def __init__(self) -> None:
@@ -64,15 +75,17 @@ class SpanBuilder:
         return list(self.pivots)
 
     def _eliminate(self, row: dict) -> dict:
-        """Copy of ``row`` reduced until its largest key is not a lead."""
-        row = _fractions(row)
+        """``row``, reduced in place until its largest key is a nonzero non-lead."""
         pivots = self.pivots
         while row:
             lead = max(row)
             tail = pivots.get(lead)
             if tail is None:
-                break
-            axpy(row, row.pop(lead), tail)
+                if row[lead]:
+                    break
+                del row[lead]   # a zero entry of the input
+            else:
+                axpy(row, row.pop(lead), tail)
         return row
 
     def _store(self, row: dict) -> None:
@@ -85,12 +98,15 @@ class SpanBuilder:
         if c == 1:
             row = {k: -v for k, v in row.items()}
         elif c != -1:
-            ninv = -1 / c
+            ninv = _div(-1, c)
             row = {k: v * ninv for k, v in row.items()}
         self.pivots[lead] = row
 
     def add(self, row: dict) -> bool:
-        """Insert a vector; True when it enlarged the span."""
+        """Insert a vector; True when it enlarged the span.
+
+        The row is taken over and changed: pass a copy of one still in use.
+        """
         row = self._eliminate(row)
         if not row:
             return False
@@ -98,7 +114,7 @@ class SpanBuilder:
         return True
 
     def contains(self, row: dict) -> bool:
-        return not self._eliminate(row)
+        return not self._eliminate(dict(row))
 
     def residue(self, row: dict) -> dict:
         """Canonical representative of ``row`` modulo the span.
@@ -106,7 +122,7 @@ class SpanBuilder:
         Unlike :meth:`contains` this clears pivot keys everywhere in the
         vector, not just in leading position.
         """
-        out = _fractions(row)
+        out = {k: c for k, c in row.items() if c}
         while True:
             hits = [k for k in out if k in self.pivots]
             if not hits:
@@ -118,7 +134,7 @@ class SpanBuilder:
 def kernel_combos(vectors: Sequence[dict]) -> list[dict[int, Fraction]]:
     """Linear dependencies among the given sparse vectors.
 
-    Returns one ``{index: coefficient}`` dict per dependency, in discovery
+    Returns one ``{index: Fraction}`` dict per dependency, in discovery
     order; each expresses a vanishing combination of the inputs.
     """
     # Vector i carries (0, i) below its own keys, wrapped as (1, k); a row
@@ -132,7 +148,7 @@ def kernel_combos(vectors: Sequence[dict]) -> list[dict[int, Fraction]]:
         if max(row)[0]:
             span._store(row)
         else:
-            out.append({k[1]: c for k, c in row.items()})
+            out.append({k[1]: _fraction(c) for k, c in row.items()})
     return out
 
 

@@ -18,7 +18,7 @@ from .algebra import AlgebraElement
 from .corner import (BimoduleGenerators, CornerPresentation,
                      sufficient_dimension_bound)
 from .errors import BudgetExceeded, VerificationError
-from .linalg import Mat, SpanBuilder, axpy, block_upper, kernel_combos
+from .linalg import Mat, SpanBuilder, _fraction, axpy, block_upper, kernel_combos
 from .polynomials import PolyRing
 from .quivers import DimensionVector, Quiver
 from .repscheme import (InvariantGenerator, ModuleRep, RepCoordinates,
@@ -28,7 +28,7 @@ from .repscheme import (InvariantGenerator, ModuleRep, RepCoordinates,
                         zero_module)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ONE = 1
 _COEF_BOUND = 3  # random_extension weighs each kernel vector by an int in ±_COEF_BOUND
 
 
@@ -82,15 +82,15 @@ def generated_by_framing(m: ModuleRep) -> bool:
     if m.dims[start] != 1:
         raise ValueError("framing component must be one-dimensional")
     spans = {v: SpanBuilder() for v in m.quiver.vertices}
-    seed = {0: Fraction(1)}
-    spans[start].add(seed)
+    seed = {0: _ONE}
+    spans[start].add(dict(seed))   # add takes its row over; the frontier keeps its own
     frontier = [(start, seed)]
     while frontier:
         fresh = []
         for v, vec in frontier:
             for a in m.quiver.arrows_from(v):
                 w = _matvec(m.matrices[a.name], vec)
-                if w and spans[a.target].add(w):
+                if w and spans[a.target].add(dict(w)):
                     fresh.append((a.target, w))
         frontier = fresh
     return all(spans[v].rank == m.dims[v] for v in m.quiver.vertices)
@@ -249,7 +249,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
             vec = {(d + 1, qkey, j): c
                    for qkey, c in basis.extend({pkey: _ONE}, step).items()}
             for rkey, c in span.residue(vec).items():
-                data[index[rkey]][col] = c
+                data[index[rkey]][col] = _fraction(c)
         matrices[a.name] = Mat(rows, cols, tuple(tuple(r) for r in data))
 
     result = ModuleRep(quiver, dims_out, matrices)

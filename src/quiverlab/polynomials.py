@@ -7,10 +7,12 @@ divisibility one guard-bit test.  Every stored monomial has total degree
 below 2^31, so a sum of two never carries between fields; whatever can raise
 a degree that far raises OverflowError.  Exponent tuples stay the public
 face: ``Polynomial(ring, terms)``, ``PolyRing.monomial``, ``Polynomial.terms``,
-``lead_exps``, ``GroebnerBasis.leads`` and ``is_standard``.  Variable names
-may contain characters like ``*`` (they come from arrow names), so the
-parser's token pattern tries the ring's variable names, longest first,
-before numbers and operators.
+``lead_exps``, ``GroebnerBasis.leads`` and ``is_standard``.  Coefficients
+follow the scalar policy of ``linalg``: ``int`` inside until a division
+needs a ``Fraction``, and ``Fraction`` from ``terms`` and ``lead_coeff``.
+Variable names may contain characters like ``*`` (they come from arrow
+names), so the parser's token pattern tries the ring's variable names,
+longest first, before numbers and operators.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import BudgetExceeded, Record
-from .linalg import axpy, nullspace
+from .linalg import _div, _fraction, axpy, nullspace
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ONE = 1
 
 ORDERS = ("degrevlex", "lex")
 
@@ -184,8 +186,8 @@ class PolyRing:
             m = 0
             while True:   # one term: factors joined by *
                 kind, value = tokens[pos]
-                if kind == "num":
-                    coef *= value
+                if kind == "num":   # a whole number multiplies as an int
+                    coef *= value.numerator if value.denominator == 1 else value
                 elif kind == "var":
                     e = 1
                     if tokens[pos + 1] == ("op", "^"):
@@ -240,7 +242,7 @@ class PolyRing:
         return tokens
 
 
-def _frac_text(c: Fraction) -> str:
+def _frac_text(c: int | Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -259,11 +261,10 @@ class Polynomial:
 
     @classmethod
     def _packed(cls, ring: PolyRing, terms: dict) -> "Polynomial":
-        """Trusted constructor: ``terms`` maps packed monomials to nonzero Fractions.
+        """Trusted constructor: ``terms`` maps packed monomials to nonzero coefficients.
 
-        The dict is taken over, not copied.  Arithmetic builds its results
-        here, so a coefficient is wrapped in ``Fraction`` once, not again on
-        every operation that carries it along.
+        The dict is taken over, not copied, and its coefficients are not
+        revisited: arithmetic builds its results here.
         """
         p = object.__new__(cls)
         p.ring = ring
@@ -272,9 +273,9 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[tuple, Fraction]:
-        """Coefficients by exponent tuple, in storage order; a read-only copy."""
+        """Fraction coefficients by exponent tuple, in storage order; a read-only copy."""
         unpack = self.ring._unpack
-        return MappingProxyType({unpack(m): c for m, c in self._terms.items()})
+        return MappingProxyType({unpack(m): _fraction(c) for m, c in self._terms.items()})
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -302,7 +303,7 @@ class Polynomial:
         return Polynomial._packed(self.ring, {e: -c for e, c in self._terms.items()})
 
     def scale(self, c) -> "Polynomial":
-        if type(c) is not Fraction:
+        if type(c) is not int and type(c) is not Fraction:
             c = Fraction(c)
         if not c:
             return Polynomial._packed(self.ring, {})
@@ -364,10 +365,12 @@ class Polynomial:
         return self.ring._unpack(self._lead())
 
     def lead_coeff(self) -> Fraction:
-        return self._terms[self._lead()]
+        return _fraction(self._terms[self._lead()])
 
     def monic(self) -> "Polynomial":
-        return self.scale(1 / self.lead_coeff())
+        """This polynomial divided by its lead coefficient; a lead of ±1 divides nothing."""
+        c = self._terms[self._lead()]
+        return self if c == 1 else -self if c == -1 else self.scale(_div(1, c))
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
         """Value at a rational point given per-variable values."""
@@ -513,7 +516,7 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple[int, Polynomial]]) -> Polyno
         for e in tail.keys() - work.keys():
             push(heap, (heap_key(e), e))
         lc = g._terms[le]
-        axpy(work, -coef if lc == 1 else -coef / lc, tail)
+        axpy(work, -coef if lc == 1 else coef if lc == -1 else _div(-coef, lc), tail)
     return Polynomial._packed(ring, out)
 
 
@@ -816,10 +819,9 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
             break
         width = rng.randint(2, min(4, len(pool)))
         picks = rng.sample(pool, width)
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, int] = {}
         for i in picks:
-            c = rng.choice((-2, -1, 1, 2))
-            terms[next(iter(monos[i]._terms))] = Fraction(c)
+            terms[next(iter(monos[i]._terms))] = rng.choice((-2, -1, 1, 2))
         hit = probe(Polynomial._packed(ring, terms))
         if hit is not None:
             return hit

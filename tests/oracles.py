@@ -873,7 +873,8 @@ def reference_corner_generators(basis: GradedBasis, verify_cutoff: int | None = 
                 continue
             for vec in vecs[d - k]:
                 coords = _reference_product_coords(basis, gen.path, vec)
-                if coords and builder.add(coords):
+                # add takes its row over: the degree keeps its own copy
+                if coords and builder.add(dict(coords)):
                     degree_vecs.append(coords)
         if d <= bound:
             for cand in _h_block(basis, d, h_set):
@@ -884,7 +885,7 @@ def reference_corner_generators(basis: GradedBasis, verify_cutoff: int | None = 
                         else f"g{sum(1 for g in retained if g.path.length > 1) + 1}")
                 retained.append(CornerGenerator(
                     name, cand, d, cand.source, cand.target))
-                builder.add(coords)
+                builder.add(dict(coords))
                 degree_vecs.append(coords)
         expected = len(_h_block(basis, d, h_set))
         if builder.rank != expected:

@@ -165,7 +165,7 @@ def test_span_builder_matches_reference(keys, seed):
     probes = _random_rows(rng, _KEY_SETS[keys], 8)
     span, ref = SpanBuilder(), ReferenceSpanBuilder()
     for row in rows:
-        assert span.add(row) == ref.add(row)
+        assert span.add(dict(row)) == ref.add(row)   # add takes its row over
         assert span.rank == ref.rank
         assert span.leads == ref.leads
         for probe in probes:
@@ -214,7 +214,12 @@ def test_axpy_matches_the_loop_with_products(seed, c, monkeypatch):
         # a key new to dst spends no addition onto zero
         assert len(sums) == (len(src.keys() & dst.keys()) if c else 0)
         assert list(got.items()) == list(want.items())
-        assert all(type(v) is Fraction for v in got.values())
+        assert all(type(v) in (int, Fraction) and v for v in got.values())
+        # a unit scale stores a new key's int as an int; no float ever appears
+        if c in (1, -1):
+            assert all(type(got[k]) is int for k in src.keys() - dst.keys()
+                       if type(src[k]) is int)
+        assert not any(isinstance(v, float) for v in got.values())
         dropped += len(set(dst) - set(got))
     assert dropped or not c
 
