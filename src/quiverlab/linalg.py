@@ -30,6 +30,12 @@ def _fraction(c) -> Fraction:
     return c if type(c) is Fraction else Fraction(c)
 
 
+def _scalar(c):
+    """A number as a coefficient: an ``int`` when whole, else a ``Fraction``."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def axpy(dst: dict, c, src: dict) -> None:
     """``dst += c * src`` in place on sparse vectors; cancelled entries are dropped.
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import BudgetExceeded, Record
-from .linalg import _div, _fraction, axpy, nullspace
+from .linalg import _div, _fraction, _scalar, axpy, nullspace
 
 _ZERO = Fraction(0)
 _ONE = 1
@@ -142,7 +142,7 @@ class PolyRing:
         return Polynomial._packed(self, {0: _ONE})
 
     def constant(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _scalar(c)
         return Polynomial._packed(self, {0: c} if c else {})
 
     def variable(self, name: str) -> "Polynomial":
@@ -154,7 +154,7 @@ class PolyRing:
 
     def monomial(self, exps: Sequence[int], coefficient=1) -> "Polynomial":
         m = self._pack(tuple(int(e) for e in exps))
-        c = Fraction(coefficient)
+        c = _scalar(coefficient)
         return Polynomial._packed(self, {m: c} if c else {})
 
     def __eq__(self, other: object) -> bool:
@@ -254,7 +254,7 @@ class Polynomial:
         data = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                c = _scalar(c)
                 if c:
                     data[ring._pack(e)] = c
         self._terms = data
@@ -394,56 +394,7 @@ class Polynomial:
         constants multiply as one packed monomial and one coefficient; only
         longer images go through polynomial products.
         """
-        top = ring._top
-        # each variable's image, resolved the first time a term uses it, as
-        # (packed monomial, degree, coefficient or None for 1, None) for one
-        # term or a nonzero constant, (None, degree, None, powers) for a
-        # longer image, powers[k] being it raised to k + 1, and None for zero
-        forms: dict[int, tuple | None] = {}
-
-        def resolve(i: int) -> tuple | None:
-            name = self.ring.variables[i]
-            img = images.get(name)
-            if img is None:
-                img = ring.variable(name)
-            elif not isinstance(img, Polynomial):
-                img = ring.constant(img)
-            elif img.ring != ring:
-                raise ValueError("image lies in a different ring")
-            if len(img._terms) == 1:
-                [(k, a)] = img._terms.items()
-                forms[i] = (k, k >> top, None if a == 1 else a, None)
-            else:
-                forms[i] = (None, img.degree, None, [img]) if img._terms else None
-            return forms[i]
-
-        factors = self.ring._factors
-        out: dict[int, Fraction] = {}
-        for m, c in self._terms.items():
-            mono = deg = 0   # the one-term factors' packed product; the term's degree
-            long = None      # the longer factors' product, in variable order
-            for i, e in factors(m):   # the nonzero exponents only
-                f = forms[i] if i in forms else resolve(i)
-                if f is None:         # a zero image drops the term
-                    break
-                k, d, a, powers = f
-                deg += e * d
-                if deg >= _LIMIT:     # checked first: below 2^31 no field carries
-                    ring._check_degree(deg << top)
-                if powers is None:
-                    mono += e * k
-                    if a is not None:
-                        c = c * a ** e
-                else:
-                    while len(powers) < e:
-                        powers.append(powers[-1] * powers[0])
-                    long = powers[e - 1] if long is None else long * powers[e - 1]
-            else:
-                if long is None:
-                    axpy(out, 1, {mono: c})
-                else:
-                    axpy(out, c, {mono + x: v for x, v in long._terms.items()})
-        return Polynomial._packed(ring, out)
+        return _RingMap(self.ring, ring, images)(self)
 
     def text(self) -> str:
         if not self._terms:
@@ -470,6 +421,98 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.text()})"
+
+
+class _RingMap:
+    """The ring map from ``source`` into ``target`` sending each variable to its
+    image, every image resolved once, when the map is built.
+
+    A variable's form is (packed monomial, degree, coefficient or None for
+    1, None) for a one-term image or a nonzero constant, (None, degree,
+    None, powers) for a longer image, powers[k] being it raised to k + 1,
+    None for zero, or the error its resolution raised, raised again only
+    when a term's walk in variable order reaches it.  A term that meets a
+    zero image, no error and no overflow is dropped by one test on its
+    packed monomial, before it is decoded.
+    """
+
+    __slots__ = ("target", "_forms", "_drop", "_slow", "_safe")
+
+    def __init__(self, source: PolyRing, target: PolyRing,
+                 images: Mapping[str, "Polynomial"]) -> None:
+        self.target = target
+        self._forms = forms = []
+        drop = slow = top = 0   # top: the largest image degree
+        for name, shift in zip(source.variables, source._shifts):
+            img = images.get(name)
+            if img is None and name in target._index:
+                # the same name's packed unit as it is: a Polynomial's dict
+                # would hash that n-field int, once for each of n variables
+                forms.append((target._units[target._index[name]], 1, None, None))
+                top = max(top, 1)
+                continue
+            try:
+                if img is None:
+                    img = target.variable(name)   # raises: the target lacks the name
+                elif not isinstance(img, Polynomial):
+                    img = target.constant(img)
+                elif img.ring != target:
+                    raise ValueError("image lies in a different ring")
+            except (ArithmeticError, TypeError, ValueError) as err:
+                forms.append(err)
+                slow |= _FIELD << shift
+                continue
+            if len(img._terms) == 1:
+                [(k, a)] = img._terms.items()
+                forms.append((k, k >> target._top, None if a == 1 else a, None))
+            elif img._terms:
+                forms.append((None, img.degree, None, [img]))
+            else:
+                forms.append(None)
+                drop |= _FIELD << shift
+                continue
+            top = max(top, forms[-1][1])
+        # the fields of the zero images and of the errors; below the degree
+        # in _safe, a term's degree times ``top`` is below 2^31
+        self._drop, self._slow = drop, slow
+        self._safe = ((_LIMIT - 1) // top + 1 if top else _LIMIT) << source._top
+
+    def __call__(self, f: Polynomial) -> Polynomial:
+        """The image of ``f``, a polynomial of the source ring."""
+        ring = self.target
+        top = ring._top
+        forms, drop, slow, safe = self._forms, self._drop, self._slow, self._safe
+        factors = f.ring._factors
+        out: dict[int, Fraction] = {}
+        for m, c in f._terms.items():
+            if m & drop and not m & slow and m < safe:
+                continue      # a zero image drops the term, and nothing before it raises
+            mono = deg = 0    # the one-term factors' packed product; the term's degree
+            long = None       # the longer factors' product, in variable order
+            for i, e in factors(m):   # the nonzero exponents only
+                form = forms[i]
+                if type(form) is not tuple:
+                    if form is None:  # a zero image drops the term
+                        break
+                    raise form.with_traceback(None)
+                k, d, a, powers = form
+                deg += e * d
+                if deg >= _LIMIT:     # checked first: below 2^31 no field carries
+                    ring._check_degree(deg << top)
+                if powers is None:
+                    mono += e * k
+                    if a is not None:
+                        c = c * a ** e
+                else:
+                    while len(powers) < e:
+                        powers.append(powers[-1] * powers[0])
+                    long = powers[e - 1] if long is None else long * powers[e - 1]
+            else:
+                if long is None:
+                    axpy(out, 1, {mono: c})
+                else:
+                    axpy(out, c, {mono + x: v for x, v in long._terms.items()})
+        return Polynomial._packed(ring, out)
 
 
 def _divisor(m: int, reducers: Iterable[tuple[int, Polynomial]],

@@ -19,7 +19,7 @@ from .errors import BudgetExceeded, Record
 from .linalg import Mat, block_diag
 from .quivers import (FRAMING_ARROW, FRAMING_VERTEX, DimensionVector,
                       Path, Quiver)
-from .polynomials import MAX_VARIABLES, Polynomial, PolyRing
+from .polynomials import MAX_VARIABLES, Polynomial, PolyRing, _RingMap
 
 
 def variable_name(arrow: str, row: int, col: int) -> str:
@@ -412,17 +412,19 @@ def _ring_map(source: RepCoordinates, target: PolyRing, image: ModuleRep,
     """The ring map classifying ``image``, a module with entries in ``target``.
 
     The source's variables, in order, pair with the entries of the image
-    matrices, read by arrow, then row-major.
+    matrices, read by arrow, then row-major.  The images are resolved once,
+    here, and serve every call of the map.
     """
     table = dict(zip(source.ring.variables,
                      (x for a in source.quiver.arrows
                       for row in image.matrices[a.name].data for x in row),
                      strict=True))
+    apply = _RingMap(source.ring, target, table)
 
     def hom(f: Polynomial) -> Polynomial:
         if f.ring != source.ring:
             raise ValueError(f"polynomial does not live on the {what} scheme")
-        return f.substitute(target, table)
+        return apply(f)
 
     return hom
 

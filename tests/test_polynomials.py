@@ -8,10 +8,11 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from quiverlab import polynomials
+from quiverlab import polynomials, repscheme
 from quiverlab.algebra import framed_affine_preprojective, preprojective_relations
 from quiverlab.errors import BudgetExceeded
 from quiverlab.linalg import Mat
@@ -25,13 +26,13 @@ from quiverlab.polynomials import (
     nilpotent_witness_search,
     standard_monomials,
 )
-from quiverlab.quivers import DimensionVector, build_doubled_dynkin, delta_k
-from quiverlab.repscheme import (RepCoordinates, add_pullback, invariant_generators,
-                                 rep_ideal, zero_module)
+from quiverlab.quivers import Arrow, DimensionVector, Quiver, build_doubled_dynkin, delta_k
+from quiverlab.repscheme import (RepCoordinates, add_pullback, corner_comparison_map,
+                                 invariant_generators, rep_ideal, zero_module)
 
 from oracles import (_order_key, reference_buchberger, reference_nilpotent_witness_search,
                      reference_nullspace, reference_parse, reference_pm_mul,
-                     reference_pullback_images, reference_reduce,
+                     reference_comparison_images, reference_pullback_images, reference_reduce,
                      reference_standard_monomials, reference_substitute)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -502,10 +503,11 @@ def test_substitute_multiplies_only_longer_images(R, monkeypatch):
     assert len(calls) == 1
 
 
-def test_substitute_on_the_criterion_07_pullbacks():
-    # add_pullback's homs on doubled D4 at delta_k, for the twenty pairs of
-    # zero modules criterion 07 and the bench draw, legs relabelled as the
-    # bench does at seed 0: every image is a variable or zero
+def _criterion_07_maps():
+    """add_pullback's homs on doubled D4 at delta_k, for the twenty pairs of
+    zero modules criterion 07 and the bench draw, legs relabelled as the
+    bench does at seed 0: (hom, target ring, image table, polynomials) for
+    the second map of each pair, then the first, on what the second gives."""
     quiver = build_doubled_dynkin("D", 4)
     coords = RepCoordinates(quiver, delta_k("D", 4))
     rels = preprojective_relations(quiver)
@@ -523,16 +525,107 @@ def test_substitute_on_the_criterion_07_pullbacks():
         big1, hom1 = add_pullback(coords, v.dims, v.matrices, rels)
         big2, hom2 = add_pullback(big1, w.dims, w.matrices, rels)
         polys = [g.polynomial for g in invariant_generators(big2, cycle_bound=4, path_bound=0)]
-        for hom, source, target, mats, fs in (
-                (hom2, big2, big1, w.matrices, polys),
-                (hom1, big1, coords, v.matrices, [hom2(g) for g in polys])):
-            table = reference_pullback_images(target, source.dims, mats)
-            assert all(p.degree <= 1 and len(p.terms) <= 1 and set(p.terms.values()) <= {1}
-                       for p in table.values())
-            for f in fs:
-                image = hom(f)
-                assert image.terms == reference_substitute(f, target.ring, table)
-                assert _items(image) == list(_tuple_substitute(f, target.ring, table).items())
+        yield hom2, big1.ring, reference_pullback_images(big1, big2.dims, w.matrices), polys
+        yield (hom1, coords.ring, reference_pullback_images(coords, big1.dims, v.matrices),
+               [hom2(g) for g in polys])
+
+
+def test_substitute_on_the_criterion_07_pullbacks():
+    # every image is a variable or zero
+    for hom, target, table, fs in _criterion_07_maps():
+        assert all(p.degree <= 1 and len(p.terms) <= 1 and set(p.terms.values()) <= {1}
+                   for p in table.values())
+        for f in fs:
+            image = hom(f)
+            assert image.terms == reference_substitute(f, target, table)
+            assert _items(image) == list(_tuple_substitute(f, target, table).items())
+
+
+def test_criterion_07_maps_decode_only_the_surviving_terms(monkeypatch):
+    # a term that meets a zero image is dropped by one mask test on its packed
+    # monomial: only the terms that reach the result are decoded
+    calls = []
+    real = PolyRing._factors
+    monkeypatch.setattr(PolyRing, "_factors", lambda self, m: calls.append(m) or real(self, m))
+    seen = kept = 0
+    for hom, _, table, fs in _criterion_07_maps():
+        for f in fs:
+            zero = [i for i, x in enumerate(f.ring.variables) if not table[x]]
+            survivors = sum(not any(exps[i] for i in zero) for exps in f.terms)
+            del calls[:]
+            hom(f)
+            assert len(calls) == survivors
+            seen, kept = seen + len(f.terms), kept + survivors
+    assert 0 < kept < seen // 2
+
+
+def test_criterion_07_maps_resolve_their_images_once(monkeypatch):
+    # resolving an image compares its ring with the target: after the map is
+    # built, a call compares only its argument's ring with the source's
+    calls = []
+    real = PolyRing.__eq__
+    monkeypatch.setattr(PolyRing, "__eq__",
+                        lambda self, other: calls.append(1) or real(self, other))
+    for hom, _, _, fs in _criterion_07_maps():
+        for f in fs + fs:
+            del calls[:]
+            hom(f)
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_ring_maps_raise_in_variable_order_behind_the_masks(order):
+    # a term that meets a zero image skips its walk only when no failed image
+    # and no overflow could come first: a foreign image, an unmapped name the
+    # target lacks, a non-number or an overflow raises before a later zero
+    # factor, as the walk in variable order does, and never behind an earlier one
+    T = PolyRing(["y", "w"], order)
+    y30 = T.monomial((2 ** 30, 0))
+    foreign = PolyRing(["p"]).variable("p")
+    overflow = (OverflowError, f"monomial degree {2 ** 31} is not below 2^31")
+    with pytest.raises(ValueError) as info:
+        Fraction("one")
+    not_a_number = (ValueError, str(info.value))
+    quiver = Quiver(["0"], [Arrow("p", "0", "0"), Arrow("q", "0", "0")], {"0": "K"})
+    coords = RepCoordinates(quiver, {"0": 1})
+    for text, p, q, want in (   # None leaves the variable without an image
+            ("p*q + 2", foreign, 0, (ValueError, "image lies in a different ring")),
+            ("p*q + 2", 0, foreign, T.constant(2)),
+            ("p*q + 2", None, 0, (ValueError, "unknown variable {p!r}")),
+            ("p*q + 2", 0, None, T.constant(2)),
+            ("p*q + 2", "one", 0, not_a_number),
+            ("p*q + 2", 0, "one", T.constant(2)),
+            ("p^2*q + q", y30, 0, overflow),
+            ("p*q^2 + q", 0, y30, y30)):
+        image = SimpleNamespace(matrices={"p": SimpleNamespace(data=((p,),)),
+                                          "q": SimpleNamespace(data=((q,),))})
+        hom = repscheme._ring_map(coords, T, image, "loop")
+        R = PolyRing(["p", "q"], order)
+        images = {x: v for x, v in (("p", p), ("q", q)) if v is not None}
+        xp, xq = coords.ring.variables
+        for apply, f, name in (
+                (lambda f: f.substitute(T, images), R.parse(text), "p"),
+                (hom, coords.ring.parse(text.replace("p", xp).replace("q", xq)), xp)):
+            if isinstance(want, Polynomial):
+                assert _items(apply(f)) == _items(want)
+                continue
+            with pytest.raises(want[0]) as info:
+                apply(f)
+            assert str(info.value) == want[1].format(p=name)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_corner_comparison_map_keeps_the_tuple_dict_order(framed_a1, framed_a1_corner, k):
+    # a corner generator's image sums k products of two coordinates: at k = 2
+    # they multiply as polynomials, through powers the map keeps between calls
+    quiver, pres = framed_a1[0], framed_a1_corner[2]
+    coords = RepCoordinates(quiver, DimensionVector({"∞": 1, "0": 1, "1": k}))
+    small, hom = corner_comparison_map(pres, coords)
+    table = reference_comparison_images(pres, coords, small.dims)
+    assert max(len(p.terms) for p in table.values()) == k
+    polys = [g.polynomial for g in invariant_generators(small, cycle_bound=3, path_bound=2)]
+    for f in polys + [f * g for f, g in zip(polys, polys[1:])]:
+        assert _items(hom(f)) == list(_tuple_substitute(f, coords.ring, table).items())
 
 
 def test_power_takes_n_minus_one_products(R, monkeypatch):

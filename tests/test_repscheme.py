@@ -43,7 +43,7 @@ from quiverlab.repscheme import (
 
 from conftest import framing_loop_quiver, two_loop_quiver
 from oracles import (reference_comparison_images, reference_invariant_generators,
-                     reference_pullback_images)
+                     reference_pullback_images, reference_substitute)
 
 
 def test_variable_name():
@@ -389,12 +389,13 @@ def test_add_pullback_reads_vk_dims_as_a_dimension_vector(vk_dims, message):
 
 
 def _assert_ring_map(hom, source, target, table, polys):
-    """hom agrees with substituting ``table``, dict order included, on every
-    source variable and on each of ``polys``."""
+    """hom agrees with substituting ``table``, dict order included, and with
+    the reference loop, on every source variable and on each of ``polys``."""
     assert list(table) == list(source.variables)
     for f in [source.variable(x) for x in source.variables] + polys:
         got, want = hom(f), f.substitute(target, table)
         assert got == want and list(got.terms.items()) == list(want.terms.items())
+        assert got.terms == reference_substitute(f, target, table)
 
 
 def _seeded_invariants(coords, rng, cycle_bound, path_bound):

@@ -20,9 +20,10 @@ from quiverlab.corner import bimodule_generators, corner_generators, corner_pres
 from quiverlab.linalg import Mat, SpanBuilder, _div, kernel_combos, nullspace
 from quiverlab.modules import (ModuleRep, generated_by_framing, induce_module,
                                module_from_json, random_extension, zero_module)
-from quiverlab.polynomials import PolyRing, _reduce, buchberger, nilpotent_witness_search
+from quiverlab.polynomials import (PolyRing, Polynomial, _reduce, buchberger,
+                                   nilpotent_witness_search)
 from quiverlab.quivers import build_doubled_dynkin, delta_k
-from quiverlab.repscheme import RepCoordinates, add_pullback, invariant_generators
+from quiverlab.repscheme import RepCoordinates, add_pullback, invariant_generators, lift
 
 from conftest import FIXTURES
 
@@ -104,6 +105,28 @@ def test_parse_reads_integers_as_ints_and_p_over_q_as_fractions():
     assert sorted(map(type, f._terms.values()), key=str) == [F, int, int, int, int]
     assert f._terms[R._pack((1, 1))] == F(1, 2)
     assert_scalars(f._terms.values(), "parse")
+
+
+def test_constructors_store_whole_values_as_ints():
+    # Polynomial(ring, terms), constant, monomial and lift's constants read a
+    # value as the parser does, and a numeric image multiplies as an int
+    R = PolyRing(["x", "y"])
+    f = Polynomial(R, {(1, 0): F(3), (0, 1): F(1, 2), (0, 0): 2.0, (1, 1): "-4/2", (2, 0): 0})
+    assert [type(c) for c in f._terms.values()] == [int, F, int, int]
+    assert f == R.parse("3*x + 1/2*y + 2 - 2*x*y")
+    for p, want in ((R.constant(F(6, 3)), int), (R.constant(F(1, 3)), F),
+                    (R.monomial((1, 2), F(-4)), int), (R.monomial((1, 0), F(2, 3)), F)):
+        assert [type(c) for c in p._terms.values()] == [want]
+        assert_fractions(p.terms.values(), "constructor terms")
+        assert type(p.lead_coeff()) is F
+    assert not R.constant(F(0))._terms and not R.monomial((1, 0), 0)._terms
+    a2 = build_doubled_dynkin("A", 2)
+    m = ModuleRep(a2, {"1": 1, "2": 1}, {"a": Mat.from_rows([[F(2)]]),
+                                         "a*": Mat.from_rows([[F(1, 2)]])})
+    lifted = lift(m, R)
+    assert [type(c) for x in matrix_entries(lifted) for c in x._terms.values()] == [int, F]
+    image = R.parse("x^2*y - x").substitute(PolyRing(["u"]), {"x": F(4, 2), "y": 3.0})
+    assert image._terms == {0: 10} and type(image._terms[0]) is int
 
 
 def test_rep_ideals_groebner_bases_and_the_witness(d4_rep_ideal, d4_groebner, a3_groebner):
