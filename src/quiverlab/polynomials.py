@@ -303,8 +303,8 @@ class Polynomial:
         return Polynomial._packed(self.ring, {e: -c for e, c in self._terms.items()})
 
     def scale(self, c) -> "Polynomial":
-        if type(c) is not int and type(c) is not Fraction:
-            c = Fraction(c)
+        if type(c) is not int and (type(c) is not Fraction or c.denominator == 1):
+            c = _scalar(c)   # a whole value multiplies as an int
         if not c:
             return Polynomial._packed(self.ring, {})
         return Polynomial._packed(self.ring, {e: c * v for e, v in self._terms.items()})
@@ -693,8 +693,9 @@ class NilpotentWitness(Record):
     __slots__ = _fields = ("element", "power")
 
 
-def _standard_layers(gb: GroebnerBasis, max_deg: int) -> Iterator[list[int]]:
-    """Packed standard monomials, one list per degree 1..max_deg.
+def _standard_layers(gb: GroebnerBasis, max_deg: int) -> Iterator[list[tuple[int, int]]]:
+    """(last variable, packed monomial) per standard monomial, one list per
+    degree 1..max_deg.
 
     Standard monomials form an order ideal: every divisor of one is one too.
     So degree d grows from degree d - 1, starting from the monomial 1, each
@@ -706,15 +707,15 @@ def _standard_layers(gb: GroebnerBasis, max_deg: int) -> Iterator[list[int]]:
     ring = gb.ring
     guards, units, by_variable = ring._guards, ring._units, gb._by_variable
     n = ring.nvars
-    # (first variable a further factor may use, packed monomial); 1 is
-    # standard unless the ideal is the unit ideal, whose lead uses no variable
+    # 1 is standard unless the ideal is the unit ideal, whose lead uses no
+    # variable; its "last variable" 0 lets every variable follow it
     layer = [(0, 0)] if gb._is_standard(0) else []
     for _ in range(max_deg):
         layer = [(i, cand) for last, m in layer for i in range(last, n)
                  if _divisor(cand := m + units[i], by_variable[i], guards) is None]
         if not layer:
             return
-        yield [m for _, m in layer]
+        yield layer
 
 
 def standard_monomials(gb: GroebnerBasis, max_deg: int) -> list[Polynomial]:
@@ -724,7 +725,7 @@ def standard_monomials(gb: GroebnerBasis, max_deg: int) -> list[Polynomial]:
     """
     ring = gb.ring
     return [Polynomial._packed(ring, {m: _ONE})
-            for layer in _standard_layers(gb, max_deg) for m in layer]
+            for layer in _standard_layers(gb, max_deg) for _, m in layer]
 
 
 def ideal_multigrading(gb: GroebnerBasis) -> list[tuple[int, ...]]:
@@ -764,24 +765,40 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
     1. every standard monomial m of degree <= max_deg, in graded order,
        enumerated one degree at a time so that the budget also bounds the
        enumeration; when m^max_pow is standard, so is every lower power and
-       m is passed over with one divisibility test, else its powers are
-       reduced in turn;
+       m is passed over, else its powers are reduced in turn.  m = p·x_i
+       grows from its parent p: m^max_pow is not standard when p^max_pow
+       is not, and otherwise only the leads using x_i can divide it; m's
+       grading key is p's plus the degree and weights of x_i;
     2. signed pairs m + m' and m - m' of standard monomials sharing a
-       grading class, probed at the square (by linearity one reduction of
-       each of m*m, m'*m', m*m' settles both signs);
+       grading class, probed at the square (by linearity the normal forms
+       of m*m, m'*m' and m*m' settle both signs);
     3. seeded random small-integer combinations of 2..4 standard monomials
        drawn from a common grading class.
 
-    Every hit is re-verified from scratch (direct expansion of the power)
-    before being returned.  Returns None when the bounded search exhausts
-    without a hit; raises BudgetExceeded when ``max_ops`` normal-form
-    computations were spent first.
+    A remainder modulo a Gröbner basis is unique, so the normal form is
+    linear: NF(p·q) = Σ c·c'·NF(t·t') over the terms c·t of p and c'·t' of
+    q.  Every power and product above reads one table, kept for this search
+    only, from each packed monomial to the terms of its normal form, filled
+    by one ``_reduce`` of that monomial on its first use.  A probe's f
+    combines standard monomials, so it is its own normal form.  The budget
+    charges one normal form per power of a probe and per pair's cross
+    product, and one per square the first time a pair needs it, whatever
+    the table already holds.
+
+    Every hit is re-verified on its own, by ``normal_form`` of the
+    expanded power and of f, which share nothing with the table, before
+    being returned.  Returns None when the bounded search exhausts without
+    a hit; raises BudgetExceeded when ``max_ops`` normal-form computations
+    were spent first.
     """
     if max_deg < 1 or max_pow < 2:
         raise ValueError("need max_deg >= 1 and max_pow >= 2")
     if trials < 0 or (max_ops is not None and max_ops < 0):
         raise ValueError("trials and max_ops must be nonnegative")
+    ring, reducers = gb.ring, gb._reducers
+    units, guards, by_variable = ring._units, ring._guards, gb._by_variable
     ops = 0
+    table: dict[int, dict] = {}   # packed monomial -> the terms of its normal form
 
     def charge(n: int = 1) -> None:
         nonlocal ops
@@ -789,15 +806,26 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
         if max_ops is not None and ops > max_ops:
             raise BudgetExceeded(f"witness search exceeded {max_ops} reductions")
 
-    def probe(f: Polynomial) -> NilpotentWitness | None:
+    def nf(m: int) -> dict:
+        """The terms of NF(m), reduced on the first request; never mutated."""
+        r = table.get(m)
+        if r is None:
+            ring._check_degree(m)   # a product of two stored monomials carries no field
+            r = table[m] = _reduce(Polynomial._packed(ring, {m: _ONE}), reducers)._terms
+        return r
+
+    def probe(f: dict) -> NilpotentWitness | None:
         charge()
-        power = gb.normal_form(f)
-        if not power:
-            return None
+        power = f
         for k in range(2, max_pow + 1):
             charge()
-            power = gb.normal_form(power * f)
+            product: dict[int, Fraction] = {}   # NF(power·f), by linearity
+            for t, a in power.items():
+                for s, b in f.items():
+                    axpy(product, a * b, nf(t + s))
+            power = product
             if not power:
+                f = Polynomial._packed(ring, f)
                 if gb.normal_form(f ** k):
                     raise AssertionError("incremental and direct reductions disagree")
                 if not gb.normal_form(f):
@@ -805,48 +833,43 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
                 return NilpotentWitness(f, k)
         return None
 
-    ring = gb.ring
-    monos: list[Polynomial] = []
+    weights = ideal_multigrading(gb)
+    # a grading key is the degree, then the weights; x_i's is its column
+    columns = [(1, *(w[i] for w in weights)) for i in range(ring.nvars)]
+    keys = {0: (0,) * (len(weights) + 1)}   # by packed standard monomial, 1 first
+    tame = {0}   # the standard monomials whose max_pow-th power is standard
+    classes: dict[tuple, list[int]] = {}
     for layer in _standard_layers(gb, max_deg):
-        for m in layer:
-            mono = Polynomial._packed(ring, {m: _ONE})
-            monos.append(mono)
+        for i, m in layer:
+            parent = m - units[i]
+            keys[m] = key = tuple(map(operator.add, keys[parent], columns[i]))
+            classes.setdefault(key, []).append(m)
             # m^max_pow is m * max_pow, as below degree 2^31 no field carries
             ring._check_degree((m & ~ring._low) * max_pow)
-            if gb._is_standard(m * max_pow):
+            if parent in tame and _divisor(m * max_pow, by_variable[i], guards) is None:
+                tame.add(m)
                 charge(max_pow)   # what probe charges for max_pow nonzero powers
                 continue
-            hit = probe(mono)
+            hit = probe({m: _ONE})
             if hit is not None:
                 return hit
 
-    weights = ideal_multigrading(gb)
-    classes: dict[tuple, list[int]] = {}
-    for idx, mono in enumerate(monos):
-        exps = ring._unpack(next(iter(mono._terms)))
-        key = (sum(exps), tuple(sum(map(operator.mul, w, exps)) for w in weights))
-        classes.setdefault(key, []).append(idx)
-
-    squares: dict[int, Polynomial] = {}
-
-    def nf_square(i: int) -> Polynomial:
-        if i not in squares:
-            charge()
-            squares[i] = gb.normal_form(monos[i] * monos[i])
-        return squares[i]
-
     for key in sorted(classes):
         members = classes[key]
-        for a in range(len(members)):
+        for a, mi in enumerate(members):
             for b in range(a + 1, len(members)):
-                i, j = members[a], members[b]
-                charge()
-                cross = gb.normal_form(monos[i] * monos[j]).scale(2)
-                base = nf_square(i) + nf_square(j)
-                for f in ((monos[i] + monos[j]) if not (base + cross) else None,
-                          (monos[i] - monos[j]) if not (base - cross) else None):
-                    if f is not None:
-                        hit = probe(f)
+                mj = members[b]
+                # the cross product, and each square when a pair first needs
+                # it: members[0]'s and members[1]'s at (0, 1), members[b]'s at (0, b)
+                charge(1 if a else 3 if b == 1 else 2)
+                base = dict(nf(mi + mi))
+                axpy(base, 1, nf(mj + mj))
+                cross = nf(mi + mj)
+                if base.keys() != cross.keys():
+                    continue   # no sign cancels (mi ± mj)² = base ± 2·cross
+                for sign in (1, -1):
+                    if all(base[t] == -2 * sign * c for t, c in cross.items()):
+                        hit = probe({mi: _ONE, mj: sign})
                         if hit is None:
                             raise AssertionError("pair probe lost a verified square")
                         return hit
@@ -857,15 +880,12 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
         if pools:
             pool = pools[rng.randrange(len(pools))]
         else:
-            pool = list(range(len(monos)))
+            pool = list(keys)[1:]   # every standard monomial, in graded order
         if len(pool) < 2:
             break
         width = rng.randint(2, min(4, len(pool)))
         picks = rng.sample(pool, width)
-        terms: dict[int, int] = {}
-        for i in picks:
-            terms[next(iter(monos[i]._terms))] = rng.choice((-2, -1, 1, 2))
-        hit = probe(Polynomial._packed(ring, terms))
+        hit = probe({m: rng.choice((-2, -1, 1, 2)) for m in picks})
         if hit is not None:
             return hit
     return None

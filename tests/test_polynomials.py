@@ -264,19 +264,30 @@ def test_witness_phase_one_takes_standard_monomials_as_normal_forms(d4_groebner,
                                                                    monkeypatch):
     # the seed-0 (3, 4) search charges 2,697 reductions.  The fourth power of
     # each of the 376 standard monomials is standard, so phase 1 takes no
-    # normal form at all; the budget still charges it four per monomial
-    calls = []
-    normal_form = GroebnerBasis.normal_form
+    # normal form at all; the budget still charges it four per monomial.
+    # The search reads every product's normal form by linearity from one
+    # table, so it reduces single monomials only, each at most once, and a
+    # miss never calls normal_form (which only re-verifies a hit)
+    calls, reduced = [], []
+    normal_form, reduce = GroebnerBasis.normal_form, polynomials._reduce
 
     def counting(self, f):
         calls.append(f)
         return normal_form(self, f)
 
+    def recording(f, reducers):
+        reduced.append(f)
+        return reduce(f, reducers)
+
     monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
+    monkeypatch.setattr(polynomials, "_reduce", recording)
     assert nilpotent_witness_search(d4_groebner, 3, 4, seed=0) is None
     monkeypatch.undo()
     assert len(standard_monomials(d4_groebner, 3)) == 376
-    assert len(calls) == 1193
+    assert calls == []
+    assert reduced and all(len(f._terms) == 1 and next(iter(f._terms.values())) == 1
+                           for f in reduced)
+    assert len({next(iter(f._terms)) for f in reduced}) == len(reduced)
     with pytest.raises(BudgetExceeded, match="exceeded 2696 reductions"):
         nilpotent_witness_search(d4_groebner, 3, 4, seed=0, max_ops=2696)
     assert nilpotent_witness_search(d4_groebner, 3, 4, seed=0, max_ops=2697) is None
@@ -300,11 +311,14 @@ def test_witness_budget_bounds_the_enumeration(d4_groebner, monkeypatch):
     assert set(seen) == {0, 1, 2}
 
 
-# ideals with a witness that phase 1, phase 2 or phase 3 finds
+# ideals with a witness that phase 1, phase 2 or phase 3 finds; in the last,
+# x^2 is not standard, so (x*y)^2 is not either, though no lead using y
+# divides it, and phase 1 must probe x*y to find it
 WITNESS_IDEALS = [
     ["x^2*y"],
     ["x^2 + 2*x*y + y^2"],
     ["x^2 + 2*x*y + y^2 + 2*x*z + 2*y*z + z^2"],
+    ["x^2 - z", "y*z"],
 ]
 
 
@@ -344,7 +358,8 @@ WITNESS_BASES = (["D4", "A3"] + [f"R{i}" for i in range(len(R_IDEALS))]
 # (basis, max_deg, max_pow, seed, trials); few trials keep phase 3 short
 WITNESS_GRID = (
     [("D4", *case) for case in [(1, 2, 0, 200), (2, 2, 1, 10), (2, 3, 0, 10),
-                                (3, 2, 2, 10), (3, 4, 0, 10), (4, 3, 0, 10)]]
+                                (3, 2, 2, 10), (3, 4, 0, 10), (4, 3, 0, 10),
+                                (5, 6, 0, 10)]]
     + [("A3", *case) for case in [(1, 3, 0, 50), (2, 2, 1, 10), (3, 4, 0, 10),
                                   (4, 3, 2, 10)]]
     + [(f"R{i}", *case) for i in range(len(R_IDEALS))
@@ -787,23 +802,17 @@ def test_groebner_basis_equality_ignores_cached_leads(R):
     ("zero", "witness unexpectedly lies in the ideal"),
 ])
 def test_witness_search_rechecks_hits_under_optimization(stale, message):
-    # a basis that reduces correctly until its first ideal member and answers
-    # wrongly after it must make the search raise, also with assert
-    # statements compiled away (python -O)
+    # the search reads its normal forms from its own table and calls
+    # normal_form only to re-verify a hit, so a basis whose normal_form
+    # answers wrongly from its first call must make the search raise, also
+    # with assert statements compiled away (python -O)
     script = textwrap.dedent(f"""
         from quiverlab.polynomials import GroebnerBasis, PolyRing, buchberger
         from quiverlab.polynomials import nilpotent_witness_search
 
-        members = []
-
         class Forgetful(GroebnerBasis):
             def normal_form(self, f):
-                if members:
-                    return f if {stale!r} == "unreduced" else self.ring.zero()
-                nf = super().normal_form(f)
-                if not nf:
-                    members.append(f)
-                return nf
+                return f if {stale!r} == "unreduced" else self.ring.zero()
 
         L = PolyRing(["x", "y"])
         gb = buchberger([L.parse("x^2*y")])

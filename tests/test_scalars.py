@@ -127,6 +127,12 @@ def test_constructors_store_whole_values_as_ints():
     assert [type(c) for x in matrix_entries(lifted) for c in x._terms.values()] == [int, F]
     image = R.parse("x^2*y - x").substitute(PolyRing(["u"]), {"x": F(4, 2), "y": 3.0})
     assert image._terms == {0: 10} and type(image._terms[0]) is int
+    # a whole scale multiplies as an int, whatever its type
+    x = R.parse("x")
+    for c, want in ((F(3), 3), (2.0, 2), (F(1, 2), F(1, 2)), (3, 3)):
+        for p in (x.scale(c), c * x):
+            assert list(p._terms.values()) == [want]
+            assert type(p._terms[next(iter(p._terms))]) is type(want)
 
 
 def test_rep_ideals_groebner_bases_and_the_witness(d4_rep_ideal, d4_groebner, a3_groebner):
