@@ -63,14 +63,15 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
             span_targets: frozenset, letter: str, what: str) -> None:
     """Extend ``retained`` degree by degree, verifying each degree's span.
 
-    In degree d the products gen * q span, over the retained generators gen
-    and the standard H-to-H paths q of degree d - gen.degree ending at gen's
-    source.  Up to degree ``top`` every standard path from H into
-    ``cand_targets`` outside that span is retained, in key order, and named
-    by its arrow or by ``letter`` and a count.  The span must then be all of
-    the standard paths from H into ``span_targets``.  A finite-dimensional
-    basis is walked only to its first empty degree: past it every block is
-    empty and the span check reads 0 = 0.
+    In degree d the products gen * q span, over the retained generators gen,
+    each retained at its own degree <= d, and the standard H-to-H paths q of
+    degree d - gen.degree ending at gen's source.  Up to degree ``top``,
+    every standard path from H into ``cand_targets`` that ``SpanBuilder.add``
+    says enlarged the span is retained, in key order, and named by its arrow
+    or by ``letter`` and a count.  The span must then be all of the standard
+    paths from H into ``span_targets``.  A finite-dimensional basis is walked
+    only to its first empty degree: past it every block is empty and the
+    span check reads 0 = 0.
     """
     if basis.finite_dimensional:
         degrees = range(degrees.start, min(degrees.stop, basis.top_degree + 2))
@@ -79,8 +80,6 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
     for d in degrees:
         builder = SpanBuilder()
         for gen in retained:
-            if gen.degree > d:
-                continue
             arrows = gen.path.key[1:]
             for q in blocks[d - gen.degree]:
                 if q.target == gen.source:
@@ -89,14 +88,12 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
         from_h = [p for p in basis.basis(d) if p.source in h_set]
         if d <= top:
             for cand in from_h:
-                coords = {cand.key: _ONE}
-                if cand.target not in cand_targets or builder.contains(coords):
+                if cand.target not in cand_targets or not builder.add({cand.key: _ONE}):
                     continue
                 name = (cand.arrows[0] if cand.length == 1 else
                         f"{letter}{sum(1 for g in retained if g.path.length > 1) + 1}")
                 retained.append(CornerGenerator(
                     name, cand, d, cand.source, cand.target))
-                builder.add(coords)
         expected = sum(1 for p in from_h if p.target in span_targets)
         if builder.rank != expected:
             raise VerificationError(
@@ -272,11 +269,11 @@ def corner_presentation(corner: CornerGenerators,
         layer.sort(key=lambda word: word[0].key)
         words.append(layer)
         combos = kernel_combos([vec for _, vec in layer])
-        if len(layer) - len(combos) != len(_h_block(basis, wd, h_set)):
+        dim = len(_h_block(basis, wd, h_set))
+        if len(layer) - len(combos) != dim:
             raise VerificationError(
                 f"word evaluations in weighted degree {wd} have rank "
-                f"{len(layer) - len(combos)}, expected the corner dimension "
-                f"{len(_h_block(basis, wd, h_set))}")
+                f"{len(layer) - len(combos)}, expected the corner dimension {dim}")
         index = {p.key: i for i, (p, _) in enumerate(layer)}
         ideal = SpanBuilder()
         for xi, x in enumerate(qh.arrows):
@@ -290,8 +287,9 @@ def corner_presentation(corner: CornerGenerators,
                 ideal.add({index[first + p.key[1:]]: c
                            for p, c in k.items() if p.source == x.target})
         deps.append([{layer[i][0]: c for i, c in combo.items()} for combo in combos])
+        # add takes combo over, which deps no longer needs
         for combo, dep in zip(combos, deps[wd]):
-            if ideal.contains(combo):
+            if not ideal.add(combo):
                 continue
             el = AlgebraElement(qh, dep)
             check: dict = {}
@@ -301,7 +299,6 @@ def corner_presentation(corner: CornerGenerators,
                 raise VerificationError(
                     "a found relation does not vanish in the ambient algebra")
             relations.append(el)
-            ideal.add(combo)
 
     return CornerPresentation(qh, weights, tuple(relations), gen_paths, cutoff,
                               f"truncated-at-{cutoff}")

@@ -529,7 +529,9 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple[int, Polynomial]]) -> Polyno
     """Full multivariate division remainder of f by the listed polynomials.
 
     ``reducers`` pairs each divisor's packed leading monomial with it; the
-    first divisor in list order whose lead divides a term cancels it.  A term
+    first divisor in list order whose lead divides a term cancels it.  A
+    single term that no lead divides is its own remainder, and f itself
+    comes back: polynomials are never mutated, so sharing is safe.  A term
     enters the heap when it enters ``work``, and an entry whose term has
     cancelled since is skipped.  A popped term never returns, since all a
     reducer adds lies below the term it cancels.  Under lex a shifted tail
@@ -537,6 +539,8 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple[int, Polynomial]]) -> Polyno
     """
     ring = f.ring
     heap_key, guards, lex = ring.heap_key, ring._guards, ring._lex
+    if len(f._terms) == 1 and _divisor(next(iter(f._terms)), reducers, guards) is None:
+        return f
     push, pop = heapq.heappush, heapq.heappop
     work = dict(f._terms)
     heap = [(heap_key(e), e) for e in work]
@@ -591,15 +595,9 @@ class GroebnerBasis(Record):
         return len(self.polys)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        """Remainder of f on division by the basis.
-
-        A single term whose monomial is standard is its own remainder, and f
-        itself comes back: polynomials are never mutated, so sharing is safe.
-        """
+        """Remainder of f on division by the basis, once f's ring is checked."""
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        if len(f._terms) == 1 and self._is_standard(next(iter(f._terms))):
-            return f
         return _reduce(f, self._reducers)
 
     def ideal_member(self, f: Polynomial) -> tuple[bool, Polynomial]:
@@ -608,10 +606,7 @@ class GroebnerBasis(Record):
 
     def is_standard(self, exps: tuple) -> bool:
         """True when the monomial avoids every leading term."""
-        return self._is_standard(self.ring._pack(exps))
-
-    def _is_standard(self, m: int) -> bool:
-        return _divisor(m, self._reducers, self.ring._guards) is None
+        return _divisor(self.ring._pack(exps), self._reducers, self.ring._guards) is None
 
     def texts(self) -> list[str]:
         return [g.text() for g in self.polys]
@@ -709,7 +704,7 @@ def _standard_layers(gb: GroebnerBasis, max_deg: int) -> Iterator[list[tuple[int
     n = ring.nvars
     # 1 is standard unless the ideal is the unit ideal, whose lead uses no
     # variable; its "last variable" 0 lets every variable follow it
-    layer = [(0, 0)] if gb._is_standard(0) else []
+    layer = [(0, 0)] if _divisor(0, gb._reducers, guards) is None else []
     for _ in range(max_deg):
         layer = [(i, cand) for last, m in layer for i in range(last, n)
                  if _divisor(cand := m + units[i], by_variable[i], guards) is None]
@@ -779,11 +774,12 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
     linear: NF(p·q) = Σ c·c'·NF(t·t') over the terms c·t of p and c'·t' of
     q.  Every power and product above reads one table, kept for this search
     only, from each packed monomial to the terms of its normal form, filled
-    by one ``_reduce`` of that monomial on its first use.  A probe's f
-    combines standard monomials, so it is its own normal form.  The budget
-    charges one normal form per power of a probe and per pair's cross
-    product, and one per square the first time a pair needs it, whatever
-    the table already holds.
+    by one ``_reduce`` of that monomial on its first use; a standard
+    monomial's entry costs one lead scan, as ``_reduce`` hands a single
+    standard term back as it is.  A probe's f combines standard monomials,
+    so it is its own normal form.  The budget charges one normal form per
+    power of a probe and per pair's cross product, and one per square the
+    first time a pair needs it, whatever the table already holds.
 
     Every hit is re-verified on its own, by ``normal_form`` of the
     expanded power and of f, which share nothing with the table, before

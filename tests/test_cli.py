@@ -274,6 +274,12 @@ _MALFORMED_INPUTS = {
         "groebner", "ideal", {"variables": ["x"], "generators": ["1/0*x"]}),
     "ideal_variables_not_a_list": (
         "groebner", "ideal", {"variables": 5, "generators": ["x"]}),
+    "ideal_document_is_a_list": ("groebner", "ideal", [{"variables": ["x"]}]),
+    "ideal_without_generators": ("groebner", "ideal", {"variables": ["x"]}),
+    "invariants_without_a_dimension_line": (
+        "invariants", "quiver", "vertex 0 K\narrow a: 0 -> 0\n"),
+    "invariants_with_two_dimension_lines": (
+        "invariants", "quiver", "vertex 0 K\narrow a: 0 -> 0\ndimension 0=1\ndimension 0=2\n"),
     "module_zero_denominator": (
         "check-module", "module", {"dimension": _A2_DIMS, "arrows": {"a": [["1/0"]]}}),
     "module_document_is_a_list": ("check-module", "module", [_A2_DIMS]),

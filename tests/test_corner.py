@@ -16,7 +16,7 @@ from quiverlab.corner import (
     corner_presentation,
     sufficient_dimension_bound,
 )
-from quiverlab.linalg import kernel_combos
+from quiverlab.linalg import SpanBuilder, kernel_combos
 from quiverlab.quivers import Arrow, DimensionVector, Quiver, build_doubled_dynkin
 
 from conftest import random_quotient
@@ -170,6 +170,23 @@ def test_generators_match_the_reference_searches_on_random_quotients(seed):
     if not isinstance(corner, tuple):
         assert (_search(bimodule_generators, corner)
                 == _search(reference_bimodule_generators, ref))
+
+
+def test_searches_ask_the_span_once_per_row(framed_a1, monkeypatch):
+    # add's answer is the membership test, so no row is eliminated twice
+    _, _, basis = framed_a1
+    ref = reference_corner_generators(basis, verify_cutoff=8)
+    ref_bimod = reference_bimodule_generators(ref, verify_cutoff=8)
+    ref_pres = reference_corner_presentation(ref, cutoff=8)
+
+    def refuse(self, row):
+        raise AssertionError("contains called")
+
+    monkeypatch.setattr(SpanBuilder, "contains", refuse)
+    corner = corner_generators(basis, verify_cutoff=8)
+    assert corner == ref
+    assert bimodule_generators(corner, verify_cutoff=8) == ref_bimod
+    assert_same_presentation(corner_presentation(corner, cutoff=8), ref_pres)
 
 
 def test_search_refuses_a_short_span(framed_a1):

@@ -267,9 +267,12 @@ def test_witness_phase_one_takes_standard_monomials_as_normal_forms(d4_groebner,
     # normal form at all; the budget still charges it four per monomial.
     # The search reads every product's normal form by linearity from one
     # table, so it reduces single monomials only, each at most once, and a
-    # miss never calls normal_form (which only re-verifies a hit)
-    calls, reduced = [], []
+    # miss never calls normal_form (which only re-verifies a hit).  1,485 of
+    # the 1,556 monomials reduced are standard, and _reduce hands each back
+    # after one lead scan, so only the other 71 build a heap
+    calls, reduced, heaps = [], [], []
     normal_form, reduce = GroebnerBasis.normal_form, polynomials._reduce
+    heapify = polynomials.heapq.heapify
 
     def counting(self, f):
         calls.append(f)
@@ -279,12 +282,18 @@ def test_witness_phase_one_takes_standard_monomials_as_normal_forms(d4_groebner,
         reduced.append(f)
         return reduce(f, reducers)
 
+    def heaping(heap):
+        heaps.append(heap)
+        return heapify(heap)
+
     monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
     monkeypatch.setattr(polynomials, "_reduce", recording)
+    monkeypatch.setattr(polynomials.heapq, "heapify", heaping)
     assert nilpotent_witness_search(d4_groebner, 3, 4, seed=0) is None
     monkeypatch.undo()
     assert len(standard_monomials(d4_groebner, 3)) == 376
     assert calls == []
+    assert len(reduced) == 1_556 and len(heaps) == 71
     assert reduced and all(len(f._terms) == 1 and next(iter(f._terms.values())) == 1
                            for f in reduced)
     assert len({next(iter(f._terms)) for f in reduced}) == len(reduced)
@@ -741,6 +750,19 @@ def test_normal_form_survives_a_cancelled_and_recreated_term(order):
         nf = gb.normal_form(f)
         assert nf.terms == reference_reduce(f, gb.polys)
         assert nf.text() == want
+
+
+def test_reduce_hands_a_single_standard_term_back(d4_groebner):
+    # a remainder modulo a Gröbner basis is unique, so a standard monomial,
+    # at any coefficient, is its own; a single nonstandard term is reduced
+    reducers = d4_groebner._reducers
+    for m in standard_monomials(d4_groebner, 2)[::7]:
+        for f in (m, m.scale(Fraction(-3, 2))):
+            assert polynomials._reduce(f, reducers) is f
+    lead = d4_groebner.polys[0]
+    one_term = Polynomial(lead.ring, {lead.lead_exps(): Fraction(1)})
+    nf = polynomials._reduce(one_term, reducers)
+    assert nf is not one_term and nf.terms == reference_reduce(one_term, d4_groebner.polys)
 
 
 def test_division_follows_list_order(R):
