@@ -10,7 +10,6 @@ from .linalg import SpanBuilder, _fraction, axpy
 from .quivers import Path, Quiver, build_doubled_affine_dynkin, frame
 
 _ZERO = Fraction(0)
-_ONE = 1
 
 
 class AlgebraElement:
@@ -339,7 +338,7 @@ class GradedBasis:
                 row: dict[tuple, Fraction] = {}
                 for c, arrows, last in terms:
                     axpy(row, c, {m + last: cm
-                                  for m, cm in self.extend({s_key: _ONE}, arrows).items()})
+                                  for m, cm in self.extend({s_key: 1}, arrows).items()})
                 if row:
                     yield row
 
@@ -391,7 +390,7 @@ class GradedBasis:
                 if key in pivots:
                     tail = pivots[key]
                 elif key in std:
-                    tail = {key: _ONE}
+                    tail = {key: 1}
                 else:
                     continue
                 if c == 1 and len(vec) == 1:
@@ -406,7 +405,7 @@ class GradedBasis:
         if path.quiver is not self.quiver and path.quiver != self.quiver:
             raise ValueError("path over a different quiver")
         return {k: _fraction(c) for k, c in
-                self.extend({path.key[:1]: _ONE}, path.key[1:]).items()}
+                self.extend({path.key[:1]: 1}, path.key[1:]).items()}
 
     def nf_path(self, path: Path) -> dict[Path, Fraction]:
         """Normal form of a single path as a basis-path combination."""
@@ -533,11 +532,11 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
             y_source, y_target = y.source, y.target
             for source, target, base, ai in arrows:
                 # a.y: a acts after y; y.a: a acts first
-                row = dict(basis.extend({y_key: _ONE}, (ai,))) if source == y_target else {}
+                row = dict(basis.extend({y_key: 1}, (ai,))) if source == y_target else {}
                 if target == y_source:
                     ya = y_a[y_key, ai] = (
                         basis.extend(prefix_a[y_key[:-1], ai], y_key[-1:]) if d > 1
-                        else basis.extend({base: _ONE}, (ai,)))
+                        else basis.extend({base: 1}, (ai,)))
                     axpy(row, -1, ya)
                 if row:
                     span.add(row)

@@ -19,8 +19,6 @@ from .errors import Record, VerificationError
 from .linalg import SpanBuilder, axpy, kernel_combos
 from .quivers import Arrow, DimensionVector, Path, Quiver
 
-_ONE = 1
-
 
 class CornerGenerator(Record):
     """One generator, represented by a standard path of the ambient algebra."""
@@ -84,11 +82,11 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
             for q in blocks[d - gen.degree]:
                 if q.target == gen.source:
                     # extend may hand back a pivot tail, which add would change
-                    builder.add(dict(basis.extend({q.key: _ONE}, arrows)))
+                    builder.add(dict(basis.extend({q.key: 1}, arrows)))
         from_h = [p for p in basis.basis(d) if p.source in h_set]
         if d <= top:
             for cand in from_h:
-                if cand.target not in cand_targets or not builder.add({cand.key: _ONE}):
+                if cand.target not in cand_targets or not builder.add({cand.key: 1}):
                     continue
                 name = (cand.arrows[0] if cand.length == 1 else
                         f"{letter}{sum(1 for g in retained if g.path.length > 1) + 1}")
@@ -251,7 +249,7 @@ def corner_presentation(corner: CornerGenerators,
 
     # arrow words by weight, each with its ambient coordinates, and the
     # dependencies among each weight's words
-    words = [[(Path.idempotent(qh, h), {(big.vertex_index(h),): _ONE})
+    words = [[(Path.idempotent(qh, h), {(big.vertex_index(h),): 1})
               for h in qh.vertices]]
     deps: list[list[dict[Path, Fraction]]] = [[]]
     relations: list[AlgebraElement] = []

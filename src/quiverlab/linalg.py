@@ -163,8 +163,8 @@ def _columns(rows: Sequence[Sequence], ncols: int) -> list[dict]:
     return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
 
 
-def nullspace(matrix: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0} for a dense rational matrix with ncols columns.
+def nullspace(matrix: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
+    """Basis of {x : M x = 0} for a dense int or Fraction matrix with ncols columns.
 
     One vector per column f that depends on the columns before it: 1 at f,
     and otherwise supported on the independent columns before f.
@@ -182,10 +182,11 @@ def primitive_kernel_vector(matrix: Sequence[Sequence[int]]) -> list[int]:
     """The primitive integer vector with positive entries spanning ker(M).
 
     Raises ValueError unless the kernel is one-dimensional with a strictly
-    positive (after sign normalization) spanning vector.
+    positive spanning vector.  ``nullspace``'s vector is 1 at its dependent
+    column, so a sign-definite kernel comes out positive with no flip.
     """
     n = len(matrix[0]) if matrix else 0
-    basis = nullspace([[Fraction(x) for x in row] for row in matrix], n)
+    basis = nullspace(matrix, n)
     if len(basis) != 1:
         raise ValueError(f"kernel is {len(basis)}-dimensional, expected 1")
     vec = basis[0]
@@ -193,8 +194,6 @@ def primitive_kernel_vector(matrix: Sequence[Sequence[int]]) -> list[int]:
     ints = [int(x * denom) for x in vec]
     g = math.gcd(*ints)
     ints = [x // g for x in ints]
-    if all(x < 0 for x in ints):
-        ints = [-x for x in ints]
     if any(x <= 0 for x in ints):
         raise ValueError("kernel vector is not sign-definite")
     return ints

@@ -28,7 +28,6 @@ from .repscheme import (InvariantGenerator, ModuleRep, RepCoordinates,
                         zero_module)
 
 _ZERO = Fraction(0)
-_ONE = 1
 _COEF_BOUND = 3  # random_extension weighs each kernel vector by an int in ±_COEF_BOUND
 
 
@@ -82,7 +81,7 @@ def generated_by_framing(m: ModuleRep) -> bool:
     if m.dims[start] != 1:
         raise ValueError("framing component must be one-dimensional")
     spans = {v: SpanBuilder() for v in m.quiver.vertices}
-    seed = {0: _ONE}
+    seed = {0: 1}
     spans[start].add(dict(seed))   # add takes its row over; the frontier keeps its own
     frontier = [(start, seed)]
     while frontier:
@@ -209,7 +208,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
             if k > d:
                 continue
             m_gen = v_h.matrices[gen.name]
-            start = {gen.path.key: _ONE}
+            start = {gen.path.key: 1}
             for p in basis.basis(d - k):
                 if p.source != gen.target:
                     continue
@@ -247,7 +246,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
         for col, key in enumerate(by_vertex[a.source]):
             d, pkey, j = key
             vec = {(d + 1, qkey, j): c
-                   for qkey, c in basis.extend({pkey: _ONE}, step).items()}
+                   for qkey, c in basis.extend({pkey: 1}, step).items()}
             for rkey, c in span.residue(vec).items():
                 data[index[rkey]][col] = _fraction(c)
         matrices[a.name] = Mat(rows, cols, tuple(tuple(r) for r in data))

@@ -30,7 +30,6 @@ from .errors import BudgetExceeded, Record
 from .linalg import _div, _fraction, _scalar, axpy, nullspace
 
 _ZERO = Fraction(0)
-_ONE = 1
 
 ORDERS = ("degrevlex", "lex")
 
@@ -139,7 +138,7 @@ class PolyRing:
         return Polynomial._packed(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial._packed(self, {0: _ONE})
+        return Polynomial._packed(self, {0: 1})
 
     def constant(self, c) -> "Polynomial":
         c = _scalar(c)
@@ -150,7 +149,7 @@ class PolyRing:
             i = self._index[name]
         except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
-        return Polynomial._packed(self, {self._units[i]: _ONE})
+        return Polynomial._packed(self, {self._units[i]: 1})
 
     def monomial(self, exps: Sequence[int], coefficient=1) -> "Polynomial":
         m = self._pack(tuple(int(e) for e in exps))
@@ -181,7 +180,7 @@ class PolyRing:
         units, index = self._units, self._index
         out: dict[int, Fraction] = {}
         pos = 1 if tokens[0] in (("op", "+"), ("op", "-")) else 0
-        coef = -_ONE if tokens[0] == ("op", "-") else _ONE
+        coef = -1 if tokens[0] == ("op", "-") else 1
         while True:
             m = 0
             while True:   # one term: factors joined by *
@@ -214,7 +213,7 @@ class PolyRing:
                 return Polynomial._packed(self, out)
             if kind != "op" or value not in "+-":
                 raise ValueError(f"unexpected token {value!r} in {text!r}")
-            coef = -_ONE if value == "-" else _ONE
+            coef = -1 if value == "-" else 1
             pos += 1
 
     def _tokenize(self, text: str) -> list[tuple]:
@@ -318,18 +317,16 @@ class Polynomial:
         """Σ x·y over the paired polynomials, in the ring of ``self``.
 
         Every term product goes into one dict, so no intermediate polynomial
-        is built; ``Mat`` products and traces over polynomials sum here.  A
-        left coefficient of 1 takes the right one as it is, with no product.
+        is built; ``Mat`` products and traces over polynomials sum here.
         Two packed monomials multiply by one addition, and the result's
         largest key is checked against the degree limit once.
         """
         out: dict[int, Fraction] = {}
         for x, y in zip(xs, ys):
             for e1, c1 in x._terms.items():
-                unit = c1 == 1
                 for e2, c2 in y._terms.items():
                     e = e1 + e2
-                    c = c2 if unit else c1 * c2
+                    c = c1 * c2
                     v = out.get(e)
                     if v is None:
                         out[e] = c
@@ -368,9 +365,9 @@ class Polynomial:
         return _fraction(self._terms[self._lead()])
 
     def monic(self) -> "Polynomial":
-        """This polynomial divided by its lead coefficient; a lead of ±1 divides nothing."""
+        """This polynomial divided by its lead coefficient; itself for a lead of 1."""
         c = self._terms[self._lead()]
-        return self if c == 1 else -self if c == -1 else self.scale(_div(1, c))
+        return self if c == 1 else self.scale(_div(1, c))
 
     def evaluate(self, env: Mapping[str, Fraction]) -> Fraction:
         """Value at a rational point given per-variable values."""
@@ -427,13 +424,13 @@ class _RingMap:
     """The ring map from ``source`` into ``target`` sending each variable to its
     image, every image resolved once, when the map is built.
 
-    A variable's form is (packed monomial, degree, coefficient or None for
-    1, None) for a one-term image or a nonzero constant, (None, degree,
-    None, powers) for a longer image, powers[k] being it raised to k + 1,
-    None for zero, or the error its resolution raised, raised again only
-    when a term's walk in variable order reaches it.  A term that meets a
-    zero image, no error and no overflow is dropped by one test on its
-    packed monomial, before it is decoded.
+    A variable's form is (packed monomial, degree, coefficient, None) for a
+    one-term image or a nonzero constant, (None, degree, None, powers) for
+    a longer image, powers[k] being it raised to k + 1, None for zero, or
+    the error its resolution raised, raised again only when a term's walk
+    in variable order reaches it.  A term that meets a zero image, no error
+    and no overflow is dropped by one test on its packed monomial, before
+    it is decoded.
     """
 
     __slots__ = ("target", "_forms", "_drop", "_slow", "_safe")
@@ -448,7 +445,7 @@ class _RingMap:
             if img is None and name in target._index:
                 # the same name's packed unit as it is: a Polynomial's dict
                 # would hash that n-field int, once for each of n variables
-                forms.append((target._units[target._index[name]], 1, None, None))
+                forms.append((target._units[target._index[name]], 1, 1, None))
                 top = max(top, 1)
                 continue
             try:
@@ -464,7 +461,7 @@ class _RingMap:
                 continue
             if len(img._terms) == 1:
                 [(k, a)] = img._terms.items()
-                forms.append((k, k >> target._top, None if a == 1 else a, None))
+                forms.append((k, k >> target._top, a, None))
             elif img._terms:
                 forms.append((None, img.degree, None, [img]))
             else:
@@ -501,8 +498,7 @@ class _RingMap:
                     ring._check_degree(deg << top)
                 if powers is None:
                     mono += e * k
-                    if a is not None:
-                        c = c * a ** e
+                    c = c * a ** e
                 else:
                     while len(powers) < e:
                         powers.append(powers[-1] * powers[0])
@@ -562,8 +558,7 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple[int, Polynomial]]) -> Polyno
             ring._check_degree(max(tail))
         for e in tail.keys() - work.keys():
             push(heap, (heap_key(e), e))
-        lc = g._terms[le]
-        axpy(work, -coef if lc == 1 else coef if lc == -1 else _div(-coef, lc), tail)
+        axpy(work, _div(-coef, g._terms[le]), tail)
     return Polynomial._packed(ring, out)
 
 
@@ -659,8 +654,8 @@ def buchberger(generators: Iterable[Polynomial], max_steps: int = 50_000,
             raise BudgetExceeded(f"Gröbner computation exceeded {max_steps} steps")
         _, i, j, lcm = heapq.heappop(pairs)
         (li, fi), (lj, fj) = basis[i], basis[j]
-        a = Polynomial._packed(ring, {lcm - li: _ONE})
-        b = Polynomial._packed(ring, {lcm - lj: _ONE})
+        a = Polynomial._packed(ring, {lcm - li: 1})
+        b = Polynomial._packed(ring, {lcm - lj: 1})
         s = a * fi - b * fj
         r = _reduce(s, basis)
         if r:
@@ -719,7 +714,7 @@ def standard_monomials(gb: GroebnerBasis, max_deg: int) -> list[Polynomial]:
     Graded, and within a degree in lex order of the sorted variable indices.
     """
     ring = gb.ring
-    return [Polynomial._packed(ring, {m: _ONE})
+    return [Polynomial._packed(ring, {m: 1})
             for layer in _standard_layers(gb, max_deg) for _, m in layer]
 
 
@@ -733,12 +728,12 @@ def ideal_multigrading(gb: GroebnerBasis) -> list[tuple[int, ...]]:
     rational kernel basis with denominators cleared.
     """
     n = gb.ring.nvars
-    diffs: list[list[Fraction]] = []
+    diffs: list[list[int]] = []
     for g in gb:
         exps = iter(g.terms)
         e0 = next(exps)
         for e in exps:
-            diffs.append([Fraction(a - b) for a, b in zip(e, e0)])
+            diffs.append([a - b for a, b in zip(e, e0)])
     basis = nullspace(diffs, n)
     out = []
     for vec in basis:
@@ -752,9 +747,11 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
                              max_ops: int | None = None) -> NilpotentWitness | None:
     """Search for f with f not in the ideal but f^k in it for some k <= max_pow.
 
-    Nilpotents decompose into homogeneous parts for every grading of the
-    ideal, so multi-term witnesses can be assumed to combine standard
-    monomials of equal degree and equal weight under ``ideal_multigrading``.
+    The radical of an ideal homogeneous for a grading is homogeneous, so
+    multi-term witnesses can be assumed to combine standard monomials of
+    one grading class: equal weight under ``ideal_multigrading``, and equal
+    degree only when every basis member has all its terms in one degree
+    (the degree then lies in the span of the weights and splits no class).
     Three exact, reproducible phases:
 
     1. every standard monomial m of degree <= max_deg, in graded order,
@@ -763,12 +760,16 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
        m is passed over, else its powers are reduced in turn.  m = p·x_i
        grows from its parent p: m^max_pow is not standard when p^max_pow
        is not, and otherwise only the leads using x_i can divide it; m's
-       grading key is p's plus the degree and weights of x_i;
+       grading key is p's plus x_i's;
     2. signed pairs m + m' and m - m' of standard monomials sharing a
        grading class, probed at the square (by linearity the normal forms
        of m*m, m'*m' and m*m' settle both signs);
     3. seeded random small-integer combinations of 2..4 standard monomials
-       drawn from a common grading class.
+       drawn from a common grading class.  With no class of two or more
+       members no trial runs: under an order of the weights compatible
+       with addition, the top component of f^k is (top component of f)^k,
+       in the ideal with f^k; were every class one monomial m, that is
+       (c·m)^k, and phase 1 has probed m up to max_pow already.
 
     A remainder modulo a Gröbner basis is unique, so the normal form is
     linear: NF(p·q) = Σ c·c'·NF(t·t') over the terms c·t of p and c'·t' of
@@ -807,7 +808,7 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
         r = table.get(m)
         if r is None:
             ring._check_degree(m)   # a product of two stored monomials carries no field
-            r = table[m] = _reduce(Polynomial._packed(ring, {m: _ONE}), reducers)._terms
+            r = table[m] = _reduce(Polynomial._packed(ring, {m: 1}), reducers)._terms
         return r
 
     def probe(f: dict) -> NilpotentWitness | None:
@@ -830,9 +831,10 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
         return None
 
     weights = ideal_multigrading(gb)
-    # a grading key is the degree, then the weights; x_i's is its column
-    columns = [(1, *(w[i] for w in weights)) for i in range(ring.nvars)]
-    keys = {0: (0,) * (len(weights) + 1)}   # by packed standard monomial, 1 first
+    if all(len({m >> ring._top for m in g._terms}) == 1 for g in gb):
+        weights.insert(0, (1,) * ring.nvars)   # the degree grades the ideal too
+    columns = [tuple(w[i] for w in weights) for i in range(ring.nvars)]   # x_i's key
+    keys = {0: (0,) * len(weights)}   # by packed standard monomial, 1 first
     tame = {0}   # the standard monomials whose max_pow-th power is standard
     classes: dict[tuple, list[int]] = {}
     for layer in _standard_layers(gb, max_deg):
@@ -846,7 +848,7 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
                 tame.add(m)
                 charge(max_pow)   # what probe charges for max_pow nonzero powers
                 continue
-            hit = probe({m: _ONE})
+            hit = probe({m: 1})
             if hit is not None:
                 return hit
 
@@ -865,20 +867,15 @@ def nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow: int,
                     continue   # no sign cancels (mi ± mj)² = base ± 2·cross
                 for sign in (1, -1):
                     if all(base[t] == -2 * sign * c for t, c in cross.items()):
-                        hit = probe({mi: _ONE, mj: sign})
+                        hit = probe({mi: 1, mj: sign})
                         if hit is None:
                             raise AssertionError("pair probe lost a verified square")
                         return hit
 
     pools = [classes[key] for key in sorted(classes) if len(classes[key]) >= 2]
     rng = random.Random(seed)
-    for _ in range(trials):
-        if pools:
-            pool = pools[rng.randrange(len(pools))]
-        else:
-            pool = list(keys)[1:]   # every standard monomial, in graded order
-        if len(pool) < 2:
-            break
+    for _ in range(trials if pools else 0):
+        pool = pools[rng.randrange(len(pools))]
         width = rng.randint(2, min(4, len(pool)))
         picks = rng.sample(pool, width)
         hit = probe({m: rng.choice((-2, -1, 1, 2)) for m in picks})

@@ -1296,7 +1296,8 @@ def reference_nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow:
 
     Nilpotents decompose into homogeneous parts for every grading of the
     ideal, so multi-term witnesses can be assumed to combine standard
-    monomials of equal degree and equal weight under ``ideal_multigrading``.
+    monomials of equal weight under ``ideal_multigrading``, and of equal
+    degree when every basis member has all its terms in one degree.
     Three exact, reproducible phases:
 
     1. every standard monomial of degree <= max_deg, in graded order;
@@ -1304,7 +1305,7 @@ def reference_nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow:
        grading class, probed at the square (by linearity one reduction of
        each of m*m, m'*m', m*m' settles both signs);
     3. seeded random small-integer combinations of 2..4 standard monomials
-       drawn from a common grading class.
+       drawn from a common grading class; none when no class has two.
 
     Every hit is re-verified from scratch (direct expansion of the power)
     before being returned.  Returns None when the bounded search exhausts
@@ -1347,12 +1348,12 @@ def reference_nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow:
             return hit
 
     weights = ideal_multigrading(gb)
+    graded = all(len({sum(e) for e in g.terms}) == 1 for g in gb)
     classes: dict[tuple, list[int]] = {}
     for idx, m in enumerate(monos):
         exps = next(iter(m.terms))
-        key = (sum(exps),
-               tuple(sum(w[i] * e for i, e in enumerate(exps) if e) for w in weights))
-        classes.setdefault(key, []).append(idx)
+        key = tuple(sum(w[i] * e for i, e in enumerate(exps) if e) for w in weights)
+        classes.setdefault((sum(exps), key) if graded else key, []).append(idx)
 
     squares: dict[int, Polynomial] = {}
 
@@ -1380,13 +1381,8 @@ def reference_nilpotent_witness_search(gb: GroebnerBasis, max_deg: int, max_pow:
 
     pools = [classes[key] for key in sorted(classes) if len(classes[key]) >= 2]
     rng = random.Random(seed)
-    for _ in range(trials):
-        if pools:
-            pool = pools[rng.randrange(len(pools))]
-        else:
-            pool = list(range(len(monos)))
-        if len(pool) < 2:
-            break
+    for _ in range(trials if pools else 0):
+        pool = pools[rng.randrange(len(pools))]
         width = rng.randint(2, min(4, len(pool)))
         picks = rng.sample(pool, width)
         terms: dict[tuple, Fraction] = {}

@@ -402,6 +402,44 @@ def test_standard_monomials_match_the_reference(d4_groebner, a3_groebner, name):
         assert standard_monomials(gb, d) == reference_standard_monomials(gb, d)
 
 
+# ideals that the total degree does not grade: x and y^2 share a weight
+INHOMOGENEOUS_IDEALS = [
+    (["x", "y"], ["x^2 + 2*x*y^2 + y^4"]),
+    (["x", "y", "z", "w"], ["x^2 + 2*x*y^2 + y^4", "z^2 - w^2"]),
+    (["x", "y", "z"], ["x^2 + 2*x*y^2 + y^4", "z^3 - z"]),
+]
+
+
+def test_witness_pairs_a_class_that_spans_two_degrees():
+    # (x + y^2)^2 is the first generator; x and y^2 differ in degree only
+    names, texts = INHOMOGENEOUS_IDEALS[1]
+    ring = PolyRing(names)
+    gb = buchberger([ring.parse(t) for t in texts])
+    w = nilpotent_witness_search(gb, 2, 2, trials=0)
+    assert (w.element.text(), w.power) == ("y^2 + x", 2)
+
+
+@pytest.mark.parametrize("names,texts",
+                         [(["x", "y", "z"], texts) for texts in R_IDEALS + WITNESS_IDEALS]
+                         + INHOMOGENEOUS_IDEALS,
+                         ids=[f"R{i}" for i in range(len(R_IDEALS))]
+                         + [f"W{i}" for i in range(len(WITNESS_IDEALS))]
+                         + [f"I{i}" for i in range(len(INHOMOGENEOUS_IDEALS))])
+def test_witness_search_finds_every_square_zero_pair(names, texts):
+    # a brute force over m ± m' of distinct standard monomials: when one
+    # squares into the ideal, the search with no random trial finds a witness
+    ring = PolyRing(names)
+    gb = buchberger([ring.parse(t) for t in texts])
+    for max_deg in (1, 2, 3):
+        monos = standard_monomials(gb, max_deg)
+        paired = any(not gb.normal_form((m + s * m2) ** 2)
+                     for m, m2 in itertools.combinations(monos, 2) for s in (1, -1))
+        if paired:
+            w = nilpotent_witness_search(gb, max_deg, 2, trials=0)
+            assert w is not None, (texts, max_deg)
+            assert gb.normal_form(w.element) and not gb.normal_form(w.element ** w.power)
+
+
 def test_d4_groebner_shape(d4_groebner):
     assert len(d4_groebner) == 22
     weights = ideal_multigrading(d4_groebner)

@@ -14,6 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from quiverlab import linalg
 from quiverlab.algebra import (AlgebraElement, cocenter, framed_affine_preprojective,
                                graded_basis, preprojective_relations)
 from quiverlab.corner import bimodule_generators, corner_generators, corner_presentation
@@ -21,8 +22,8 @@ from quiverlab.linalg import Mat, SpanBuilder, _div, kernel_combos, nullspace
 from quiverlab.modules import (ModuleRep, generated_by_framing, induce_module,
                                module_from_json, random_extension, zero_module)
 from quiverlab.polynomials import (PolyRing, Polynomial, _reduce, buchberger,
-                                   nilpotent_witness_search)
-from quiverlab.quivers import build_doubled_dynkin, delta_k
+                                   ideal_multigrading, nilpotent_witness_search)
+from quiverlab.quivers import build_doubled_dynkin, delta, delta_k
 from quiverlab.repscheme import RepCoordinates, add_pullback, invariant_generators, lift
 
 from conftest import FIXTURES
@@ -348,6 +349,19 @@ def test_kernels_and_inverses_hand_out_fractions():
     inv = Mat(2, 2, ((2, 1), (1, 1))).inverse()
     assert inv.data == ((1, -1), (-1, 2))
     assert_fractions((x for row in inv.data for x in row), "inverse")
+
+
+def test_integer_kernels_hand_kernel_combos_ints(monkeypatch, d4_groebner):
+    # the Cartan matrix and the exponent differences are integers, and
+    # nullspace takes int rows: no Fraction wraps them on the way in
+    rows = []
+    real = linalg.kernel_combos
+    monkeypatch.setattr(linalg, "kernel_combos",
+                        lambda vectors: rows.extend(vectors) or real(vectors))
+    assert dict(delta("D", 4)) == {"0": 1, "1": 1, "2": 2, "3": 1, "4": 1}
+    assert max(delta("E", 8).values()) == 6
+    assert len(ideal_multigrading(d4_groebner)) == 5
+    assert rows and all(type(c) is int for row in rows for c in row.values())
 
 
 # -- the basis is shared, not copied ----------------------------------------------------
