@@ -6,7 +6,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import Record, VerificationError
-from .linalg import SpanBuilder, _fraction, axpy
+from .linalg import SpanBuilder, _fraction, _scalar, axpy
 from .quivers import Path, Quiver, build_doubled_affine_dynkin, frame
 
 _ZERO = Fraction(0)
@@ -264,6 +264,12 @@ class GradedBasis:
     * max-key elimination then leaves the lexicographically smallest
       surviving candidates as the standard basis.
 
+    Inside the basis a path key is one ``int``: a sentinel 1 bit, then the
+    source index, then one field per arrow index, each ``_bits`` wide, so
+    appending an arrow is a shift and an or, and two keys of one degree
+    compare as their tuples do.  ``Path.key`` tuples stay the public face:
+    ``coords`` and ``extend`` take and hand out tuple keys.
+
     If some degree turns out empty the build stops there, since no candidates
     can ever reappear: the algebra is flagged finite-dimensional,
     ``top_degree`` records the last nonzero degree, and every later degree up
@@ -282,27 +288,45 @@ class GradedBasis:
         self.quiver = quiver
         self.relations = relations
         self.cutoff = cutoff
-        self._std: list[dict[tuple, Path]] = []
-        self._pivots: list[dict[tuple, dict[tuple, Fraction]]] = []
+        self._bits = max(len(quiver.vertices), len(quiver.arrows)).bit_length()
+        # each relation read once: its source, its degree, and per term the
+        # coefficient, the arrow indices but the last, and the last
+        self._relation_terms = [
+            (rel.source, rel.length,
+             [(_scalar(c), p.key[1:-1], p.key[-1]) for p, c in rel.terms.items()])
+            for rel in relations]
+        self._std: list[dict[int, Path]] = []
+        self._pivots: list[dict[int, dict[int, Fraction]]] = []
         self.finite_dimensional = False
         self.top_degree: int | None = None
         self._build()
 
+    def _pack(self, key: Sequence[int]) -> int:
+        out = 1
+        for i in key:
+            out = out << self._bits | i
+        return out
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        bits, mask = self._bits, (1 << self._bits) - 1
+        return tuple(key >> shift & mask
+                     for shift in range(key.bit_length() - 1 - bits, -1, -bits))
+
     # -- construction ----------------------------------------------------
 
     def _build(self) -> None:
-        quiver = self.quiver
+        quiver, bits = self.quiver, self._bits
         outgoing = {v: [(a, quiver.arrow_index(a.name)) for a in quiver.arrows_from(v)]
                     for v in quiver.vertices}
         # relations have positive degree, so every idempotent is standard
-        self._std.append({(i,): Path.idempotent(quiver, v)
+        self._std.append({1 << bits | i: Path.idempotent(quiver, v)
                           for i, v in enumerate(quiver.vertices)})
         self._pivots.append({})
         for d in range(1, self.cutoff + 1):
             # candidates stay keys, a standard key plus one arrow index, until
             # elimination has picked the leads; only the rest become Paths.
             # The standard tables are key-ordered, so this enumeration is too.
-            cands = [(key + (ai,), p, a) for key, p in self._std[d - 1].items()
+            cands = [(key << bits | ai, p, a) for key, p in self._std[d - 1].items()
                      for a, ai in outgoing[p.target]]
             span = SpanBuilder()
             for row in self._relation_rows(d):
@@ -326,19 +350,17 @@ class GradedBasis:
             self.top_degree = max(len(self._std) - 2, 0)
 
     def _relation_rows(self, d: int):
-        for rel in self.relations:
-            e = rel.length
+        bits = self._bits
+        for source, e, terms in self._relation_terms:
             if e > d:
                 continue
-            source = rel.source
-            terms = [(c, p.key[1:-1], p.key[-1:]) for p, c in rel.terms.items()]
             for s_key, s in self._std[d - e].items():   # s acts first
                 if s.target != source:
                     continue
-                row: dict[tuple, Fraction] = {}
+                row: dict[int, Fraction] = {}
                 for c, arrows, last in terms:
-                    axpy(row, c, {m + last: cm
-                                  for m, cm in self.extend({s_key: 1}, arrows).items()})
+                    axpy(row, c, {m << bits | last: cm
+                                  for m, cm in self._extend({s_key: 1}, arrows).items()})
                 if row:
                     yield row
 
@@ -355,8 +377,8 @@ class GradedBasis:
     def basis(self, d: int) -> list[Path]:
         return list(self._table(d).values())
 
-    def _table(self, d: int) -> Mapping[tuple, Path]:
-        """Standard paths of degree d by key; empty past the first empty degree."""
+    def _table(self, d: int) -> Mapping[int, Path]:
+        """Standard paths of degree d by packed key; empty past the first empty degree."""
         self._check_degree(d)
         return self._std[d] if d < len(self._std) else {}
 
@@ -364,29 +386,30 @@ class GradedBasis:
         if d < 0 or d > self.cutoff:
             raise ValueError(f"degree {d} exceeds the cutoff {self.cutoff}")
 
-    def extend(self, vec: Mapping[tuple, Fraction],
-               arrows: Sequence[int]) -> Mapping[tuple, Fraction]:
+    def _extend(self, vec: Mapping[int, Fraction],
+                arrows: Sequence[int]) -> Mapping[int, Fraction]:
         """Coordinates of ``vec`` with ``arrows`` (by index) applied after it.
 
-        ``vec`` holds coordinates over the standard keys of one degree.  Each
-        arrow step reads one candidate's pivot per key; a term whose path
-        ends away from the arrow's source vanishes, and a unit vector steps
-        to its candidate's pivot with no product.  The result may be shared
-        with ``vec`` or with the basis's pivots: read it, or copy it before
-        changing it.
+        ``vec`` holds coordinates over the packed standard keys of one
+        degree.  Each arrow step reads one candidate's pivot per key; a term
+        whose path ends away from the arrow's source vanishes, and a unit
+        vector steps to its candidate's pivot with no product.  The result
+        may be shared with ``vec`` or with the basis's pivots: read it, or
+        copy it before changing it.
         """
         if not vec:
             return vec
-        d = len(next(iter(vec))) - 1
+        bits = self._bits
+        d = (next(iter(vec)).bit_length() - 1) // bits - 1
         self._check_degree(d + len(arrows))
         if d + len(arrows) >= len(self._std):
             return {}
         for ai in arrows:
             d += 1
             std, pivots = self._std[d], self._pivots[d]
-            out: dict[tuple, Fraction] = {}
+            out: dict[int, Fraction] = {}
             for m, c in vec.items():
-                key = m + (ai,)
+                key = m << bits | ai
                 if key in pivots:
                     tail = pivots[key]
                 elif key in std:
@@ -400,18 +423,30 @@ class GradedBasis:
             vec = out
         return vec
 
-    def coords(self, path: Path) -> Mapping[tuple, Fraction]:
-        """Fraction coordinates of a path over the standard keys of its degree."""
+    def extend(self, vec: Mapping[tuple, Fraction],
+               arrows: Sequence[int]) -> dict[tuple, Fraction]:
+        """Coordinates of ``vec`` (over the ``Path.key`` tuples of one degree's
+        standard paths) with ``arrows`` (by index) applied after it."""
+        limit = 1 << self._bits   # a wider index would spill into the next field
+        for k in vec:
+            if not all(0 <= i < limit for i in k):
+                raise ValueError(f"path key {k} has an index outside the quiver")
+        out = self._extend({self._pack(k): c for k, c in vec.items()}, arrows)
+        return {self._unpack(k): _fraction(c) for k, c in out.items()}
+
+    def _coords(self, path: Path) -> Mapping[int, Fraction]:
         if path.quiver is not self.quiver and path.quiver != self.quiver:
             raise ValueError("path over a different quiver")
-        return {k: _fraction(c) for k, c in
-                self.extend({path.key[:1]: 1}, path.key[1:]).items()}
+        return self._extend({self._pack(path.key[:1]): 1}, path.key[1:])
+
+    def coords(self, path: Path) -> dict[tuple, Fraction]:
+        """Fraction coordinates of a path over the standard keys of its degree."""
+        return {self._unpack(k): _fraction(c) for k, c in self._coords(path).items()}
 
     def nf_path(self, path: Path) -> dict[Path, Fraction]:
         """Normal form of a single path as a basis-path combination."""
-        coords = self.coords(path)
         table = self._table(path.length)
-        return {table[k]: c for k, c in coords.items()}
+        return {table[k]: _fraction(c) for k, c in self._coords(path).items()}
 
     def reduce(self, x: AlgebraElement) -> AlgebraElement:
         """Canonical representative of x supported on standard paths."""
@@ -431,10 +466,10 @@ class GradedBasis:
         """
         if x.quiver != self.quiver:
             raise ValueError("element over a different quiver")
-        vecs: dict[int, dict[tuple, Fraction]] = {}
+        vecs: dict[int, dict[int, Fraction]] = {}
         for p, c in x.terms.items():
-            axpy(vecs.setdefault(p.length, {}), c, self.coords(p))
-        return {d: tuple(vecs[d].get(k, _ZERO) for k in self._table(d))
+            axpy(vecs.setdefault(p.length, {}), c, self._coords(p))
+        return {d: tuple(_fraction(vecs[d].get(k, _ZERO)) for k in self._table(d))
                 for d in sorted(vecs)}
 
     def __repr__(self) -> str:
@@ -518,25 +553,27 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
         raise ValueError(f"cocenter cutoff {cutoff} is outside 0..{basis.cutoff}")
     last = min(cutoff, basis.top_degree + 1) if basis.finite_dimensional else cutoff
     # each arrow's endpoints, its source's idempotent key and its index
-    quiver = basis.quiver
-    arrows = [(a.source, a.target, (quiver.vertex_index(a.source),),
+    quiver, bits = basis.quiver, basis._bits
+    arrows = [(a.source, a.target, 1 << bits | quiver.vertex_index(a.source),
                quiver.arrow_index(a.name)) for a in quiver.arrows]
     dims = []
     reps = []
-    # the previous degree's y.a by (y key, arrow index): y's prefix times a
-    prefix_a: dict[tuple, Mapping[tuple, Fraction]] = {}
+    # the previous degree's y.a, y's prefix times a, by y's packed key with
+    # a's index appended
+    prefix_a: dict[int, Mapping[int, Fraction]] = {}
     for d in range(last + 1):
         span = SpanBuilder()
-        y_a: dict[tuple, Mapping[tuple, Fraction]] = {}
+        y_a: dict[int, Mapping[int, Fraction]] = {}
         for y_key, y in basis._table(d - 1).items() if d else ():
             y_source, y_target = y.source, y.target
+            prefix, y_last = y_key >> bits, y_key & (1 << bits) - 1
             for source, target, base, ai in arrows:
                 # a.y: a acts after y; y.a: a acts first
-                row = dict(basis.extend({y_key: 1}, (ai,))) if source == y_target else {}
+                row = dict(basis._extend({y_key: 1}, (ai,))) if source == y_target else {}
                 if target == y_source:
-                    ya = y_a[y_key, ai] = (
-                        basis.extend(prefix_a[y_key[:-1], ai], y_key[-1:]) if d > 1
-                        else basis.extend({base: 1}, (ai,)))
+                    ya = y_a[y_key << bits | ai] = (
+                        basis._extend(prefix_a[prefix << bits | ai], (y_last,)) if d > 1
+                        else basis._extend({base: 1}, (ai,)))
                     axpy(row, -1, ya)
                 if row:
                     span.add(row)

@@ -74,25 +74,26 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
     if basis.finite_dimensional:
         degrees = range(degrees.start, min(degrees.stop, basis.top_degree + 2))
     h_set = frozenset(basis.quiver.h_vertices)
-    blocks = [_h_block(basis, e, h_set) for e in range(degrees.stop)]
+    blocks = [[(key, q) for key, q in basis._table(e).items()
+               if q.source in h_set and q.target in h_set] for e in range(degrees.stop)]
     for d in degrees:
         builder = SpanBuilder()
         for gen in retained:
             arrows = gen.path.key[1:]
-            for q in blocks[d - gen.degree]:
+            for key, q in blocks[d - gen.degree]:
                 if q.target == gen.source:
-                    # extend may hand back a pivot tail, which add would change
-                    builder.add(dict(basis.extend({q.key: 1}, arrows)))
-        from_h = [p for p in basis.basis(d) if p.source in h_set]
+                    # _extend may hand back a pivot tail, which add would change
+                    builder.add(dict(basis._extend({key: 1}, arrows)))
+        from_h = [(key, p) for key, p in basis._table(d).items() if p.source in h_set]
         if d <= top:
-            for cand in from_h:
-                if cand.target not in cand_targets or not builder.add({cand.key: 1}):
+            for key, cand in from_h:
+                if cand.target not in cand_targets or not builder.add({key: 1}):
                     continue
                 name = (cand.arrows[0] if cand.length == 1 else
                         f"{letter}{sum(1 for g in retained if g.path.length > 1) + 1}")
                 retained.append(CornerGenerator(
                     name, cand, d, cand.source, cand.target))
-        expected = sum(1 for p in from_h if p.target in span_targets)
+        expected = sum(1 for _, p in from_h if p.target in span_targets)
         if builder.rank != expected:
             raise VerificationError(
                 f"{what} generators span only {builder.rank} of {expected} "
@@ -249,7 +250,7 @@ def corner_presentation(corner: CornerGenerators,
 
     # arrow words by weight, each with its ambient coordinates, and the
     # dependencies among each weight's words
-    words = [[(Path.idempotent(qh, h), {(big.vertex_index(h),): 1})
+    words = [[(Path.idempotent(qh, h), {basis._pack((big.vertex_index(h),)): 1})
               for h in qh.vertices]]
     deps: list[list[dict[Path, Fraction]]] = [[]]
     relations: list[AlgebraElement] = []
@@ -263,7 +264,7 @@ def corner_presentation(corner: CornerGenerators,
                 extension = gen_paths[a.name].key[1:]
                 for p, vec in words[wd - weights[a.name]]:
                     if p.target == a.source:
-                        layer.append((p.extend(a), basis.extend(vec, extension)))
+                        layer.append((p.extend(a), basis._extend(vec, extension)))
         layer.sort(key=lambda word: word[0].key)
         words.append(layer)
         combos = kernel_combos([vec for _, vec in layer])
@@ -292,7 +293,7 @@ def corner_presentation(corner: CornerGenerators,
             el = AlgebraElement(qh, dep)
             check: dict = {}
             for p, c in el.terms.items():
-                axpy(check, c, basis.coords(ambient(p)))
+                axpy(check, c, basis._coords(ambient(p)))
             if check:
                 raise VerificationError(
                     "a found relation does not vanish in the ambient algebra")

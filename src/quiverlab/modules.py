@@ -199,27 +199,27 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
     symbols: dict[tuple, str] = {}   # (degree, path key, j) -> the path's target
     history: list[Counter] = []      # survivors per target vertex, by degree
     for d in range(basis.cutoff + 1):
-        for p in basis.basis(d):
+        for key, p in basis._table(d).items():
             if p.source in h_set:
                 for j in range(v_h.dims[p.source]):
-                    symbols[(d, p.key, j)] = p.target
+                    symbols[(d, key, j)] = p.target
         for gen in corner.generators:
             k = gen.degree
             if k > d:
                 continue
             m_gen = v_h.matrices[gen.name]
-            start = {gen.path.key: 1}
-            for p in basis.basis(d - k):
+            start = {basis._pack(gen.path.key): 1}
+            for pkey, p in basis._table(d - k).items():
                 if p.source != gen.target:
                     continue
-                nf = basis.extend(start, p.key[1:])   # p * gen: gen acts first
+                nf = basis._extend(start, p.key[1:])   # p * gen: gen acts first
                 for j in range(v_h.dims[gen.source]):
                     row = {(d, qkey, j): c for qkey, c in nf.items()}
                     for i in range(v_h.dims[gen.target]):
                         c = m_gen.entry(i, j)
                         if c:
                             # a symbol of degree d - k, never a key of nf
-                            row[(d - k, p.key, i)] = -c
+                            row[(d - k, pkey, i)] = -c
                     if row:
                         span.add(row)
         survivors = [key for key in symbols if key not in span.pivots]
@@ -246,7 +246,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
         for col, key in enumerate(by_vertex[a.source]):
             d, pkey, j = key
             vec = {(d + 1, qkey, j): c
-                   for qkey, c in basis.extend({pkey: 1}, step).items()}
+                   for qkey, c in basis._extend({pkey: 1}, step).items()}
             for rkey, c in span.residue(vec).items():
                 data[index[rkey]][col] = _fraction(c)
         matrices[a.name] = Mat(rows, cols, tuple(tuple(r) for r in data))

@@ -34,9 +34,15 @@ def random_quotient(rng):
     arrows = [Arrow(f"x{i}", rng.choice(vertices), rng.choice(vertices))
               for i in range(rng.randint(1, 4))]
     q = Quiver(vertices, arrows)
+    return q, random_relations(rng, q, vertices)
+
+
+def random_relations(rng, q, ends):
+    """One to three random homogeneous relations of lengths 1 to 3 over q,
+    each between two vertices drawn from ``ends``."""
     rels = []
     for _ in range(rng.randint(1, 3)):
-        source, target = rng.choice(vertices), rng.choice(vertices)
+        source, target = rng.choice(ends), rng.choice(ends)
         words = [Path.idempotent(q, source)]
         for _ in range(rng.randint(1, 3)):
             words = [p.extend(a) for p in words for a in q.arrows_from(p.target)]
@@ -45,7 +51,7 @@ def random_quotient(rng):
             picked = rng.sample(words, min(len(words), rng.randint(1, 3)))
             rels.append(AlgebraElement(
                 q, {p: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for p in picked}))
-    return q, RelationSet(q, rels)
+    return RelationSet(q, rels)
 
 
 @pytest.fixture(scope="session")

@@ -497,7 +497,7 @@ def reference_insert_row(repl: dict, row: dict) -> None:
         lead = max(row)
         sub = repl.get(lead)
         if sub is None:
-            inv = 1 / row.pop(lead)
+            inv = 1 / Fraction(row.pop(lead))   # rows may hold ints
             repl[lead] = {k: -c * inv for k, c in row.items()}
             return
         factor = row.pop(lead)

@@ -27,7 +27,7 @@ from quiverlab.quivers import (
     build_doubled_dynkin,
 )
 
-from conftest import random_quotient
+from conftest import random_quotient, random_relations
 from oracles import (BruteForceQuotient, ReferenceRewriteSpan, all_pairs_cocenter,
                      path_counts, preprojective_total_dim)
 
@@ -319,6 +319,52 @@ def test_graded_basis_matches_reference_elimination(seed, monkeypatch):
                 assert gb.extend(gb.coords(p), after.key[1:]) == gb.coords(after * p)
 
 
+def field_width_quotient(n, wide, rng):
+    """Random quotient with max(#vertices, #arrows) == n: n arrows on (at
+    most) two vertices, or n vertices with three arrows among the first and
+    the last, so the top arrow or vertex index fills its key field.  Some
+    relation has two terms or more, so pivots have tails, except on one
+    loop at one vertex, which has one path per degree."""
+    if wide == "arrows":
+        vertices = ends = [str(i) for i in range(min(n, 2))]
+        count = n
+    else:
+        vertices = [str(i) for i in range(n)]
+        ends = [vertices[0], vertices[-1]]
+        count = min(n, 3)
+    while True:
+        q = Quiver(vertices, [Arrow(f"x{i}", rng.choice(ends), rng.choice(ends))
+                              for i in range(count)])
+        rels = random_relations(rng, q, ends)
+        if n == 1 or any(len(r.terms) > 1 for r in rels):
+            return q, rels
+
+
+@pytest.mark.parametrize("wide", ["arrows", "vertices"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 16, 17])
+def test_packed_keys_at_the_field_width_boundaries(n, wide, monkeypatch):
+    """Key fields are max(#vertices, #arrows).bit_length() wide: each table
+    ascends and unpacks to its paths' keys, and the coordinates match the
+    reference elimination's, at sizes on both sides of a power of two."""
+    rng = random.Random(n)
+    q, rels = field_width_quotient(n, wide, rng)
+    cutoff = 5 if n <= 4 else 3
+    gb = graded_basis(q, rels, cutoff)
+    oracle = brute_force(q, rels, cutoff)
+    assert gb.dimensions == [oracle.dimension(d) for d in range(cutoff + 1)]
+    for d in range(cutoff + 1):
+        table = gb._table(d)
+        assert list(table) == sorted(table)
+        assert [gb._unpack(k) for k in table] == [p.key for p in table.values()]
+    monkeypatch.setattr("quiverlab.algebra.SpanBuilder", ReferenceRewriteSpan)
+    ref = graded_basis(q, rels, cutoff)
+    for paths in oracle.paths:
+        for b, w in rng.sample(paths, min(len(paths), 60)):
+            p = Path(q, b, w)
+            assert gb.coords(p) == ref.coords(p)
+            assert gb.nf_path(p) == ref.nf_path(p)
+
+
 @pytest.mark.parametrize("case", [("A", 1), ("A", 2), ("D", 4)] + list(range(30)),
                          ids=lambda c: "".join(map(str, c)) if isinstance(c, tuple) else f"seed{c}")
 def test_pivot_tails_hold_only_standard_keys(case):
@@ -512,13 +558,13 @@ def test_cocenter_takes_one_arrow_step_per_product(case, monkeypatch):
         gb = graded_basis(q, rels, 5)
     want = all_pairs_cocenter(gb, gb.top_degree if gb.finite_dimensional else gb.cutoff)
     steps = []
-    real = GradedBasis.extend
+    real = GradedBasis._extend
 
     def recording(self, vec, arrows):
         steps.append(len(arrows))
         return real(self, vec, arrows)
 
-    monkeypatch.setattr(GradedBasis, "extend", recording)
+    monkeypatch.setattr(GradedBasis, "_extend", recording)
     cc = cocenter(gb)
     assert steps and max(steps) <= 1
     assert cc.degree_dims == want[0]

@@ -203,13 +203,13 @@ def test_finite_basis_search_stops_at_its_first_empty_degree(monkeypatch):
     basis = graded_basis(tagged, preprojective_relations(q).on_quiver(tagged), 10_000)
     assert basis.finite_dimensional and basis.top_degree == 1
     degrees = []
-    real = GradedBasis.basis
+    real = GradedBasis._table
 
     def counting(self, d):
         degrees.append(d)
         return real(self, d)
 
-    monkeypatch.setattr(GradedBasis, "basis", counting)
+    monkeypatch.setattr(GradedBasis, "_table", counting)
     corner = corner_generators(basis)
     bimod = bimodule_generators(corner)
     # both searches read degrees up to the first empty one and no further

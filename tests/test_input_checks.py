@@ -106,6 +106,9 @@ CHECKS = [
     ("basis-normal-form",
      lambda: _loop_basis().normal_form(AlgebraElement.idempotent(LINE, "0")),
      "element over a different quiver"),
+    # one loop: keys are 1-bit fields, so index 2 would read as another key
+    ("basis-extend-key", lambda: _loop_basis().extend({(0, 2): 1}, ()),
+     "path key (0, 2) has an index outside the quiver"),
     ("direct-sum",
      lambda: direct_sum(zero_module(LINE, {"0": 1, "1": 1}), zero_module(LOOP, {"0": 1})),
      "summands live over different quivers"),

@@ -23,7 +23,7 @@ from quiverlab.modules import (ModuleRep, generated_by_framing, induce_module,
                                module_from_json, random_extension, zero_module)
 from quiverlab.polynomials import (PolyRing, Polynomial, _reduce, buchberger,
                                    ideal_multigrading, nilpotent_witness_search)
-from quiverlab.quivers import build_doubled_dynkin, delta, delta_k
+from quiverlab.quivers import Path, build_doubled_dynkin, delta, delta_k
 from quiverlab.repscheme import RepCoordinates, add_pullback, invariant_generators, lift
 
 from conftest import FIXTURES
@@ -337,6 +337,33 @@ def test_graded_basis_accessors_hand_out_fractions():
     forms = basis.normal_form(x)
     assert forms and all(type(c) is F for vec in forms.values() for c in vec)
     assert_fractions(basis.reduce(x).terms.values(), "reduce")
+
+
+def test_graded_basis_accessors_hand_out_tuple_keys():
+    # keys are packed ints inside the basis; coords and extend take and hand
+    # out Path.key tuples, so a packed key never leaks out
+    quiver, rels = framed_affine_preprojective("A", 1)
+    basis = graded_basis(quiver, rels, 6)
+    checked = 0
+    for d in range(5):
+        for p in basis.basis(d):
+            for a in quiver.arrows_from(p.target):
+                for after in (Path(quiver, p.target, (a.name,)),
+                              *(Path(quiver, p.target, (a.name, b.name))
+                                for b in quiver.arrows_from(a.target))):
+                    path = after * p
+                    coords = basis.coords(path)
+                    assert all(type(k) is tuple for k in coords)
+                    assert_fractions(coords.values(), "coords")
+                    vec = basis.extend(basis.coords(p), after.key[1:])
+                    assert all(type(k) is tuple for k in vec)
+                    assert_fractions(vec.values(), "extend")
+                    assert vec == coords
+                    checked += bool(coords)
+    assert checked
+    e = Path.idempotent(quiver, quiver.vertices[0]).key
+    unit = basis.extend({e: 1}, ())
+    assert unit == {e: 1} and type(unit[e]) is F
 
 
 def test_kernels_and_inverses_hand_out_fractions():
