@@ -267,8 +267,9 @@ class GradedBasis:
     Inside the basis a path key is one ``int``: a sentinel 1 bit, then the
     source index, then one field per arrow index, each ``_bits`` wide, so
     appending an arrow is a shift and an or, and two keys of one degree
-    compare as their tuples do.  ``Path.key`` tuples stay the public face:
-    ``coords`` and ``extend`` take and hand out tuple keys.
+    compare as their tuples do.  Each degree's table maps a standard key to
+    its path's (source, target) names; a ``Path`` is built only when one is
+    handed out, and ``coords`` and ``extend`` take ``Path.key`` tuples.
 
     If some degree turns out empty the build stops there, since no candidates
     can ever reappear: the algebra is flagged finite-dimensional,
@@ -295,7 +296,7 @@ class GradedBasis:
             (rel.source, rel.length,
              [(_scalar(c), p.key[1:-1], p.key[-1]) for p, c in rel.terms.items()])
             for rel in relations]
-        self._std: list[dict[int, Path]] = []
+        self._std: list[dict[int, tuple[str, str]]] = []
         self._pivots: list[dict[int, dict[int, Fraction]]] = []
         self.finite_dimensional = False
         self.top_degree: int | None = None
@@ -312,22 +313,26 @@ class GradedBasis:
         return tuple(key >> shift & mask
                      for shift in range(key.bit_length() - 1 - bits, -1, -bits))
 
+    def _path(self, key: int) -> Path:
+        quiver = self.quiver
+        base, *arrows = self._unpack(key)
+        return Path(quiver, quiver.vertices[base], tuple(quiver.arrows[i].name for i in arrows))
+
     # -- construction ----------------------------------------------------
 
     def _build(self) -> None:
         quiver, bits = self.quiver, self._bits
-        outgoing = {v: [(a, quiver.arrow_index(a.name)) for a in quiver.arrows_from(v)]
+        outgoing = {v: [(quiver.arrow_index(a.name), a.target) for a in quiver.arrows_from(v)]
                     for v in quiver.vertices}
         # relations have positive degree, so every idempotent is standard
-        self._std.append({1 << bits | i: Path.idempotent(quiver, v)
-                          for i, v in enumerate(quiver.vertices)})
+        self._std.append({1 << bits | i: (v, v) for i, v in enumerate(quiver.vertices)})
         self._pivots.append({})
         for d in range(1, self.cutoff + 1):
-            # candidates stay keys, a standard key plus one arrow index, until
-            # elimination has picked the leads; only the rest become Paths.
-            # The standard tables are key-ordered, so this enumeration is too.
-            cands = [(key << bits | ai, p, a) for key, p in self._std[d - 1].items()
-                     for a, ai in outgoing[p.target]]
+            # a candidate is a standard key plus one arrow index, with its
+            # endpoints; the tables are key-ordered, so this enumeration is too
+            cands = [(key << bits | ai, (source, target))
+                     for key, (source, end) in self._std[d - 1].items()
+                     for ai, target in outgoing[end]]
             span = SpanBuilder()
             for row in self._relation_rows(d):
                 span.add(row)
@@ -342,7 +347,7 @@ class GradedBasis:
                         axpy(out, c, pivots[t])
                 pivots[lead] = out
             self._pivots.append(pivots)
-            self._std.append({key: p.extend(a) for key, p, a in cands if key not in pivots})
+            self._std.append({key: ends for key, ends in cands if key not in pivots})
             if not self._std[d]:
                 break   # no later degree has a candidate
         if not self._std[-1]:
@@ -354,8 +359,8 @@ class GradedBasis:
         for source, e, terms in self._relation_terms:
             if e > d:
                 continue
-            for s_key, s in self._std[d - e].items():   # s acts first
-                if s.target != source:
+            for s_key, (_, s_target) in self._std[d - e].items():   # s acts first
+                if s_target != source:
                     continue
                 row: dict[int, Fraction] = {}
                 for c, arrows, last in terms:
@@ -375,10 +380,10 @@ class GradedBasis:
         return len(self._table(d))
 
     def basis(self, d: int) -> list[Path]:
-        return list(self._table(d).values())
+        return [self._path(key) for key in self._table(d)]
 
-    def _table(self, d: int) -> Mapping[int, Path]:
-        """Standard paths of degree d by packed key; empty past the first empty degree."""
+    def _table(self, d: int) -> Mapping[int, tuple[str, str]]:
+        """Degree d's (source, target) by standard key; empty past the first empty degree."""
         self._check_degree(d)
         return self._std[d] if d < len(self._std) else {}
 
@@ -445,8 +450,7 @@ class GradedBasis:
 
     def nf_path(self, path: Path) -> dict[Path, Fraction]:
         """Normal form of a single path as a basis-path combination."""
-        table = self._table(path.length)
-        return {table[k]: _fraction(c) for k, c in self._coords(path).items()}
+        return {self._path(k): _fraction(c) for k, c in self._coords(path).items()}
 
     def reduce(self, x: AlgebraElement) -> AlgebraElement:
         """Canonical representative of x supported on standard paths."""
@@ -564,8 +568,7 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
     for d in range(last + 1):
         span = SpanBuilder()
         y_a: dict[int, Mapping[int, Fraction]] = {}
-        for y_key, y in basis._table(d - 1).items() if d else ():
-            y_source, y_target = y.source, y.target
+        for y_key, (y_source, y_target) in basis._table(d - 1).items() if d else ():
             prefix, y_last = y_key >> bits, y_key & (1 << bits) - 1
             for source, target, base, ai in arrows:
                 # a.y: a acts after y; y.a: a acts first
@@ -579,7 +582,7 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
                     span.add(row)
         prefix_a = y_a
         table = basis._table(d)
-        degree_reps = tuple(p for key, p in table.items() if key not in span.pivots)
+        degree_reps = tuple(basis._path(key) for key in table if key not in span.pivots)
         dims.append(len(table) - span.rank)
         reps.append(degree_reps)
         if len(degree_reps) != dims[-1]:

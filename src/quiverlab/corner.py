@@ -52,10 +52,6 @@ class BimoduleGenerators(Record):
         return len(self.generators)
 
 
-def _h_block(basis: GradedBasis, d: int, h_set: frozenset) -> list[Path]:
-    return [p for p in basis.basis(d) if p.source in h_set and p.target in h_set]
-
-
 def _retain(basis: GradedBasis, retained: list[CornerGenerator],
             degrees: range, top: int, cand_targets: frozenset,
             span_targets: frozenset, letter: str, what: str) -> None:
@@ -74,26 +70,27 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
     if basis.finite_dimensional:
         degrees = range(degrees.start, min(degrees.stop, basis.top_degree + 2))
     h_set = frozenset(basis.quiver.h_vertices)
-    blocks = [[(key, q) for key, q in basis._table(e).items()
-               if q.source in h_set and q.target in h_set] for e in range(degrees.stop)]
+    blocks = [[(key, t) for key, (s, t) in basis._table(e).items()
+               if s in h_set and t in h_set] for e in range(degrees.stop)]
     for d in degrees:
         builder = SpanBuilder()
         for gen in retained:
             arrows = gen.path.key[1:]
-            for key, q in blocks[d - gen.degree]:
-                if q.target == gen.source:
+            for key, target in blocks[d - gen.degree]:
+                if target == gen.source:
                     # _extend may hand back a pivot tail, which add would change
                     builder.add(dict(basis._extend({key: 1}, arrows)))
-        from_h = [(key, p) for key, p in basis._table(d).items() if p.source in h_set]
+        from_h = [(key, t) for key, (s, t) in basis._table(d).items() if s in h_set]
         if d <= top:
-            for key, cand in from_h:
-                if cand.target not in cand_targets or not builder.add({key: 1}):
+            for key, target in from_h:
+                if target not in cand_targets or not builder.add({key: 1}):
                     continue
+                cand = basis._path(key)
                 name = (cand.arrows[0] if cand.length == 1 else
                         f"{letter}{sum(1 for g in retained if g.path.length > 1) + 1}")
                 retained.append(CornerGenerator(
                     name, cand, d, cand.source, cand.target))
-        expected = sum(1 for _, p in from_h if p.target in span_targets)
+        expected = sum(1 for _, target in from_h if target in span_targets)
         if builder.rank != expected:
             raise VerificationError(
                 f"{what} generators span only {builder.rank} of {expected} "
@@ -268,7 +265,7 @@ def corner_presentation(corner: CornerGenerators,
         layer.sort(key=lambda word: word[0].key)
         words.append(layer)
         combos = kernel_combos([vec for _, vec in layer])
-        dim = len(_h_block(basis, wd, h_set))
+        dim = sum(1 for s, t in basis._table(wd).values() if s in h_set and t in h_set)
         if len(layer) - len(combos) != dim:
             raise VerificationError(
                 f"word evaluations in weighted degree {wd} have rank "

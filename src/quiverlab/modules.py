@@ -199,20 +199,20 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
     symbols: dict[tuple, str] = {}   # (degree, path key, j) -> the path's target
     history: list[Counter] = []      # survivors per target vertex, by degree
     for d in range(basis.cutoff + 1):
-        for key, p in basis._table(d).items():
-            if p.source in h_set:
-                for j in range(v_h.dims[p.source]):
-                    symbols[(d, key, j)] = p.target
+        for key, (source, target) in basis._table(d).items():
+            if source in h_set:
+                for j in range(v_h.dims[source]):
+                    symbols[(d, key, j)] = target
         for gen in corner.generators:
             k = gen.degree
             if k > d:
                 continue
             m_gen = v_h.matrices[gen.name]
             start = {basis._pack(gen.path.key): 1}
-            for pkey, p in basis._table(d - k).items():
-                if p.source != gen.target:
+            for pkey, (source, _) in basis._table(d - k).items():
+                if source != gen.target:
                     continue
-                nf = basis._extend(start, p.key[1:])   # p * gen: gen acts first
+                nf = basis._extend(start, basis._unpack(pkey)[1:])   # p * gen: gen acts first
                 for j in range(v_h.dims[gen.source]):
                     row = {(d, qkey, j): c for qkey, c in nf.items()}
                     for i in range(v_h.dims[gen.target]):

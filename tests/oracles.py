@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from quiverlab.algebra import AlgebraElement, GradedBasis, restrict_to_vertices
 from quiverlab.corner import (BimoduleGenerators, CornerGenerator,
-                              CornerGenerators, CornerPresentation, _h_block,
+                              CornerGenerators, CornerPresentation,
                               sufficient_dimension_bound)
 from quiverlab.errors import BudgetExceeded, VerificationError
 from quiverlab.linalg import Mat, SpanBuilder, axpy, block_upper, kernel_combos
@@ -821,6 +821,10 @@ def _reference_product_coords(basis: GradedBasis, gen_path: Path,
         if p.target == gen_path.source:
             axpy(out, c, basis.coords(gen_path * p))
     return out
+
+
+def _h_block(basis: GradedBasis, d: int, h_set: frozenset) -> list[Path]:
+    return [p for p in basis.basis(d) if p.source in h_set and p.target in h_set]
 
 
 def reference_corner_generators(basis: GradedBasis, verify_cutoff: int | None = None,

@@ -355,7 +355,8 @@ def test_packed_keys_at_the_field_width_boundaries(n, wide, monkeypatch):
     for d in range(cutoff + 1):
         table = gb._table(d)
         assert list(table) == sorted(table)
-        assert [gb._unpack(k) for k in table] == [p.key for p in table.values()]
+        assert [gb._unpack(k) for k in table] == [p.key for p in gb.basis(d)]
+        assert list(table.values()) == [(p.source, p.target) for p in gb.basis(d)]
     monkeypatch.setattr("quiverlab.algebra.SpanBuilder", ReferenceRewriteSpan)
     ref = graded_basis(q, rels, cutoff)
     for paths in oracle.paths:
@@ -433,26 +434,20 @@ def test_normal_form_reads_reduce_over_the_basis(seed):
         assert gb.normal_form(x) == expected
 
 
-def test_build_constructs_a_path_only_per_basis_path(monkeypatch):
-    """Candidates that are pivot leads stay keys: one Path per basis path."""
+def test_build_constructs_no_path(monkeypatch):
+    """The build holds packed keys and endpoints only: it constructs no Path."""
     q, rels = framed_affine_preprojective("A", 1)
     built = []
     init = Path.__init__
-    raw = Path._raw.__func__
 
     def counting(self, *args):
         built.append(self)
         init(self, *args)
 
-    def counting_raw(cls, *args):
-        built.append(raw(cls, *args))
-        return built[-1]
-
-    # validated Paths and the trusted ones Path.extend builds
     monkeypatch.setattr(Path, "__init__", counting)
-    monkeypatch.setattr(Path, "_raw", classmethod(counting_raw))
     gb = graded_basis(q, rels, 10)
-    assert len(built) == sum(gb.dimensions) == 188
+    assert len(built) == 0
+    assert sum(gb.dimensions) == 188
 
 
 def test_finite_basis_stops_at_its_first_empty_degree(monkeypatch):
