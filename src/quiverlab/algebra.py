@@ -324,8 +324,11 @@ class GradedBasis:
         quiver, bits = self.quiver, self._bits
         outgoing = {v: [(quiver.arrow_index(a.name), a.target) for a in quiver.arrows_from(v)]
                     for v in quiver.vertices}
-        # relations have positive degree, so every idempotent is standard
-        self._std.append({1 << bits | i: (v, v) for i, v in enumerate(quiver.vertices)})
+        # relations have positive degree, so every idempotent is standard; the
+        # tables share one (source, target) tuple per pair, made as it first occurs
+        pairs: dict[tuple[str, str], tuple[str, str]] = {}
+        self._std.append({1 << bits | i: pairs.setdefault((v, v), (v, v))
+                          for i, v in enumerate(quiver.vertices)})
         self._pivots.append({})
         for d in range(1, self.cutoff + 1):
             # a candidate is a standard key plus one arrow index, with its
@@ -336,18 +339,10 @@ class GradedBasis:
             span = SpanBuilder()
             for row in self._relation_rows(d):
                 span.add(row)
-            pivots = span.pivots
-            # every tail key is below its lead, so the tails a lead draws on
-            # are already rewritten over standard keys when it comes up
-            for lead in sorted(pivots):
-                tail = pivots[lead]
-                out = {t: c for t, c in tail.items() if t not in pivots}
-                for t, c in tail.items():
-                    if t in pivots:
-                        axpy(out, c, pivots[t])
-                pivots[lead] = out
+            pivots = span.resolve()
             self._pivots.append(pivots)
-            self._std.append({key: ends for key, ends in cands if key not in pivots})
+            self._std.append({key: pairs.setdefault(ends, ends)
+                              for key, ends in cands if key not in pivots})
             if not self._std[d]:
                 break   # no later degree has a candidate
         if not self._std[-1]:

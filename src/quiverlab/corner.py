@@ -12,11 +12,9 @@ output.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import AlgebraElement, GradedBasis, restrict_to_vertices
 from .errors import Record, VerificationError
-from .linalg import SpanBuilder, axpy, kernel_combos
+from .linalg import SpanBuilder, _kernel_combos, axpy
 from .quivers import Arrow, DimensionVector, Path, Quiver
 
 
@@ -238,63 +236,64 @@ def corner_presentation(corner: CornerGenerators,
         gen_paths[g.name] = g.path
     partition = {h: big.tag(h) for h in big.h_vertices}
     qh = Quiver(big.h_vertices, arrows, partition)
+    steps = [gen_paths[a.name].key[1:] for a in qh.arrows]   # ambient arrow indices
 
-    def ambient(word: Path) -> Path:
-        arrs: tuple[str, ...] = ()
-        for name in word.arrows:
-            arrs = arrs + gen_paths[name].arrows
-        return Path(big, word.base, arrs)
-
-    # arrow words by weight, each with its ambient coordinates, and the
-    # dependencies among each weight's words
-    words = [[(Path.idempotent(qh, h), {basis._pack((big.vertex_index(h),)): 1})
-              for h in qh.vertices]]
-    deps: list[list[dict[Path, Fraction]]] = [[]]
+    # arrow words by weight as (key over qh, target, ambient coordinates), and
+    # the dependencies among each weight's words as (source, target, combo)
+    starts = [{basis._pack((big.vertex_index(h),)): 1} for h in qh.vertices]
+    words = [[((i,), h, starts[i]) for i, h in enumerate(qh.vertices)]]
+    deps: list[list[tuple[str, str, dict]]] = [[]]
     relations: list[AlgebraElement] = []
     last = cutoff
     if basis.finite_dimensional:
         last = min(cutoff, basis.top_degree + max(weights.values(), default=0))
     for wd in range(1, last + 1):
         layer = []
-        for a in qh.arrows:
+        for ai, a in enumerate(qh.arrows):
             if weights[a.name] <= wd:
-                extension = gen_paths[a.name].key[1:]
-                for p, vec in words[wd - weights[a.name]]:
-                    if p.target == a.source:
-                        layer.append((p.extend(a), basis._extend(vec, extension)))
-        layer.sort(key=lambda word: word[0].key)
+                for key, target, vec in words[wd - weights[a.name]]:
+                    if target == a.source:
+                        layer.append((key + (ai,), a.target, basis._extend(vec, steps[ai])))
+        layer.sort(key=lambda word: word[0])
         words.append(layer)
-        combos = kernel_combos([vec for _, vec in layer])
+        combos = _kernel_combos([vec for _, _, vec in layer])
         dim = sum(1 for s, t in basis._table(wd).values() if s in h_set and t in h_set)
         if len(layer) - len(combos) != dim:
             raise VerificationError(
                 f"word evaluations in weighted degree {wd} have rank "
                 f"{len(layer) - len(combos)}, expected the corner dimension {dim}")
-        index = {p.key: i for i, (p, _) in enumerate(layer)}
+        # keys of one layer compare in layer order, so they key the ideal
         ideal = SpanBuilder()
         for xi, x in enumerate(qh.arrows):
             if weights[x.name] > wd:
                 continue
             first = (qh.vertex_index(x.source), xi)
-            for k in deps[wd - weights[x.name]]:
+            for source, target, k in deps[wd - weights[x.name]]:
                 # x*k: x acts after k; k*x: x acts first
-                ideal.add({index[p.key + (xi,)]: c
-                           for p, c in k.items() if p.target == x.source})
-                ideal.add({index[first + p.key[1:]]: c
-                           for p, c in k.items() if p.source == x.target})
-        deps.append([{layer[i][0]: c for i, c in combo.items()} for combo in combos])
-        # add takes combo over, which deps no longer needs
-        for combo, dep in zip(combos, deps[wd]):
-            if not ideal.add(combo):
+                if target == x.source:
+                    ideal.add({key + (xi,): c for key, c in k.items()})
+                if source == x.target:
+                    ideal.add({first + key[1:]: c for key, c in k.items()})
+        # a dependency's words share their endpoints: a word's coordinates are
+        # standard paths from its source to its target, and elimination never
+        # mixes two (source, target) blocks
+        deps.append([])
+        for combo in combos:
+            dep = {layer[i][0]: c for i, c in combo.items()}
+            key, target, _ = layer[next(iter(combo))]
+            deps[wd].append((qh.vertices[key[0]], target, dep))
+            if not ideal.add(dict(dep)):
                 continue
-            el = AlgebraElement(qh, dep)
             check: dict = {}
-            for p, c in el.terms.items():
-                axpy(check, c, basis._coords(ambient(p)))
+            for key, c in dep.items():
+                arrs = tuple(i for ai in key[1:] for i in steps[ai])
+                axpy(check, c, basis._extend(starts[key[0]], arrs))
             if check:
                 raise VerificationError(
                     "a found relation does not vanish in the ambient algebra")
-            relations.append(el)
+            relations.append(AlgebraElement(qh, {
+                Path(qh, qh.vertices[key[0]], tuple(arrows[ai].name for ai in key[1:])): c
+                for key, c in dep.items()}))
 
     return CornerPresentation(qh, weights, tuple(relations), gen_paths, cutoff,
                               f"truncated-at-{cutoff}")

@@ -76,10 +76,6 @@ class SpanBuilder:
     def rank(self) -> int:
         return len(self.pivots)
 
-    @property
-    def leads(self) -> list:
-        return list(self.pivots)
-
     def _eliminate(self, row: dict) -> dict:
         """``row``, reduced in place until its largest key is a nonzero non-lead."""
         pivots = self.pivots
@@ -97,13 +93,11 @@ class SpanBuilder:
     def _store(self, row: dict) -> None:
         """Record an eliminated nonzero row as the pivot of its largest key.
 
-        The row is taken over; a lead coefficient of 1 or -1 costs no division.
+        The row is taken over; a lead coefficient of -1 costs no division.
         """
         lead = max(row)
         c = row.pop(lead)
-        if c == 1:
-            row = {k: -v for k, v in row.items()}
-        elif c != -1:
+        if c != -1:
             ninv = _div(-1, c)
             row = {k: v * ninv for k, v in row.items()}
         self.pivots[lead] = row
@@ -122,26 +116,29 @@ class SpanBuilder:
     def contains(self, row: dict) -> bool:
         return not self._eliminate(dict(row))
 
-    def residue(self, row: dict) -> dict:
-        """Canonical representative of ``row`` modulo the span.
+    def resolve(self) -> dict:
+        """Rewrite every tail in place over keys that lead no pivot; returns ``pivots``.
 
-        Unlike :meth:`contains` this clears pivot keys everywhere in the
-        vector, not just in leading position.
+        Every tail key is below its lead, so in increasing lead order the
+        tails a lead draws on are already rewritten when it comes up.
         """
-        out = {k: c for k, c in row.items() if c}
-        while True:
-            hits = [k for k in out if k in self.pivots]
-            if not hits:
-                return out
-            hit = max(hits)
-            axpy(out, out.pop(hit), self.pivots[hit])
+        pivots = self.pivots
+        for lead in sorted(pivots):
+            tail = pivots[lead]
+            out = {t: c for t, c in tail.items() if t not in pivots}
+            for t, c in tail.items():
+                if t in pivots:
+                    axpy(out, c, pivots[t])
+            pivots[lead] = out
+        return pivots
 
 
-def kernel_combos(vectors: Sequence[dict]) -> list[dict[int, Fraction]]:
+def _kernel_combos(vectors: Sequence[dict]) -> list[dict]:
     """Linear dependencies among the given sparse vectors.
 
-    Returns one ``{index: Fraction}`` dict per dependency, in discovery
-    order; each expresses a vanishing combination of the inputs.
+    Returns one ``{index: coefficient}`` dict per dependency, in discovery
+    order, with whole coefficients as ``int``; each expresses a vanishing
+    combination of the inputs.
     """
     # Vector i carries (0, i) below its own keys, wrapped as (1, k); a row
     # eliminated down to (0, .) keys alone is a dependency, not a pivot.
@@ -154,8 +151,13 @@ def kernel_combos(vectors: Sequence[dict]) -> list[dict[int, Fraction]]:
         if max(row)[0]:
             span._store(row)
         else:
-            out.append({k[1]: _fraction(c) for k, c in row.items()})
+            out.append({k[1]: c if type(c) is int else _scalar(c) for k, c in row.items()})
     return out
+
+
+def kernel_combos(vectors: Sequence[dict]) -> list[dict[int, Fraction]]:
+    """``_kernel_combos`` with ``Fraction`` coefficients."""
+    return [{i: _fraction(c) for i, c in combo.items()} for combo in _kernel_combos(vectors)]
 
 
 def _columns(rows: Sequence[Sequence], ncols: int) -> list[dict]:

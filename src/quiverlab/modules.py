@@ -175,7 +175,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
     identification (p*l) tensor w = p tensor (l*w) is imposed degreewise.  The
     loop stops once the per-vertex dimensions are unchanged and no symbol
     survives for k_top_degree + 2 consecutive degrees, then arrow actions are
-    read off by residues.  The result is post-verified: ambient relations,
+    read off resolved pivots.  The result is post-verified: ambient relations,
     H-dimensions, the sufficient dimension bound, and fingerprint equality of
     its corner restriction with V_H — any failure raises VerificationError,
     and reaching the basis cutoff first raises BudgetExceeded.
@@ -232,6 +232,7 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
             f"induction dimensions did not stabilize within degree {basis.cutoff}")
 
     survivors.sort()
+    pivots = span.resolve()   # every tail over survivors alone
     by_vertex: dict[str, list[tuple]] = {v: [] for v in quiver.vertices}
     for key in survivors:
         by_vertex[symbols[key]].append(key)
@@ -245,9 +246,11 @@ def induce_module(v_h: ModuleRep, pres: CornerPresentation,
         step = (quiver.arrow_index(a.name),)
         for col, key in enumerate(by_vertex[a.source]):
             d, pkey, j = key
-            vec = {(d + 1, qkey, j): c
-                   for qkey, c in basis._extend({pkey: 1}, step).items()}
-            for rkey, c in span.residue(vec).items():
+            column: dict = {}
+            for qkey, c in basis._extend({pkey: 1}, step).items():
+                rkey = (d + 1, qkey, j)   # a lead reads as its tail
+                axpy(column, c, pivots.get(rkey, {rkey: 1}))
+            for rkey, c in column.items():
                 data[index[rkey]][col] = _fraction(c)
         matrices[a.name] = Mat(rows, cols, tuple(tuple(r) for r in data))
 

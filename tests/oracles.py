@@ -518,6 +518,25 @@ class ReferenceRewriteSpan:
     def add(self, row: dict) -> None:
         reference_insert_row(self.pivots, row)
 
+    def resolve(self) -> dict:
+        """Each rule's tail with every lead in it substituted by its own
+        resolved tail, recursively, so only keys that lead no rule remain."""
+        done: dict = {}
+
+        def resolved(lead):
+            if lead not in done:
+                out: dict = {}
+                for k, c in self.pivots[lead].items():
+                    for t, v in (resolved(k) if k in self.pivots else {k: 1}).items():
+                        out[t] = out.get(t, 0) + c * v
+                done[lead] = {t: v for t, v in out.items() if v}
+            return done[lead]
+
+        for lead in self.pivots:
+            resolved(lead)
+        self.pivots.update(done)
+        return self.pivots
+
 
 # -- quotient algebras by brute force -------------------------------------------
 
@@ -1080,7 +1099,8 @@ def reference_corner_presentation(corner: CornerGenerators,
 #
 # The induction loop as it stood with per-vertex symbol totals, pivot
 # counts read off each new pivot and a rescan of the last degrees for
-# survivors.  Kept as the reference that the one survivor list must match.
+# survivors.  Kept as the reference that the one survivor list must match;
+# it eliminates with ReferenceSpanBuilder and reads columns off its residues.
 
 
 def reference_induce_module(v_h: ModuleRep, pres: CornerPresentation,
@@ -1112,7 +1132,7 @@ def reference_induce_module(v_h: ModuleRep, pres: CornerPresentation,
     h_set = frozenset(quiver.h_vertices)
     window = corner.k_top_degree + 2
 
-    span = SpanBuilder()
+    span = ReferenceSpanBuilder()
     symbol_target: dict[tuple, str] = {}
     total_by_vertex = {v: 0 for v in quiver.vertices}
     pivot_by_vertex = {v: 0 for v in quiver.vertices}
@@ -1127,7 +1147,7 @@ def reference_induce_module(v_h: ModuleRep, pres: CornerPresentation,
 
     def add_row(row: dict) -> None:
         if span.add(row):
-            lead = next(reversed(span.pivots))
+            lead = span._leads[-1]
             pivot_by_vertex[symbol_target[lead]] += 1
 
     enumerate_degree(0)
@@ -1160,7 +1180,7 @@ def reference_induce_module(v_h: ModuleRep, pres: CornerPresentation,
         if d >= window:
             stable = all(history[-1] == history[-1 - i] for i in range(1, window + 1))
             tail_clear = not any(
-                key not in span.pivots
+                key not in span._pivots
                 for key in symbol_target if d - window < key[0] <= d)
             if stable and tail_clear:
                 stopped_at = d
@@ -1169,7 +1189,7 @@ def reference_induce_module(v_h: ModuleRep, pres: CornerPresentation,
         raise BudgetExceeded(
             f"induction dimensions did not stabilize within degree {basis.cutoff}")
 
-    survivors = sorted(k for k in symbol_target if k not in span.pivots)
+    survivors = sorted(k for k in symbol_target if k not in span._pivots)
     by_vertex: dict[str, list[tuple]] = {v: [] for v in quiver.vertices}
     for key in survivors:
         by_vertex[symbol_target[key]].append(key)

@@ -16,8 +16,8 @@ from quiverlab.corner import (
     corner_presentation,
     sufficient_dimension_bound,
 )
-from quiverlab.linalg import SpanBuilder, kernel_combos
-from quiverlab.quivers import Arrow, DimensionVector, Quiver, build_doubled_dynkin
+from quiverlab.linalg import SpanBuilder, _kernel_combos
+from quiverlab.quivers import Arrow, DimensionVector, Path, Quiver, build_doubled_dynkin
 
 from conftest import random_quotient
 from oracles import (kleinian_z2_dims, reference_bimodule_generators,
@@ -248,6 +248,24 @@ def test_presentation_framed_a1(framed_a1_corner):
         assert all("ι" not in p.arrows for p in r.terms)
 
 
+def test_presentation_builds_a_path_only_per_relation_term(monkeypatch):
+    """Words are walked as keys: the only Paths built are the terms of the
+    relations handed out (the 4,382 words at cutoff 14 build none)."""
+    q, rels = framed_affine_preprojective("A", 1)
+    corner = corner_generators(graded_basis(q, rels, 14))
+    built = []
+    real = Path.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "__init__", counting)
+    pres = corner_presentation(corner)
+    monkeypatch.undo()
+    assert len(built) == sum(len(r.terms) for r in pres.relations) == 8
+
+
 def test_presentation_relations_vanish_in_ambient(framed_a1, framed_a1_corner):
     _, _, basis = framed_a1
     _, _, pres = framed_a1_corner
@@ -348,13 +366,13 @@ def test_finite_presentation_stops_past_the_top_degree_and_largest_weight(
         name, walked, monkeypatch):
     corner = _finite_corner(name, 10_000)
     layers = []
-    real = kernel_combos
+    real = _kernel_combos
 
     def counting(rows):
         layers.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr("quiverlab.corner.kernel_combos", counting)
+    monkeypatch.setattr("quiverlab.corner._kernel_combos", counting)
     pres = corner_presentation(corner)
     monkeypatch.undo()
     # one word layer per weight, up to the top degree plus the largest weight

@@ -18,7 +18,7 @@ from quiverlab import linalg
 from quiverlab.algebra import (AlgebraElement, cocenter, framed_affine_preprojective,
                                graded_basis, preprojective_relations)
 from quiverlab.corner import bimodule_generators, corner_generators, corner_presentation
-from quiverlab.linalg import Mat, SpanBuilder, _div, kernel_combos, nullspace
+from quiverlab.linalg import Mat, SpanBuilder, _div, _kernel_combos, kernel_combos, nullspace
 from quiverlab.modules import (ModuleRep, generated_by_framing, induce_module,
                                module_from_json, random_extension, zero_module)
 from quiverlab.polynomials import (PolyRing, Polynomial, _reduce, buchberger,
@@ -278,6 +278,32 @@ def test_corner_rows_and_presentation(kind, rank, cutoff, span_rows):
                      "presentation relations")
 
 
+def test_presentation_ideal_rows_are_whole(monkeypatch):
+    # the CLI bench's corner-present: the dependencies and the x*k and k*x
+    # rows built from them are whole (25,104 values at cutoff 14), so the
+    # ideal's elimination spends no Fraction arithmetic
+    quiver, rels = framed_affine_preprojective("A", 1)
+    corner = corner_generators(graded_basis(quiver, rels, 14))
+    rows = []
+    add = SpanBuilder.add
+
+    def watched_add(self, row):
+        rows.append(dict(row))
+        return add(self, row)
+
+    monkeypatch.setattr(SpanBuilder, "add", watched_add)
+    pres = corner_presentation(corner)
+    monkeypatch.undo()
+    values = [c for row in rows for c in row.values()]
+    assert values
+    bad = [c for c in values if type(c) is not int]
+    assert not bad, bad[:5]
+    # each row is keyed by words: a side that does not compose adds no row
+    qh = pres.quiver
+    for key in {key for row in rows for key in row}:
+        Path(qh, qh.vertices[key[0]], tuple(qh.arrows[i].name for i in key[1:]))
+
+
 def test_induced_modules_and_framing_generation(span_rows):
     # criterion 11's V_H (seeds 7000-7009) and the bench's (seed 0), then
     # criterion 12's fixture modules
@@ -370,6 +396,10 @@ def test_kernels_and_inverses_hand_out_fractions():
     combos = kernel_combos([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 3}, {0: 1}])
     assert combos == [{0: -2, 1: 1}, {0: -1, 2: F(2, 3), 3: 1}]
     assert_fractions((c for combo in combos for c in combo.values()), "kernel_combos")
+    # the private combos keep the library's scalars: ints where whole
+    inner = _kernel_combos([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 3}, {0: 1}])
+    assert inner == combos
+    assert [[type(c) for c in combo.values()] for combo in inner] == [[int, int], [int, F, int]]
     basis = nullspace([[1, 2, 3], [2, 4, 6]], 3)
     assert basis == [[-2, 1, 0], [-3, 0, 1]]
     assert_fractions((c for vec in basis for c in vec), "nullspace")
