@@ -244,6 +244,21 @@ def framed_affine_preprojective(kind: str, rank: int) -> tuple[Quiver, RelationS
 # -- graded bases ------------------------------------------------------------
 
 
+def _step(pivots: Mapping[int, Mapping[int, Fraction]], std: Mapping[int, tuple[str, str]],
+          key: int) -> Mapping[int, Fraction] | None:
+    """Coordinates of ``key``, a standard key with one arrow index appended,
+    read off its degree's pivots and standard table.
+
+    A pivot reads as its tail, which is shared with the pivots (read it, or
+    copy it before changing it), and a standard key as itself; None means
+    the arrow does not compose with the path.
+    """
+    tail = pivots.get(key)
+    if tail is None and key in std:
+        return {key: 1}
+    return tail
+
+
 class GradedBasis:
     """Degreewise monomial basis and normal form data for a quotient algebra.
 
@@ -270,6 +285,13 @@ class GradedBasis:
     compare as their tuples do.  Each degree's table maps a standard key to
     its path's (source, target) names; a ``Path`` is built only when one is
     handed out, and ``coords`` and ``extend`` take ``Path.key`` tuples.
+
+    One step rule, ``_step``, reads a standard key with one arrow appended
+    off that degree's pivots and table: a pivot as its tail, a standard key
+    as itself.  A relation term one arrow past s (all but its last arrow)
+    is one such read, whose tail the row builder writes into the row in
+    place, shifted by the last arrow; ``_extend`` walks vectors and longer
+    words through the same rule.
 
     If some degree turns out empty the build stops there, since no candidates
     can ever reappear: the algebra is flagged finite-dimensional,
@@ -351,6 +373,7 @@ class GradedBasis:
 
     def _relation_rows(self, d: int):
         bits = self._bits
+        pivots, std = self._pivots[d - 1], self._std[d - 1]
         for source, e, terms in self._relation_terms:
             if e > d:
                 continue
@@ -359,8 +382,18 @@ class GradedBasis:
                     continue
                 row: dict[int, Fraction] = {}
                 for c, arrows, last in terms:
-                    axpy(row, c, {m << bits | last: cm
-                                  for m, cm in self._extend({s_key: 1}, arrows).items()})
+                    # s times the term's arrows but the last, in degree d - 1
+                    vec = (_step(pivots, std, s_key << bits | arrows[0]) if len(arrows) == 1
+                           else self._extend({s_key: 1}, arrows))
+                    for m, cm in vec.items():
+                        key = m << bits | last
+                        v = row.get(key)
+                        if v is None:
+                            row[key] = c * cm
+                        elif v := v + c * cm:
+                            row[key] = v
+                        else:
+                            del row[key]
                 if row:
                     yield row
 
@@ -406,15 +439,11 @@ class GradedBasis:
             return {}
         for ai in arrows:
             d += 1
-            std, pivots = self._std[d], self._pivots[d]
+            pivots, std = self._pivots[d], self._std[d]
             out: dict[int, Fraction] = {}
             for m, c in vec.items():
-                key = m << bits | ai
-                if key in pivots:
-                    tail = pivots[key]
-                elif key in std:
-                    tail = {key: 1}
-                else:
+                tail = _step(pivots, std, m << bits | ai)
+                if tail is None:
                     continue
                 if c == 1 and len(vec) == 1:
                     out = tail
@@ -539,8 +568,13 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
     and a path y = ay' that is not a cycle already equals [a, y'].  So the
     rows ay - ya over arrows a and basis paths y of degree d - 1 span it:
     #arrows * dim(d - 1) rows, not one per basis pair of complementary
-    degrees.  Each y.a is y's prefix times a, kept from degree d - 1, with
-    y's last arrow applied, so every row takes two single-arrow steps.
+    degrees.  Only arrows that compose with y on some side give a row, so
+    each y visits the arrows out of its target and into its source.  Each
+    a.y is one read of the basis tables (``_step``), and each y.a is y's
+    prefix times a, kept from degree d - 1, with y's last arrow applied, so
+    every row takes two single-arrow steps.  The rows span at most degree
+    d's standard paths, so once the span has that rank the remaining rows
+    are skipped; the y.a are still kept for the next degree.
     Representatives are the standard basis paths whose coordinates complete
     that span.  Past the top degree of a finite-dimensional algebra every
     degree is empty, so from top degree + 2 on nothing is computed.
@@ -551,32 +585,40 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
     if not 0 <= cutoff <= basis.cutoff:
         raise ValueError(f"cocenter cutoff {cutoff} is outside 0..{basis.cutoff}")
     last = min(cutoff, basis.top_degree + 1) if basis.finite_dimensional else cutoff
-    # each arrow's endpoints, its source's idempotent key and its index
+    # per vertex, the arrows out of it (index, target) and into it (index,
+    # source, the source's idempotent key)
     quiver, bits = basis.quiver, basis._bits
-    arrows = [(a.source, a.target, 1 << bits | quiver.vertex_index(a.source),
-               quiver.arrow_index(a.name)) for a in quiver.arrows]
+    out_of: dict[str, list[tuple[int, str]]] = {v: [] for v in quiver.vertices}
+    into: dict[str, list[tuple[int, str, int]]] = {v: [] for v in quiver.vertices}
+    for ai, a in enumerate(quiver.arrows):
+        out_of[a.source].append((ai, a.target))
+        into[a.target].append((ai, a.source, 1 << bits | quiver.vertex_index(a.source)))
     dims = []
     reps = []
     # the previous degree's y.a, y's prefix times a, by y's packed key with
     # a's index appended
     prefix_a: dict[int, Mapping[int, Fraction]] = {}
     for d in range(last + 1):
+        table, pivots = basis._std[d], basis._pivots[d]
         span = SpanBuilder()
         y_a: dict[int, Mapping[int, Fraction]] = {}
         for y_key, (y_source, y_target) in basis._table(d - 1).items() if d else ():
             prefix, y_last = y_key >> bits, y_key & (1 << bits) - 1
-            for source, target, base, ai in arrows:
-                # a.y: a acts after y; y.a: a acts first
-                row = dict(basis._extend({y_key: 1}, (ai,))) if source == y_target else {}
+            for ai, source, base in into[y_source]:   # y.a: a acts first
+                ya = y_a[y_key << bits | ai] = (
+                    basis._extend(prefix_a[prefix << bits | ai], (y_last,)) if d > 1
+                    else _step(pivots, table, base << bits | ai))
+                if source != y_target and ya and span.rank < len(table):
+                    span.add(dict(ya))
+            for ai, target in out_of[y_target]:   # a.y: a acts after y
+                if span.rank == len(table):
+                    break
+                row = dict(_step(pivots, table, y_key << bits | ai))
                 if target == y_source:
-                    ya = y_a[y_key << bits | ai] = (
-                        basis._extend(prefix_a[prefix << bits | ai], (y_last,)) if d > 1
-                        else basis._extend({base: 1}, (ai,)))
-                    axpy(row, -1, ya)
+                    axpy(row, -1, y_a[y_key << bits | ai])
                 if row:
                     span.add(row)
         prefix_a = y_a
-        table = basis._table(d)
         degree_reps = tuple(basis._path(key) for key in table if key not in span.pivots)
         dims.append(len(table) - span.rank)
         reps.append(degree_reps)

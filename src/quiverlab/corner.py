@@ -61,9 +61,11 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
     every standard path from H into ``cand_targets`` that ``SpanBuilder.add``
     says enlarged the span is retained, in key order, and named by its arrow
     or by ``letter`` and a count.  The span must then be all of the standard
-    paths from H into ``span_targets``.  A finite-dimensional basis is walked
-    only to its first empty degree: past it every block is empty and the
-    span check reads 0 = 0.
+    paths from H into ``span_targets``.  Products and candidates lie among
+    those paths, so once the span's rank is their count every later product
+    row and candidate is redundant and is skipped.  A finite-dimensional
+    basis is walked only to its first empty degree: past it every block is
+    empty and the span check reads 0 = 0.
     """
     if basis.finite_dimensional:
         degrees = range(degrees.start, min(degrees.stop, basis.top_degree + 2))
@@ -71,16 +73,20 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
     blocks = [[(key, t) for key, (s, t) in basis._table(e).items()
                if s in h_set and t in h_set] for e in range(degrees.stop)]
     for d in degrees:
-        builder = SpanBuilder()
-        for gen in retained:
-            arrows = gen.path.key[1:]
-            for key, target in blocks[d - gen.degree]:
-                if target == gen.source:
-                    # _extend may hand back a pivot tail, which add would change
-                    builder.add(dict(basis._extend({key: 1}, arrows)))
         from_h = [(key, t) for key, (s, t) in basis._table(d).items() if s in h_set]
+        expected = sum(1 for _, target in from_h if target in span_targets)
+        builder = SpanBuilder()
+        products = ((key, gen.path.key[1:]) for gen in retained
+                    for key, target in blocks[d - gen.degree] if target == gen.source)
+        for key, arrows in products:
+            if builder.rank == expected:
+                break
+            # _extend may hand back a pivot tail, which add would change
+            builder.add(dict(basis._extend({key: 1}, arrows)))
         if d <= top:
             for key, target in from_h:
+                if builder.rank == expected:
+                    break
                 if target not in cand_targets or not builder.add({key: 1}):
                     continue
                 cand = basis._path(key)
@@ -88,7 +94,6 @@ def _retain(basis: GradedBasis, retained: list[CornerGenerator],
                         f"{letter}{sum(1 for g in retained if g.path.length > 1) + 1}")
                 retained.append(CornerGenerator(
                     name, cand, d, cand.source, cand.target))
-        expected = sum(1 for _, target in from_h if target in span_targets)
         if builder.rank != expected:
             raise VerificationError(
                 f"{what} generators span only {builder.rank} of {expected} "
@@ -212,7 +217,10 @@ def corner_presentation(corner: CornerGenerators,
     Every dependency of lower weight lies in that ideal, and a product with
     a nonempty factor on either side of a relation factors through one
     generator, so in weight wd the ideal is spanned by x*k and k*x over
-    generators x and dependencies k of weight wd - weight(x).  Every kept
+    generators x and dependencies k of weight wd - weight(x).  The ideal
+    lies in the span of the weight's dependencies, so once its rank is their
+    number the remaining rows are skipped, and so are the membership tests
+    of the dependencies, none of which is then new.  Every kept
     relation is re-evaluated in the ambient algebra (it must vanish) and the
     word-space ranks must agree with the corner's graded dimensions.  On a
     finite-dimensional basis the weights stop at its top degree plus the
@@ -270,9 +278,9 @@ def corner_presentation(corner: CornerGenerators,
             first = (qh.vertex_index(x.source), xi)
             for source, target, k in deps[wd - weights[x.name]]:
                 # x*k: x acts after k; k*x: x acts first
-                if target == x.source:
+                if target == x.source and ideal.rank < len(combos):
                     ideal.add({key + (xi,): c for key, c in k.items()})
-                if source == x.target:
+                if source == x.target and ideal.rank < len(combos):
                     ideal.add({first + key[1:]: c for key, c in k.items()})
         # a dependency's words share their endpoints: a word's coordinates are
         # standard paths from its source to its target, and elimination never
@@ -282,7 +290,7 @@ def corner_presentation(corner: CornerGenerators,
             dep = {layer[i][0]: c for i, c in combo.items()}
             key, target, _ = layer[next(iter(combo))]
             deps[wd].append((qh.vertices[key[0]], target, dep))
-            if not ideal.add(dict(dep)):
+            if ideal.rank == len(combos) or not ideal.add(dict(dep)):
                 continue
             check: dict = {}
             for key, c in dep.items():

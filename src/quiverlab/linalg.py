@@ -9,7 +9,6 @@ to ``Fraction`` on the way out (``_fraction``).
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -178,27 +177,6 @@ def nullspace(matrix: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
             vec[j] = c
         basis.append(vec)
     return basis
-
-
-def primitive_kernel_vector(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """The primitive integer vector with positive entries spanning ker(M).
-
-    Raises ValueError unless the kernel is one-dimensional with a strictly
-    positive spanning vector.  ``nullspace``'s vector is 1 at its dependent
-    column, so a sign-definite kernel comes out positive with no flip.
-    """
-    n = len(matrix[0]) if matrix else 0
-    basis = nullspace(matrix, n)
-    if len(basis) != 1:
-        raise ValueError(f"kernel is {len(basis)}-dimensional, expected 1")
-    vec = basis[0]
-    denom = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    if any(x <= 0 for x in ints):
-        raise ValueError("kernel vector is not sign-definite")
-    return ints
 
 
 class Mat(Record):

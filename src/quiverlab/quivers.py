@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import Record
-from .linalg import primitive_kernel_vector
 
 TAGS = ("F", "J", "K")
 
@@ -415,9 +414,26 @@ def affine_cartan_matrix(kind: str, rank: int) -> list[list[int]]:
     return mat
 
 
+# delta of the affine E diagrams over vertices 0..rank, labelled as in _affine_edges
+_E_DELTA = {6: (1, 1, 2, 2, 3, 2, 1), 7: (1, 2, 2, 3, 4, 3, 2, 1),
+            8: (1, 2, 3, 4, 6, 5, 4, 3, 2)}
+
+
 def delta(kind: str, rank: int) -> DimensionVector:
-    """Primitive positive generator of the affine Cartan matrix kernel."""
-    vec = primitive_kernel_vector(affine_cartan_matrix(kind, rank))
+    """Primitive positive generator of the affine Cartan matrix kernel.
+
+    Each type's closed form, in linear time: all ones around the cycle of
+    type A; 1 at the four leaves 0, 1, rank - 1 and rank of type D and 2 on
+    the chain between them; for type E, 1 at vertex 0 and the highest root's
+    coefficients elsewhere.
+    """
+    _finite_edges(kind, rank)   # refuses an unknown type or rank
+    if kind == "A":
+        vec = (1,) * (rank + 1)
+    elif kind == "D":
+        vec = (1, 1) + (2,) * (rank - 3) + (1, 1)
+    else:
+        vec = _E_DELTA[rank]
     return DimensionVector({str(i): v for i, v in enumerate(vec)})
 
 

@@ -9,6 +9,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from quiverlab.algebra import (AlgebraElement, RelationSet, framed_affine_preprojective,
                                graded_basis, preprojective_relations)
 from quiverlab.corner import bimodule_generators, corner_generators, corner_presentation
+from quiverlab.linalg import SpanBuilder
 from quiverlab.polynomials import buchberger
 from quiverlab.quivers import Arrow, Path, Quiver, build_doubled_dynkin, delta_k
 from quiverlab.repscheme import RepCoordinates, rep_ideal
@@ -25,6 +26,28 @@ def framing_loop_quiver() -> Quiver:
 def two_loop_quiver() -> Quiver:
     """One gauged vertex with two loops: cycles that repeat arrows in any order."""
     return Quiver(["0"], [Arrow("x", "0", "0"), Arrow("y", "0", "0")], {"0": "K"})
+
+
+@pytest.fixture
+def record_spans(monkeypatch):
+    """``record(module)`` swaps the module's SpanBuilder for one that keeps
+    every add's answer, and returns the list of spans it makes."""
+    def record(module: str) -> list:
+        spans = []
+
+        class Recording(SpanBuilder):
+            def __init__(self):
+                super().__init__()
+                self.answers = []
+                spans.append(self)
+
+            def add(self, row):
+                self.answers.append(super().add(row))
+                return self.answers[-1]
+
+        monkeypatch.setattr(f"quiverlab.{module}.SpanBuilder", Recording)
+        return spans
+    return record
 
 
 def random_quotient(rng):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverlab import algebra
 from quiverlab.algebra import (
     AlgebraElement,
     GradedBasis,
@@ -26,6 +27,8 @@ from quiverlab.quivers import (
     build_doubled_affine_dynkin,
     build_doubled_dynkin,
 )
+
+from quiverlab.repscheme import build_astar
 
 from conftest import random_quotient, random_relations
 from oracles import (BruteForceQuotient, ReferenceRewriteSpan, all_pairs_cocenter,
@@ -274,7 +277,47 @@ def brute_force(q, rels, cutoff):
 def test_graded_basis_matches_brute_force_quotient(seed):
     rng = random.Random(seed)
     q, rels = random_quotient(rng)
-    cutoff = 5
+    assert_matches_brute_force(q, rels, 5, rng)
+
+
+def _loops(*names):
+    return Quiver(["1"], [Arrow(n, "1", "1") for n in names])
+
+
+def _word(q, *arrows):
+    return AlgebraElement.from_path(Path(q, "1", arrows))
+
+
+def _row_builder_case(case):
+    if case == "length 1":
+        # build_astar's relations kill single arrows
+        q, rels = framed_affine_preprojective("A", 1)
+        return q, build_astar(q, rels)
+    if case == "length 3":
+        q = _loops("x", "y")
+        return q, RelationSet(q, [_word(q, "x", "x", "y") - _word(q, "y", "y", "x").scale(2)])
+    # the first relation makes the words u and v one standard path, so in
+    # the rows of the others the entries of u.z and v.z merge, into 4 times
+    # one entry and into none; u and v are one step from a standard path,
+    # or two
+    q = _loops("w", "x", "y", "z")
+    u, v, w = ((("x",), ("y",), ("w",)) if case == "shared last arrow"
+               else (("x", "y"), ("y", "x"), ("w", "w")))
+    return q, RelationSet(q, [_word(q, *u) - _word(q, *v),
+                              _word(q, *u, "z") + _word(q, *v, "z").scale(3) + _word(q, *w, "z"),
+                              _word(q, *u, "z") - _word(q, *v, "z") + _word(q, *w, "w")])
+
+
+@pytest.mark.parametrize("case", ["length 1", "length 3", "shared last arrow",
+                                  "shared last arrow after two"])
+def test_relation_rows_match_brute_force_quotient(case):
+    """The row builder's general path: relation terms that are not one step
+    from a standard path, and terms whose shifted tails share keys."""
+    q, rels = _row_builder_case(case)
+    assert_matches_brute_force(q, rels, 5, random.Random(case))
+
+
+def assert_matches_brute_force(q, rels, cutoff, rng):
     gb = graded_basis(q, rels, cutoff)
     oracle = brute_force(q, rels, cutoff)
     assert gb.dimensions == [oracle.dimension(d) for d in range(cutoff + 1)]
@@ -553,18 +596,37 @@ def test_cocenter_takes_one_arrow_step_per_product(case, monkeypatch):
         gb = graded_basis(q, rels, 5)
     want = all_pairs_cocenter(gb, gb.top_degree if gb.finite_dimensional else gb.cutoff)
     steps = []
-    real = GradedBasis._extend
+    real_extend, real_step = GradedBasis._extend, algebra._step
 
-    def recording(self, vec, arrows):
+    def extending(self, vec, arrows):
         steps.append(len(arrows))
-        return real(self, vec, arrows)
+        return real_extend(self, vec, arrows)
 
-    monkeypatch.setattr(GradedBasis, "_extend", recording)
+    def stepping(pivots, std, key):   # a table read is one step
+        steps.append(1)
+        return real_step(pivots, std, key)
+
+    monkeypatch.setattr(GradedBasis, "_extend", extending)
+    monkeypatch.setattr(algebra, "_step", stepping)
     cc = cocenter(gb)
     assert steps and max(steps) <= 1
     assert cc.degree_dims == want[0]
     assert ([[p.text() for p in r] for r in cc.representatives]
             == [[p.text() for p in r] for r in want[1]])
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 4), ("D", 5), ("E", 6)])
+def test_cocenter_stops_each_degree_once_its_span_is_full(kind, rank, record_spans):
+    """A finite type's cocenter is degree 0 alone, so every later degree's
+    rows span its whole table; once they do, no row is added, and the last
+    add of each degree enlarges the span."""
+    q = build_doubled_dynkin(kind, rank)
+    gb = graded_basis(q, preprojective_relations(q), 2 * rank + 4)
+    spans = record_spans("algebra")
+    cc = cocenter(gb)
+    assert cc.degree_dims == (rank,) + (0,) * gb.top_degree
+    assert len(spans) == gb.top_degree + 1
+    assert all(span.answers[-1] for span in spans[1:])
 
 
 def test_cocenter_of_two_free_loops_counts_necklaces():

@@ -189,6 +189,45 @@ def test_searches_ask_the_span_once_per_row(framed_a1, monkeypatch):
     assert_same_presentation(corner_presentation(corner, cutoff=8), ref_pres)
 
 
+@pytest.mark.parametrize("kind, rank, cutoff", [("A", 1, 14), ("A", 2, 12), ("D", 4, 14)])
+def test_searches_stop_once_their_span_is_full(kind, rank, cutoff, record_spans):
+    """Each degree's span must reach the standard paths it is checked
+    against; once it does, no product row or candidate is added, so the
+    last add of every degree enlarges the span."""
+    q, rels = framed_affine_preprojective(kind, rank)
+    basis = graded_basis(q, rels, cutoff)
+    ref = reference_corner_generators(basis)
+    ref_bimod = reference_bimodule_generators(ref)
+    spans = record_spans("corner")
+    corner = corner_generators(basis)
+    assert corner == ref
+    assert bimodule_generators(corner) == ref_bimod
+    assert len(spans) == 2 * cutoff + 1
+    assert all(span.answers[-1] for span in spans if span.answers)
+
+
+def test_presentation_ideal_stops_once_it_is_the_kernel(record_spans):
+    """The lower-weight ideal lies in each weight's kernel: once its rank is
+    the kernel's dimension, no x*k or k*x row and no dependency is added.
+    On framed A~1 at cutoff 14 that leaves 7,312 of the 12,552 adds."""
+    q, rels = framed_affine_preprojective("A", 1)
+    corner = corner_generators(graded_basis(q, rels, 14))
+    spans = record_spans("corner")
+    pres = corner_presentation(corner)
+    assert_same_presentation(pres, reference_corner_presentation(corner))
+    assert sum(len(span.answers) for span in spans) == 7312
+    assert all(span.answers[-1] for span in spans if span.answers)
+
+
+def test_presentation_matches_the_reference_loop_to_cutoff_18():
+    """Weights 15-18 add no relation: the ideal absorbs every dependency."""
+    q, rels = framed_affine_preprojective("A", 1)
+    corner = corner_generators(graded_basis(q, rels, 18))
+    for cutoff in (14, 18):
+        assert_same_presentation(corner_presentation(corner, cutoff),
+                                 reference_corner_presentation(corner, cutoff))
+
+
 def test_search_refuses_a_short_span(framed_a1):
     _, _, basis = framed_a1
     h = frozenset(basis.quiver.h_vertices)

@@ -9,7 +9,7 @@ import pytest
 from quiverlab.algebra import (AlgebraElement, RelationSet, framed_affine_preprojective,
                                graded_basis, star_pairing)
 from quiverlab.corner import CornerPresentation
-from quiverlab.linalg import Mat, primitive_kernel_vector
+from quiverlab.linalg import Mat
 from quiverlab.modules import module_from_json
 from quiverlab.polynomials import PolyRing, buchberger
 from quiverlab.quivers import (Arrow, DimensionVector, Path, Quiver, StabilityVector,
@@ -98,8 +98,6 @@ CHECKS = [
      "shape mismatch in matrix product"),
     ("mat-trace", lambda: Mat.zero(1, 2).trace(), "trace of a non-square matrix"),
     ("mat-inverse", lambda: Mat.zero(1, 2).inverse(), "inverse of a non-square matrix"),
-    ("kernel-sign", lambda: primitive_kernel_vector([[1, 1]]),
-     "kernel vector is not sign-definite"),
     # calls across quivers or vertex sets
     ("basis-reduce", lambda: _loop_basis().reduce(AlgebraElement.idempotent(LINE, "0")),
      "element over a different quiver"),

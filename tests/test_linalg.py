@@ -1,9 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from quiverlab import linalg
 from quiverlab.linalg import (
     Mat,
     SpanBuilder,
@@ -12,11 +12,11 @@ from quiverlab.linalg import (
     block_upper,
     kernel_combos,
     nullspace,
-    primitive_kernel_vector,
 )
 
 from quiverlab.polynomials import Polynomial, PolyRing
-from quiverlab.quivers import DimensionVector, build_doubled_dynkin, delta
+from quiverlab.quivers import (DimensionVector, affine_cartan_matrix, build_doubled_dynkin,
+                               delta)
 from quiverlab.repscheme import RepCoordinates
 
 from oracles import (ReferenceSpanBuilder, reference_axpy, reference_dense_mul,
@@ -75,13 +75,6 @@ def test_kernel_combos_annihilate():
             for k, c in vectors[idx].items():
                 total[k] = total.get(k, F(0)) + coeff * c
         assert all(v == 0 for v in total.values())
-
-
-def test_primitive_kernel_vector_affine_a1():
-    # affine A1 Cartan matrix has kernel (1, 1)
-    assert primitive_kernel_vector([[2, -2], [-2, 2]]) == [1, 1]
-    with pytest.raises(ValueError):
-        primitive_kernel_vector([[1, 0], [0, 1], [0, 0]])
 
 
 def test_mat_mul_and_inverse():
@@ -285,12 +278,18 @@ def test_mat_inverse_matches_reference(seed):
             assert repr(a.inverse()) == repr(want)
 
 
-def test_delta_matches_the_dense_reference(monkeypatch):
-    types = [("A", r) for r in range(1, 9)] + [("D", r) for r in range(4, 9)]
+def test_delta_matches_the_dense_reference():
+    """Each type's closed form is the primitive positive vector spanning the
+    kernel of the dense affine Cartan matrix, vertex by vertex in order."""
+    types = [("A", r) for r in (*range(1, 9), 40)] + [("D", r) for r in (*range(4, 9), 40)]
     types += [("E", 6), ("E", 7), ("E", 8)]
-    got = [dict(delta(kind, rank)) for kind, rank in types]
-    monkeypatch.setattr(linalg, "nullspace", reference_nullspace)
-    assert got == [dict(delta(kind, rank)) for kind, rank in types]
+    for kind, rank in types:
+        (vec,) = reference_nullspace(affine_cartan_matrix(kind, rank), rank + 1)
+        ints = [int(x * math.lcm(*(y.denominator for y in vec))) for x in vec]
+        g = math.gcd(*ints)
+        want = [(str(i), x // g) for i, x in enumerate(ints)]
+        assert all(x > 0 for _, x in want)
+        assert list(delta(kind, rank).items()) == want
 
 
 # -- Mat over Fraction and Polynomial entries --------------------------------
