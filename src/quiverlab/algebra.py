@@ -564,20 +564,21 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
 
     Since [xy, z] = [x, yz] + [y, zx], induction on length shows that [A, A]
     in degree d is spanned by [e_i, y] and by [a, y] = ay - ya, for arrows a
-    and basis paths y.  [e_i, y] is 0 when y is a cycle and +-y otherwise,
-    and a path y = ay' that is not a cycle already equals [a, y'].  So the
-    rows ay - ya over arrows a and basis paths y of degree d - 1 span it:
-    #arrows * dim(d - 1) rows, not one per basis pair of complementary
-    degrees.  Only arrows that compose with y on some side give a row, so
-    each y visits the arrows out of its target and into its source.  Each
-    a.y is one read of the basis tables (``_step``), and each y.a is y's
-    prefix times a, kept from degree d - 1, with y's last arrow applied, so
-    every row takes two single-arrow steps.  The rows span at most degree
-    d's standard paths, so once the span has that rank the remaining rows
-    are skipped; the y.a are still kept for the next degree.
-    Representatives are the standard basis paths whose coordinates complete
-    that span.  Past the top degree of a finite-dimensional algebra every
-    degree is empty, so from top degree + 2 on nothing is computed.
+    and basis paths y of degree d - 1.  [e_i, y] is 0 when y is a cycle and
+    +-y otherwise, and a standard non-cycle p = ay' equals [a, y'], since
+    y'a does not compose.  Elimination never mixes (source, target) blocks,
+    so the cocenter is read off each degree's cycles (standard keys whose
+    source is their target), and the only rows that reach them are ay - ya
+    for an arrow a from y's target back to y's source: both products are
+    cycles.  So each y visits the arrows into its source.  Each a.y is one
+    read of the basis tables (``_step``), and each y.a is y's prefix times
+    a, kept from degree d - 1, with y's last arrow applied, so every row
+    takes two single-arrow steps.  Once the span has rank #cycles the
+    remaining rows are skipped; the y.a are still kept for the next degree.
+    Representatives are the cycles that lead no pivot; the set of leads
+    depends only on the span, not on the order of its rows.  Past the top
+    degree of a finite-dimensional algebra every degree is empty, so from
+    top degree + 2 on nothing is computed.
     """
     if cutoff is None:
         cutoff = basis.top_degree if basis.finite_dimensional else basis.cutoff
@@ -585,13 +586,10 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
     if not 0 <= cutoff <= basis.cutoff:
         raise ValueError(f"cocenter cutoff {cutoff} is outside 0..{basis.cutoff}")
     last = min(cutoff, basis.top_degree + 1) if basis.finite_dimensional else cutoff
-    # per vertex, the arrows out of it (index, target) and into it (index,
-    # source, the source's idempotent key)
+    # per vertex, the arrows into it (index, source, the source's idempotent key)
     quiver, bits = basis.quiver, basis._bits
-    out_of: dict[str, list[tuple[int, str]]] = {v: [] for v in quiver.vertices}
     into: dict[str, list[tuple[int, str, int]]] = {v: [] for v in quiver.vertices}
     for ai, a in enumerate(quiver.arrows):
-        out_of[a.source].append((ai, a.target))
         into[a.target].append((ai, a.source, 1 << bits | quiver.vertex_index(a.source)))
     dims = []
     reps = []
@@ -600,6 +598,7 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
     prefix_a: dict[int, Mapping[int, Fraction]] = {}
     for d in range(last + 1):
         table, pivots = basis._std[d], basis._pivots[d]
+        cycles = [key for key, (source, target) in table.items() if source == target]
         span = SpanBuilder()
         y_a: dict[int, Mapping[int, Fraction]] = {}
         for y_key, (y_source, y_target) in basis._table(d - 1).items() if d else ():
@@ -608,19 +607,14 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
                 ya = y_a[y_key << bits | ai] = (
                     basis._extend(prefix_a[prefix << bits | ai], (y_last,)) if d > 1
                     else _step(pivots, table, base << bits | ai))
-                if source != y_target and ya and span.rank < len(table):
-                    span.add(dict(ya))
-            for ai, target in out_of[y_target]:   # a.y: a acts after y
-                if span.rank == len(table):
-                    break
-                row = dict(_step(pivots, table, y_key << bits | ai))
-                if target == y_source:
-                    axpy(row, -1, y_a[y_key << bits | ai])
-                if row:
-                    span.add(row)
+                if source == y_target and span.rank < len(cycles):
+                    row = dict(_step(pivots, table, y_key << bits | ai))   # a.y: a acts after y
+                    axpy(row, -1, ya)
+                    if row:
+                        span.add(row)
         prefix_a = y_a
-        degree_reps = tuple(basis._path(key) for key in table if key not in span.pivots)
-        dims.append(len(table) - span.rank)
+        degree_reps = tuple(basis._path(key) for key in cycles if key not in span.pivots)
+        dims.append(len(cycles) - span.rank)
         reps.append(degree_reps)
         if len(degree_reps) != dims[-1]:
             raise VerificationError(

@@ -3,8 +3,11 @@
 Scalar policy: inside the library a coefficient is an ``int`` until a
 division does not come out whole, and only then a ``Fraction``.  ``_div`` is
 the one true division on coefficients, so no ``int / int`` ever makes a
-``float``.  Every public accessor that hands out a coefficient converts it
-to ``Fraction`` on the way out (``_fraction``).
+``float``.  Past such a division ``axpy`` keeps a whole product of two
+``Fraction``s as a ``Fraction``, in ``SpanBuilder`` pivot tails too; it
+compares and hashes as its ``int``, ``_kernel_combos`` hands it out as one,
+and every public accessor converts a coefficient to ``Fraction`` on the way
+out (``_fraction``).
 """
 
 from __future__ import annotations

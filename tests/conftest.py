@@ -31,17 +31,19 @@ def two_loop_quiver() -> Quiver:
 @pytest.fixture
 def record_spans(monkeypatch):
     """``record(module)`` swaps the module's SpanBuilder for one that keeps
-    every add's answer, and returns the list of spans it makes."""
+    every add's row, as handed in, and answer, and returns the list of spans
+    it makes."""
     def record(module: str) -> list:
         spans = []
 
         class Recording(SpanBuilder):
             def __init__(self):
                 super().__init__()
-                self.answers = []
+                self.rows, self.answers = [], []
                 spans.append(self)
 
             def add(self, row):
+                self.rows.append(dict(row))
                 self.answers.append(super().add(row))
                 return self.answers[-1]
 

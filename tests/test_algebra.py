@@ -570,13 +570,14 @@ def test_cocenter_matches_all_pairs_on_finite_types(kind, rank):
     assert_cocenter_matches_all_pairs(gb)
 
 
-@pytest.mark.parametrize("kind,rank,cutoff", [("A", 1, 8), ("D", 4, 6)])
+@pytest.mark.parametrize("kind,rank,cutoff", [("A", 1, 8), ("D", 4, 6), ("A", 2, 8),
+                                               ("D", 4, 10)])
 def test_cocenter_matches_all_pairs_on_framed_affine(kind, rank, cutoff):
     q, rels = framed_affine_preprojective(kind, rank)
     assert_cocenter_matches_all_pairs(graded_basis(q, rels, cutoff), cutoff)
 
 
-@pytest.mark.parametrize("seed", range(15))
+@pytest.mark.parametrize("seed", range(60))
 def test_cocenter_matches_all_pairs_on_random_quotients(seed):
     q, rels = random_quotient(random.Random(seed))
     assert_cocenter_matches_all_pairs(graded_basis(q, rels, 5))
@@ -615,18 +616,48 @@ def test_cocenter_takes_one_arrow_step_per_product(case, monkeypatch):
             == [[p.text() for p in r] for r in want[1]])
 
 
+def cycle_keys(gb, d):
+    return {key for key, (source, target) in gb._table(d).items() if source == target}
+
+
 @pytest.mark.parametrize("kind, rank", [("A", 4), ("D", 5), ("E", 6)])
 def test_cocenter_stops_each_degree_once_its_span_is_full(kind, rank, record_spans):
     """A finite type's cocenter is degree 0 alone, so every later degree's
-    rows span its whole table; once they do, no row is added, and the last
-    add of each degree enlarges the span."""
+    rows span all its cycles; once they do, no row is added, and the last
+    add of each degree enlarges the span.  A degree with no cycle (every odd
+    one on a bipartite quiver) adds no row at all."""
     q = build_doubled_dynkin(kind, rank)
     gb = graded_basis(q, preprojective_relations(q), 2 * rank + 4)
     spans = record_spans("algebra")
     cc = cocenter(gb)
     assert cc.degree_dims == (rank,) + (0,) * gb.top_degree
     assert len(spans) == gb.top_degree + 1
-    assert all(span.answers[-1] for span in spans[1:])
+    for d, span in enumerate(spans[1:], 1):
+        cycles = cycle_keys(gb, d)
+        assert span.rank == len(cycles)
+        assert span.answers[-1] if cycles else not span.answers
+
+
+@pytest.mark.parametrize("case", ["E6", "framed A1", "framed A2", "random 0", "random 11"])
+def test_cocenter_adds_rows_on_cycles_only(case, record_spans):
+    """Every non-cycle is a commutator, so each row a.y - y.a has a from y's
+    target back to y's source and lies on the degree's cycles."""
+    if case == "E6":
+        q = build_doubled_dynkin("E", 6)
+        gb = graded_basis(q, preprojective_relations(q), 12)
+    elif case.startswith("framed"):
+        q, rels = framed_affine_preprojective(case[-2], int(case[-1]))
+        gb = graded_basis(q, rels, 8)
+    else:
+        q, rels = random_quotient(random.Random(int(case.split()[1])))
+        gb = graded_basis(q, rels, 5)
+    spans = record_spans("algebra")
+    cocenter(gb)
+    for d, span in enumerate(spans):
+        cycles = cycle_keys(gb, d)
+        assert all(row.keys() <= cycles for row in span.rows)
+    if case == "E6":   # 26 rows enlarge the span: E6's cycles of positive degree
+        assert sum(len(span.rows) for span in spans) == 38
 
 
 def test_cocenter_of_two_free_loops_counts_necklaces():
