@@ -574,7 +574,8 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
     read of the basis tables (``_step``), and each y.a is y's prefix times
     a, kept from degree d - 1, with y's last arrow applied, so every row
     takes two single-arrow steps.  Once the span has rank #cycles the
-    remaining rows are skipped; the y.a are still kept for the next degree.
+    remaining rows are skipped; the y.a are still kept for the next degree,
+    except in the last degree, which builds y.a only for a row it adds.
     Representatives are the cycles that lead no pivot; the set of leads
     depends only on the span, not on the order of its rows.  Past the top
     degree of a finite-dimensional algebra every degree is empty, so from
@@ -604,10 +605,13 @@ def cocenter(basis: GradedBasis, cutoff: int | None = None) -> Cocenter:
         for y_key, (y_source, y_target) in basis._table(d - 1).items() if d else ():
             prefix, y_last = y_key >> bits, y_key & (1 << bits) - 1
             for ai, source, base in into[y_source]:   # y.a: a acts first
+                adds = source == y_target and span.rank < len(cycles)
+                if d == last and not adds:
+                    continue   # no later degree reads this y.a
                 ya = y_a[y_key << bits | ai] = (
                     basis._extend(prefix_a[prefix << bits | ai], (y_last,)) if d > 1
                     else _step(pivots, table, base << bits | ai))
-                if source == y_target and span.rank < len(cycles):
+                if adds:
                     row = dict(_step(pivots, table, y_key << bits | ai))   # a.y: a acts after y
                     axpy(row, -1, ya)
                     if row:

@@ -18,10 +18,9 @@ class VerificationError(RuntimeError):
 class Record:
     """An immutable value, compared, hashed and shown by the fields ``_fields`` names.
 
-    A plain record writes ``__slots__ = _fields = (...)`` and is built from
-    its field values in that order.  Instances of two record classes never
-    compare equal.  ``Arrow``, ``Path`` and ``Mat`` write out ``__eq__`` and
-    ``__hash__``: on their hot paths ``attrgetter`` is slower.
+    Every record is slotted: a plain one writes ``__slots__ = _fields = (...)``
+    and is built from its field values in that order; any further slot is
+    derived from the fields.  Instances of two record classes never compare equal.
     """
 
     __slots__ = ()

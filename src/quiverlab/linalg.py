@@ -203,15 +203,6 @@ class Mat(Record):
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "ring_zero", ring_zero)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.rows, self.cols, self.data, self.ring_zero)
-                == (other.rows, other.cols, other.data, other.ring_zero))
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data, self.ring_zero))
-
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Mat":
         data = tuple(tuple(Fraction(x) for x in r) for r in rows)

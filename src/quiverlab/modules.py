@@ -133,14 +133,18 @@ def random_extension(sub: ModuleRep, quot: ModuleRep,
         raise ValueError("both blocks must satisfy the relations")
 
     shapes = [(a.name, sub.dims[a.target], quot.dims[a.source]) for a in quiver.arrows]
+
+    def extension(s: ModuleRep, q: ModuleRep, entries: Iterable) -> ModuleRep:
+        """[[s, X], [0, q]] per arrow, X's entries read by arrow, then row-major."""
+        xs = iter(entries)
+        return ModuleRep(quiver, s.dims + q.dims, {
+            name: block_upper(s.matrices[name],
+                              Mat(r, c, tuple(tuple(islice(xs, c)) for _ in range(r)), s.zero),
+                              q.matrices[name])
+            for name, r, c in shapes})
+
     ring = PolyRing(f"x{k}" for k in range(sum(r * c for _, r, c in shapes)))
-    zero, xs = ring.zero(), iter(map(ring.variable, ring.variables))
-    s, q = lift(sub, ring), lift(quot, ring)
-    generic = ModuleRep(quiver, sub.dims + quot.dims, {
-        name: block_upper(s.matrices[name],
-                          Mat(r, c, tuple(tuple(islice(xs, c)) for _ in range(r)), zero),
-                          q.matrices[name])
-        for name, r, c in shapes})
+    generic = extension(lift(sub, ring), lift(quot, ring), map(ring.variable, ring.variables))
 
     # a residual term is c·x_k: it goes to column k, keyed (relation, row, col)
     columns: list[dict] = [{} for _ in ring.variables]
@@ -152,11 +156,7 @@ def random_extension(sub: ModuleRep, quot: ModuleRep,
     values: dict[int, Fraction] = {}
     for combo in kernel_combos(columns):
         axpy(values, rng.randint(-_COEF_BOUND, _COEF_BOUND), combo)
-    point = {x: values.get(k, _ZERO) for k, x in enumerate(ring.variables)}
-    result = ModuleRep(quiver, generic.dims, {
-        name: Mat(m.rows, m.cols, tuple(tuple(f.evaluate(point) for f in row)
-                                        for row in m.data))
-        for name, m in generic.matrices.items()})
+    result = extension(sub, quot, (values.get(k, _ZERO) for k in range(len(ring.variables))))
     ok, _ = check_relations(result, rels)
     if not ok:
         raise VerificationError("extension construction produced an invalid module")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import Record
 
@@ -21,14 +20,6 @@ FRAMING_ARROW = "ι"    # ι
 
 class Arrow(Record):
     __slots__ = _fields = ("name", "source", "target")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.source, self.target) == (other.name, other.source, other.target)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.source, self.target))
 
 
 class Quiver:
@@ -144,32 +135,28 @@ class Quiver:
 class Path(Record):
     """A path in a quiver; ``arrows`` lists arrow names in application order.
 
-    A length-0 path is the idempotent at its base vertex.  Paths keep a
-    ``__dict__`` for their cached ``target`` and ``key``.
+    A length-0 path is the idempotent at its base vertex.  The walk that checks
+    the arrows compose also sets ``target`` and the sort key ``key`` (the source
+    index, then one index per arrow): derived slots, which equality ignores.
     """
 
+    __slots__ = ("quiver", "base", "arrows", "target", "key")
     _fields = ("quiver", "base", "arrows")
 
     def __init__(self, quiver: Quiver, base: str, arrows: tuple[str, ...] = ()) -> None:
         at = base
-        if at not in quiver.partition:
-            raise ValueError(f"unknown vertex {at!r}")
+        key = [quiver.vertex_index(base)]
         for name in arrows:
             a = quiver.arrow(name)
             if a.source != at:
                 raise ValueError(f"non-composable path at arrow {name!r}")
             at = a.target
+            key.append(quiver.arrow_index(name))
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "arrows", arrows)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.quiver, self.base, self.arrows) == (other.quiver, other.base, other.arrows)
-
-    def __hash__(self) -> int:
-        return hash((self.quiver, self.base, self.arrows))
+        object.__setattr__(self, "target", at)
+        object.__setattr__(self, "key", tuple(key))
 
     @staticmethod
     def idempotent(quiver: Quiver, vertex: str) -> "Path":
@@ -182,19 +169,6 @@ class Path(Record):
     @property
     def source(self) -> str:
         return self.base
-
-    @cached_property
-    def target(self) -> str:
-        if not self.arrows:
-            return self.base
-        return self.quiver.arrow(self.arrows[-1]).target
-
-    @cached_property
-    def key(self) -> tuple[int, ...]:
-        """Deterministic sort key: source index followed by arrow indices."""
-        return (self.quiver.vertex_index(self.base),) + tuple(
-            self.quiver.arrow_index(a) for a in self.arrows
-        )
 
     def extend(self, arrow: Arrow) -> "Path":
         """Apply one more arrow after this path: check it, then build through ``Path(...)``."""

@@ -28,6 +28,7 @@ from quiverlab.modules import (
     restrict_corner,
     zero_module,
 )
+from quiverlab.polynomials import Polynomial
 from quiverlab.quivers import (
     Arrow,
     DimensionVector,
@@ -306,6 +307,34 @@ def test_random_extension_pinned_values(kind, seed, blocks):
         rows, cols = sub.dims[a.target], sub.dims[a.source]
         got[a.name] = [[str(x) for x in row[cols:]] for row in ext.matrices[a.name].data[:rows]]
     assert got == blocks
+
+
+@pytest.mark.parametrize("kind, seed", [("A2", 4000), ("A2", 4001), ("framed A1", 5000),
+                                        ("framed A1", 5001)])
+def test_random_extension_places_its_blocks_without_evaluating(kind, seed, monkeypatch):
+    """The result is built as the generic extension is: sub's and quot's
+    matrices on the diagonal, zero below, the kernel point above, with no
+    polynomial evaluated."""
+    if kind == "A2":
+        quiver = build_doubled_dynkin("A", 2)
+        rels, make = preprojective_relations(quiver), _a2_blocks
+    else:
+        quiver, rels = framed_affine_preprojective("A", 1)
+        make = _framed_a1_blocks
+    rng = random.Random(seed)
+    sub, quot = make(rng, quiver)
+
+    def refuse(self, env):
+        raise AssertionError("random_extension evaluated a polynomial")
+
+    monkeypatch.setattr(Polynomial, "evaluate", refuse)
+    ext = random_extension(sub, quot, rels, rng)
+    for a in quiver.arrows:
+        s, q, m = sub.matrices[a.name], quot.matrices[a.name], ext.matrices[a.name]
+        assert tuple(row[:s.cols] for row in m.data[:s.rows]) == s.data
+        assert tuple(row[s.cols:] for row in m.data[s.rows:]) == q.data
+        assert all(x == 0 for row in m.data[s.rows:] for x in row[:s.cols])
+        assert all(type(x) is Fraction for row in m.data for x in row)
 
 
 def _extension_matches_the_reference(sub, quot, rels, rng):

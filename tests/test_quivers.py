@@ -1,12 +1,15 @@
 import copy
+import importlib
 import pickle
+import pkgutil
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from quiverlab.algebra import Cocenter, RelationSet
+import quiverlab
+from quiverlab.algebra import Cocenter, RelationSet, framed_affine_preprojective, graded_basis
 from quiverlab.corner import (BimoduleGenerators, CornerGenerator, CornerGenerators,
                               CornerPresentation)
 from quiverlab.errors import Record
@@ -29,7 +32,7 @@ from quiverlab.quivers import (
     evaluate_character,
     frame,
 )
-from quiverlab.repscheme import InvariantGenerator, RepIdeal
+from quiverlab.repscheme import InvariantGenerator, RepIdeal, _cycles
 
 ADE_FINITE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
               ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
@@ -366,3 +369,58 @@ def test_path_and_mat_still_validate():
         Mat(-1, 0, ())
     with pytest.raises(TypeError):
         Arrow("a", "1")
+
+
+def _quiverlab_records() -> set:
+    for info in pkgutil.iter_modules(quiverlab.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"quiverlab.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("quiverlab."):
+                found.add(cls)
+            todo.append(cls)
+    return found
+
+
+def test_every_record_compares_through_record_alone_and_is_slotted():
+    records = _quiverlab_records()
+    assert records == set(RECORDS)
+    values = _record_values()
+    for cls in records:
+        assert cls.__eq__ is Record.__eq__, cls
+        assert cls.__hash__ is (None if cls is QuiverFile else Record.__hash__), cls
+        assert not hasattr(cls(*values[cls]), "__dict__"), cls
+
+
+def _walk(p: Path) -> tuple:
+    """A path's target and key, read afresh off its quiver."""
+    q, at = p.quiver, p.base
+    for name in p.arrows:
+        assert q.arrow(name).source == at
+        at = q.arrow(name).target
+    return at, (q.vertex_index(p.base),) + tuple(q.arrow_index(name) for name in p.arrows)
+
+
+def test_path_sets_its_target_and_key_once():
+    quiver, rels = framed_affine_preprojective("A", 1)
+    rng = random.Random(5)
+    paths = [Path(quiver, "∞", ("ι", "a", "a*")), Path.idempotent(quiver, "1")]
+    for _ in range(20):
+        p = Path.idempotent(quiver, rng.choice(quiver.vertices))
+        for _ in range(rng.randint(1, 5)):
+            outs = quiver.arrows_from(p.target)
+            if outs:
+                p = p.extend(rng.choice(outs))
+        head = Path(quiver, p.base, p.arrows[:p.length // 2])
+        paths.append(p)
+        paths.append(Path(quiver, head.target, p.arrows[p.length // 2:]) * head)
+        paths.append(Path.idempotent(quiver, p.target) * p)
+    gb = graded_basis(quiver, rels, 6)
+    paths += [p for d in range(7) for p in gb.basis(d)]
+    paths += list(_cycles(quiver, frozenset(quiver.vertices), 4))
+    assert len(paths) > 100
+    for p in paths:
+        assert not hasattr(p, "__dict__")
+        assert (p.target, p.key) == _walk(p)
